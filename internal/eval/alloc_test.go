@@ -83,6 +83,48 @@ func TestAllocsWiderCodeSpace(t *testing.T) {
 	}
 }
 
+// TestAllocsImport: importing into a cache allocates only the interned
+// key of each inserted entry plus amortized map and ring growth — the
+// key is built into one reused buffer — and re-importing entries the
+// cache already holds allocates nothing per entry.
+func TestAllocsImport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	const n = 10000
+	r := rand.New(rand.NewSource(3))
+	ents := make([]CacheEntry, n)
+	for i := range ents {
+		used := r.Uint64()&0xffffffff | 1<<uint(i%32)
+		ents[i] = CacheEntry{NV: 5, Used: []uint64{used}, On: []uint64{used & r.Uint64()}, Cubes: 1 + i%7}
+	}
+	const runs = 3
+	caches := make([]*Cache, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range caches {
+		caches[i] = NewCacheBytes(256 << 20)
+	}
+	next := 0
+	var st ImportStats
+	perImport := testing.AllocsPerRun(runs, func() {
+		st, _ = caches[next].Import(ents)
+		next++
+	})
+	if st.Inserted < n-n/100 {
+		t.Fatalf("only %d of %d entries inserted", st.Inserted, n)
+	}
+	t.Logf("%.3f allocations per inserted entry", perImport/float64(st.Inserted))
+	if per := perImport / float64(st.Inserted); per > 1.25 {
+		t.Fatalf("Import allocates %.3f objects per inserted entry, want <= 1.25", per)
+	}
+	dup := testing.AllocsPerRun(runs, func() {
+		st, _ = caches[0].Import(ents)
+	})
+	if st.Inserted != 0 || dup > 2 {
+		t.Fatalf("re-import of %d held entries: %d inserted, %.1f allocations, want 0 and O(1)",
+			n, st.Inserted, dup)
+	}
+}
+
 // TestPooledScoringUnderContention hammers the pooled exact path from
 // GOMAXPROCS×2 goroutines and checks every result against the unpooled
 // reference (ConstraintFunction + exact.Minimize). Run under -race, this

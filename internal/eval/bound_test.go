@@ -20,7 +20,7 @@ func sameShardEntries(k int) []CacheEntry {
 	shard := uint64(0)
 	for v := uint64(1); len(ents) < k; v++ {
 		ent := CacheEntry{NV: 4, Used: []uint64{v}, On: []uint64{v & 1}, Cubes: int(v)}
-		s := fnvShard(buildCacheKey(ent))
+		s := fnvShard(ent.Key())
 		if len(ents) == 0 {
 			shard = s
 		}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"picola/internal/face"
@@ -188,5 +189,26 @@ func TestCacheConcurrent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExportedEntriesIsolated: Export carves every entry's bitsets from
+// one slab, cap-limited, so appending to one exported entry's Used or On
+// can never write into its neighbour's words.
+func TestExportedEntriesIsolated(t *testing.T) {
+	c := NewCache()
+	ents := sameShardEntries(3)
+	ents = append(ents, CacheEntry{NV: 7, Used: []uint64{^uint64(0), 0xff}, On: []uint64{0x5, 0x1}, Cubes: 4})
+	if _, err := c.Import(ents); err != nil {
+		t.Fatal(err)
+	}
+	got := c.Export()
+	want := c.Export()
+	for i := range got[:len(got)-1] {
+		_ = append(got[i].Used, 0xdead)
+		_ = append(got[i].On, 0xbeef)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("appending to exported bitsets changed a neighbour: %+v", got)
 	}
 }

@@ -3,7 +3,8 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // CacheEntry is one memoized constraint minimization in portable form:
@@ -31,88 +32,98 @@ func entryWords(nv int) int {
 }
 
 // parseCacheKey decodes one interned key (the keyBuf.cacheKey layout:
-// tag byte, nv byte, used words LE, on words LE) into an entry.
-func parseCacheKey(key string, cubes int) (CacheEntry, bool) {
+// tag byte, nv byte, used words LE, on words LE) into an entry whose Used
+// and On words are carved from the front of slab, cap-limited so that
+// appending to one entry's bitset never writes into its neighbour's. It
+// returns the unused rest of slab; a key of the wrong shape consumes
+// nothing.
+func parseCacheKey(key string, cubes int, slab []uint64) (CacheEntry, []uint64, bool) {
 	if len(key) < 2 {
-		return CacheEntry{}, false
+		return CacheEntry{}, slab, false
 	}
 	nv := int(key[1])
 	w := entryWords(nv)
-	if len(key) != 2+16*w {
-		return CacheEntry{}, false
+	if len(key) != 2+16*w || len(slab) < 2*w {
+		return CacheEntry{}, slab, false
+	}
+	for i := range slab[:2*w] {
+		slab[i] = binary.LittleEndian.Uint64([]byte(key[2+8*i : 10+8*i]))
 	}
 	ent := CacheEntry{
 		Heuristic: key[0] != 0,
 		NV:        nv,
-		Used:      make([]uint64, w),
-		On:        make([]uint64, w),
+		Used:      slab[:w:w],
+		On:        slab[w : 2*w : 2*w],
 		Cubes:     cubes,
 	}
-	for i := 0; i < w; i++ {
-		ent.Used[i] = binary.LittleEndian.Uint64([]byte(key[2+8*i : 10+8*i]))
-		ent.On[i] = binary.LittleEndian.Uint64([]byte(key[2+8*w+8*i : 10+8*w+8*i]))
-	}
-	return ent, true
-}
-
-// buildCacheKey is the inverse of parseCacheKey: the interned key bytes
-// of an entry's signature.
-func buildCacheKey(ent CacheEntry) []byte {
-	w := entryWords(ent.NV)
-	key := make([]byte, 2, 2+16*w)
-	if ent.Heuristic {
-		key[0] = 1
-	}
-	key[1] = byte(ent.NV)
-	for _, words := range [][]uint64{ent.Used, ent.On} {
-		for _, v := range words {
-			key = binary.LittleEndian.AppendUint64(key, v)
-		}
-	}
-	return key
+	return ent, slab[2*w:], true
 }
 
 // Export snapshots every memoized entry in a deterministic order (sorted
 // by raw key bytes). A nil cache exports nothing. Concurrent inserts may
 // or may not be included; each exported entry is individually consistent.
+// The bitset words of all exported entries share one allocation.
 func (c *Cache) Export() []CacheEntry {
 	if c == nil {
 		return nil
 	}
-	var pairs []struct {
+	type pair struct {
 		key   string
 		cubes int
 	}
+	pairs := make([]pair, 0, c.Len())
+	words := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		//lint:ignore detrange pair collection sorted by key below before any use
 		for k, v := range sh.m {
-			pairs = append(pairs, struct {
-				key   string
-				cubes int
-			}{k, v})
+			pairs = append(pairs, pair{k, v})
+			words += (len(k) - 2) / 8
 		}
 		sh.mu.RUnlock()
 	}
-	// The interned key bytes ARE the canonical order (buildCacheKey is
-	// the identity round-trip of parseCacheKey), so sort the raw keys —
-	// rebuilding a key per comparison would allocate O(n log n) times.
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].key < pairs[b].key })
+	// The interned key bytes ARE the canonical order (AppendKey is the
+	// identity round-trip of parseCacheKey), so sort the raw keys.
+	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key, b.key) })
+	slab := make([]uint64, words)
 	entries := make([]CacheEntry, 0, len(pairs))
 	for _, p := range pairs {
-		if ent, ok := parseCacheKey(p.key, p.cubes); ok {
+		var ent CacheEntry
+		var ok bool
+		if ent, slab, ok = parseCacheKey(p.key, p.cubes, slab); ok {
 			entries = append(entries, ent)
 		}
 	}
 	return entries
 }
 
-// Key returns the canonical signature bytes of the entry — the same
-// interned key the in-memory cache indexes by, and the content address
-// the on-disk store shards by. Equal minimization inputs have equal
-// keys whatever produced them.
-func (ent CacheEntry) Key() []byte { return buildCacheKey(ent) }
+// AppendKey appends the canonical signature bytes of the entry to dst
+// and returns the extended slice — the same interned key the in-memory
+// cache indexes by, and the content address the on-disk store shards by.
+// Equal minimization inputs have equal keys whatever produced them.
+// Building into a reused buffer lets a caller probe a map with
+// m[string(buf)] without allocating.
+func (ent CacheEntry) AppendKey(dst []byte) []byte {
+	tag := byte(0)
+	if ent.Heuristic {
+		tag = 1
+	}
+	dst = append(dst, tag, byte(ent.NV))
+	for _, v := range ent.Used {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	for _, v := range ent.On {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
+// Key returns the canonical signature bytes of the entry in a fresh
+// slice (see AppendKey).
+func (ent CacheEntry) Key() []byte {
+	return ent.AppendKey(make([]byte, 0, 2+8*(len(ent.Used)+len(ent.On))))
+}
 
 // ImportStats breaks one Import down by outcome class, so a store load
 // that drops entries is debuggable instead of one lumped error: every
@@ -170,6 +181,7 @@ func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 	if c == nil {
 		return st, fmt.Errorf("eval: cannot import into a nil cache")
 	}
+	key := make([]byte, 0, 2+16*entryWords(cacheMaxNV))
 	for _, ent := range entries {
 		if ent.NV < 1 || ent.NV > cacheMaxNV {
 			st.BadNV++
@@ -183,7 +195,7 @@ func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 			st.BadCubes++
 			continue
 		}
-		key := buildCacheKey(ent)
+		key = ent.AppendKey(key[:0])
 		sh := &c.shards[fnvShard(key)]
 		inserted, evicted, freed := sh.insertLocked(key, ent.Cubes, c.shardBudget)
 		dup := !inserted && int64(len(key))+entryBytesOverhead <= c.shardBudget

@@ -18,10 +18,12 @@
 // and appended to the WAL (one Write call per frame), and Compact folds
 // shards + WAL into freshly written shard files — each written to a
 // temp file and atomically renamed into place — before truncating the
-// WAL. A crash at any point loses at most the torn tail of the WAL:
-// compaction truncates the journal only after every shard rename, so an
-// interrupted cycle leaves duplicate entries (harmless — first wins),
-// never missing ones.
+// WAL; with an empty WAL it has nothing to fold and touches no shard. A
+// crash at any point loses at most the torn tail of the WAL: Append
+// cuts a torn tail back to the clean frame prefix before its first
+// write, and compaction truncates the journal only after every shard
+// rename, so an interrupted cycle leaves duplicate entries (harmless —
+// first wins), never missing ones.
 //
 // Loads are crash-safe by construction: a torn or corrupt shard file or
 // WAL frame is skipped and counted, never fatal. Dropping cache entries
@@ -30,15 +32,18 @@ package evalstore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"picola/internal/eval"
 	"picola/internal/ir"
 	"picola/internal/obs"
+	"picola/internal/par"
 )
 
 // Store metrics: entries read at load (before dedup/import), shard
@@ -64,13 +69,20 @@ const (
 
 func shardName(i int) string { return fmt.Sprintf("shard-%02x.ir", i) }
 
-// shardOf assigns a canonical key to an on-disk shard (FNV-1a). The
-// assignment is part of the layout: every process sharding the same key
-// space places every entry in the same file.
-func shardOf(key []byte) int {
-	h := fnv.New64a()
-	_, _ = h.Write(key) // hash.Hash.Write is documented to never fail
-	return int(h.Sum64() % storeShards)
+// shardOf assigns a canonical key to an on-disk shard (64-bit FNV-1a).
+// The assignment is part of the layout: every process sharding the same
+// key space places every entry in the same file.
+func shardOf(key string) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return int(h % storeShards)
 }
 
 // Store is one on-disk cache directory. All methods are safe for
@@ -87,6 +99,11 @@ type Store struct {
 	// entries.
 	known map[string]struct{}
 	wal   *os.File
+	// walSize and walClean are what the last read of the WAL saw: its
+	// length and the length of its clean frame prefix (walScanned is
+	// false until the first read). Append's torn-tail repair uses them.
+	walScanned        bool
+	walSize, walClean int64
 }
 
 // Open opens (creating if needed) a store directory.
@@ -140,7 +157,7 @@ type LoadStats struct {
 // files and WAL frames are counted and skipped, never fatal; the only
 // errors are environmental (an unreadable directory).
 func (s *Store) Load(c *eval.Cache) (LoadStats, error) {
-	entries, st, err := s.readAll()
+	entries, _, st, err := s.readAll()
 	if err != nil {
 		return st, err
 	}
@@ -153,72 +170,131 @@ func (s *Store) Load(c *eval.Cache) (LoadStats, error) {
 	return st, nil
 }
 
-// readAll is the single disk-read path shared by Load, Entries, and
-// Compact: every distinct entry on disk (first wins, shard order then
-// WAL order) plus the skip accounting, with no in-memory cache bound
-// applied.
-func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
-	var st LoadStats
-	var entries []eval.CacheEntry
-	seen := make(map[string]struct{})
-	add := func(batch []eval.CacheEntry) {
-		for _, ent := range batch {
-			k := string(ent.Key())
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			entries = append(entries, ent)
-		}
+// input is one on-disk input of a read, decoded: a shard file (one
+// batch) or the WAL (one batch per decodable frame).
+type input struct {
+	batches [][]eval.CacheEntry
+	// corrupt marks a shard file present but unreadable or undecodable.
+	corrupt bool
+	// badFrames, size and clean describe the WAL: CRC-valid frames that
+	// did not decode, the bytes read, and the length of the clean frame
+	// prefix.
+	badFrames   int
+	size, clean int
+}
+
+// readShard decodes one shard file; a missing file is an empty input.
+func readShard(path string) input {
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return input{}
 	}
-	for i := 0; i < storeShards; i++ {
-		b, err := os.ReadFile(filepath.Join(s.dir, shardName(i)))
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			st.SkippedShards++
-			mLoadSkipped.Inc()
-			continue
-		}
-		f, err := ir.Unmarshal(b)
-		if err != nil {
-			st.SkippedShards++
-			mLoadSkipped.Inc()
-			continue
-		}
-		st.ShardFiles++
-		add(f.CacheEntries)
+	if err != nil {
+		return input{corrupt: true}
 	}
-	wal, err := os.ReadFile(filepath.Join(s.dir, walName))
+	f, err := ir.Unmarshal(b)
+	if err != nil {
+		return input{corrupt: true}
+	}
+	return input{batches: [][]eval.CacheEntry{f.CacheEntries}}
+}
+
+// readWAL decodes the WAL's clean frame prefix; only an environmental
+// read error fails it.
+func readWAL(path string) (input, error) {
+	b, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, st, fmt.Errorf("evalstore: %w", err)
+		return input{}, fmt.Errorf("evalstore: %w", err)
 	}
-	payloads, clean := ir.ScanFrames(wal)
-	st.WALTornBytes = len(wal) - clean
+	payloads, clean := ir.ScanFrames(b)
+	in := input{size: len(b), clean: clean}
 	for _, p := range payloads {
 		f, err := ir.Unmarshal(p)
 		if err != nil {
-			st.WALBadFrames++
-			mLoadBadFrame.Inc()
+			in.badFrames++
 			continue
 		}
-		st.WALFrames++
-		add(f.CacheEntries)
+		in.batches = append(in.batches, f.CacheEntries)
+	}
+	return in, nil
+}
+
+// readAll is the single disk-read path shared by Load, Entries, and
+// Compact: every distinct entry on disk (first wins, shard order then
+// WAL order) with its canonical key, plus the skip accounting, with no
+// in-memory cache bound applied. The shard files and the WAL are read
+// and decoded concurrently; the merge then walks them in the fixed
+// shard-then-WAL order, so the result is the sequential one. Each
+// entry's key is built once, into a reused buffer, and a key string is
+// allocated only for an entry that is kept.
+func (s *Store) readAll() ([]eval.CacheEntry, []string, LoadStats, error) {
+	var st LoadStats
+	inputs, err := par.Map(storeShards+1, par.Workers(0), func(i int) (input, error) {
+		if i < storeShards {
+			return readShard(filepath.Join(s.dir, shardName(i))), nil
+		}
+		return readWAL(filepath.Join(s.dir, walName))
+	})
+	if err != nil {
+		return nil, nil, st, err
+	}
+	total := 0
+	for _, in := range inputs {
+		for _, batch := range in.batches {
+			total += len(batch)
+		}
+	}
+	entries := make([]eval.CacheEntry, 0, total)
+	keys := make([]string, 0, total)
+	seen := make(map[string]struct{}, total)
+	var buf []byte
+	for i, in := range inputs {
+		switch {
+		case i == storeShards:
+			st.WALFrames = len(in.batches)
+			st.WALBadFrames = in.badFrames
+			st.WALTornBytes = in.size - in.clean
+			mLoadBadFrame.Add(int64(in.badFrames))
+		case in.corrupt:
+			st.SkippedShards++
+			mLoadSkipped.Inc()
+		case in.batches != nil:
+			st.ShardFiles++
+		}
+		for _, batch := range in.batches {
+			for j := range batch {
+				buf = batch[j].AppendKey(buf[:0])
+				if _, dup := seen[string(buf)]; dup {
+					continue
+				}
+				k := string(buf)
+				seen[k] = struct{}{}
+				entries = append(entries, batch[j])
+				keys = append(keys, k)
+			}
+		}
 	}
 	st.Entries = len(entries)
 	mLoadEntries.Add(int64(len(entries)))
-	s.noteKnown(seen)
-	return entries, st, nil
+	wal := inputs[storeShards]
+	s.noteRead(seen, int64(wal.size), int64(wal.clean))
+	return entries, keys, st, nil
 }
 
-// noteKnown merges freshly read keys into the known set under the lock.
-func (s *Store) noteKnown(seen map[string]struct{}) {
+// noteRead records a read under the lock: its keys join the known set —
+// the first read's set becomes it outright — and its WAL scan is kept
+// for Append's torn-tail repair.
+func (s *Store) noteRead(seen map[string]struct{}, walSize, walClean int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range seen {
-		s.known[k] = struct{}{}
+	if len(s.known) == 0 {
+		s.known = seen
+	} else {
+		for k := range seen {
+			s.known[k] = struct{}{}
+		}
 	}
+	s.walScanned, s.walSize, s.walClean = true, walSize, walClean
 	gEntries.Set(int64(len(s.known)))
 }
 
@@ -240,37 +316,40 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 	defer s.mu.Unlock()
 	type keyed struct {
 		key string
-		ent eval.CacheEntry
+		i   int // index into entries
 	}
 	var fresh []keyed
-	for _, ent := range entries {
-		k := string(ent.Key())
-		if _, ok := s.known[k]; ok {
+	var buf []byte
+	for i := range entries {
+		buf = entries[i].AppendKey(buf[:0])
+		if _, ok := s.known[string(buf)]; ok {
 			continue
 		}
-		fresh = append(fresh, keyed{k, ent})
+		fresh = append(fresh, keyed{string(buf), i})
 	}
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].key < fresh[j].key })
+	slices.SortFunc(fresh, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 	if s.wal == nil {
 		f, err := os.OpenFile(filepath.Join(s.dir, walName),
 			os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return 0, fmt.Errorf("evalstore: %w", err)
 		}
+		if err := s.repairTornTail(f); err != nil {
+			_ = f.Close() // the repair error is the one to report
+			return 0, fmt.Errorf("evalstore: %w", err)
+		}
 		s.wal = f
 	}
 	written := 0
+	ents := make([]eval.CacheEntry, 0, min(len(fresh), appendChunkEntries))
 	for len(fresh) > 0 {
-		batch := fresh
-		if len(batch) > appendChunkEntries {
-			batch = batch[:appendChunkEntries]
-		}
-		ents := make([]eval.CacheEntry, len(batch))
-		for i, kv := range batch {
-			ents[i] = kv.ent
+		batch := fresh[:min(len(fresh), appendChunkEntries)]
+		ents = ents[:0]
+		for _, kv := range batch {
+			ents = append(ents, entries[kv.i])
 		}
 		payload, err := ir.Marshal(&ir.File{CacheEntries: ents})
 		if err != nil {
@@ -288,6 +367,39 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 	mAppended.Add(int64(written))
 	gEntries.Set(int64(len(s.known)))
 	return written, nil
+}
+
+// repairTornTail runs under the lock before the first write through a
+// new WAL handle f. ScanFrames stops at a torn tail, so frames appended
+// after one would never load and the next compaction would truncate
+// them away: the tail is cut back to the clean frame prefix first. The
+// WAL is scanned here unless a read already did; the cut is made only
+// while the WAL is still the size that scan saw, so a frame another
+// process is appending right now is never cut.
+func (s *Store) repairTornTail(f *os.File) error {
+	if !s.walScanned {
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			return err
+		}
+		_, clean := ir.ScanFrames(b)
+		s.walScanned, s.walSize, s.walClean = true, int64(len(b)), int64(clean)
+	}
+	if s.walClean == s.walSize {
+		return nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if fi.Size() != s.walSize {
+		return nil
+	}
+	if err := f.Truncate(s.walClean); err != nil {
+		return err
+	}
+	s.walSize = s.walClean
+	return nil
 }
 
 // CompactStats describes one compaction.
@@ -309,37 +421,47 @@ type CompactStats struct {
 // Compact folds the shard files and the WAL into freshly written shard
 // files — each marshalled as one canonical picola-ir/v1 container,
 // written to a temp file in the store directory and atomically renamed
-// into place — then truncates the WAL. Unreadable inputs are skipped
-// exactly as in Load, except that a CRC-valid WAL frame the decoder
-// rejects keeps the journal in place (see CompactStats.KeptWAL). A
-// crash mid-compaction is safe at every point: the WAL still holds
-// everything not yet renamed, and duplicate entries between an old WAL
-// and new shards deduplicate on the next load.
+// into place — then truncates the WAL. An empty WAL leaves nothing to
+// fold: Compact then returns zero stats without reading or writing any
+// shard. Unreadable inputs are skipped exactly as in Load, except that
+// a CRC-valid WAL frame the decoder rejects keeps the journal in place
+// (see CompactStats.KeptWAL). A crash mid-compaction is safe at every
+// point: the WAL still holds everything not yet renamed, and duplicate
+// entries between an old WAL and new shards deduplicate on the next
+// load.
 func (s *Store) Compact() (CompactStats, error) {
 	var st CompactStats
-	entries, ls, err := s.readAll()
+	walPath := filepath.Join(s.dir, walName)
+	fi, err := os.Stat(walPath)
+	if err != nil && !os.IsNotExist(err) {
+		return st, fmt.Errorf("evalstore: %w", err)
+	}
+	if err != nil || fi.Size() == 0 {
+		// Nothing to fold: the shards already hold every entry in
+		// canonical form, and rewriting them would reproduce their bytes.
+		return st, nil
+	}
+	entries, keys, ls, err := s.readAll()
 	if err != nil {
 		return st, err
 	}
 	byShard := make([][]eval.CacheEntry, storeShards)
 	keysByShard := make([][]string, storeShards)
-	for _, ent := range entries {
-		k := ent.Key()
-		i := shardOf(k)
-		byShard[i] = append(byShard[i], ent)
-		keysByShard[i] = append(keysByShard[i], string(k))
+	for i, k := range keys {
+		sh := shardOf(k)
+		byShard[sh] = append(byShard[sh], entries[i])
+		keysByShard[sh] = append(keysByShard[sh], k)
 	}
 	for i, batch := range byShard {
 		if len(batch) == 0 {
 			continue
 		}
-		keys := keysByShard[i]
-		sort.Sort(&keyedEntries{keys: keys, ents: batch})
+		sort.Sort(&keyedEntries{keys: keysByShard[i], ents: batch})
 		payload, err := ir.Marshal(&ir.File{CacheEntries: batch})
 		if err != nil {
 			return st, fmt.Errorf("evalstore: shard %d: %w", i, err)
 		}
-		tmp, err := os.CreateTemp(s.dir, shardName(i)+".tmp-*")
+		tmp, err := createTemp(s.dir, shardName(i))
 		if err != nil {
 			return st, fmt.Errorf("evalstore: %w", err)
 		}
@@ -365,7 +487,6 @@ func (s *Store) Compact() (CompactStats, error) {
 		mCompacted.Add(int64(st.Entries))
 		return st, nil
 	}
-	walPath := filepath.Join(s.dir, walName)
 	if fi, err := os.Stat(walPath); err == nil {
 		st.WALBytes = fi.Size()
 	}
@@ -374,6 +495,27 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 	mCompacted.Add(int64(st.Entries))
 	return st, nil
+}
+
+// tempSeq numbers the temp files of this process; with the pid it makes
+// their names unique among the processes sharing a store.
+var tempSeq atomic.Uint64
+
+// createTemp creates a new file in dir to be renamed over name. It uses
+// the WAL's mode, 0644 narrowed by the umask (os.CreateTemp would force
+// 0600 and leave the shards unreadable to every other user), and
+// O_EXCL, so a name left by a crashed process is skipped, never reused.
+func createTemp(dir, name string) (*os.File, error) {
+	var err error
+	for try := 0; try < 100; try++ {
+		var f *os.File
+		p := filepath.Join(dir, fmt.Sprintf("%s.tmp-%d-%d", name, os.Getpid(), tempSeq.Add(1)))
+		f, err = os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if !os.IsExist(err) {
+			return f, err
+		}
+	}
+	return nil, err
 }
 
 // keyedEntries sorts an entry slice by a parallel precomputed key
@@ -395,26 +537,25 @@ func (k *keyedEntries) Swap(i, j int) {
 func (s *Store) truncateWAL(walPath string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var err error
 	if s.wal != nil {
-		return s.wal.Truncate(0)
+		err = s.wal.Truncate(0)
+	} else if err = os.Truncate(walPath, 0); os.IsNotExist(err) {
+		err = nil
 	}
-	if err := os.Truncate(walPath, 0); err != nil && !os.IsNotExist(err) {
-		return err
+	if err == nil {
+		s.walScanned, s.walSize, s.walClean = true, 0, 0
 	}
-	return nil
+	return err
 }
 
 // Entries returns every distinct entry on disk in canonical key order
 // (the inventory view; unreadable inputs skipped as in Load, and no
 // in-memory cache bound applied — the full store is always returned).
 func (s *Store) Entries() ([]eval.CacheEntry, error) {
-	entries, _, err := s.readAll()
+	entries, keys, _, err := s.readAll()
 	if err != nil {
 		return nil, err
-	}
-	keys := make([]string, len(entries))
-	for i := range entries {
-		keys[i] = string(entries[i].Key())
 	}
 	sort.Sort(&keyedEntries{keys: keys, ents: entries})
 	return entries, nil

@@ -606,6 +606,11 @@ func unmarshalCacheEntries(b []byte) ([]eval.CacheEntry, error) {
 		return nil, err
 	}
 	entries := make([]eval.CacheEntry, 0, n)
+	// The bitset words of every entry share one slab. Each entry spends 6
+	// bytes on its header and count and 8 per word, so a well-formed
+	// payload holds exactly this many words; sizing from the payload keeps
+	// the allocation bounded by the input however many entries it claims.
+	slab := make([]uint64, (r.rem()-6*n)/8)
 	for i := 0; i < n; i++ {
 		policy, err := r.u8()
 		if err != nil {
@@ -623,22 +628,26 @@ func unmarshalCacheEntries(b []byte) ([]eval.CacheEntry, error) {
 				ErrCorrupt, i, nv, maxEntryNV)
 		}
 		words := wordsFor(1 << uint(nv))
+		p, err := r.take(16 * words)
+		if err != nil {
+			return nil, err
+		}
+		if len(slab) < 2*words {
+			return nil, fmt.Errorf("%w: entry %d: %d entries declared but the payload ends early",
+				ErrTruncated, i, n)
+		}
+		for wi := range slab[:2*words] {
+			slab[wi] = binary.LittleEndian.Uint64(p[8*wi:])
+		}
+		// Cap-limited, so appending to one entry's bitset never writes
+		// into its neighbour's.
 		ent := eval.CacheEntry{
 			Heuristic: policy == 1,
 			NV:        int(nv),
-			Used:      make([]uint64, words),
-			On:        make([]uint64, words),
+			Used:      slab[:words:words],
+			On:        slab[words : 2*words : 2*words],
 		}
-		for wi := range ent.Used {
-			if ent.Used[wi], err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-		for wi := range ent.On {
-			if ent.On[wi], err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
+		slab = slab[2*words:]
 		cubes, err := r.u32()
 		if err != nil {
 			return nil, err

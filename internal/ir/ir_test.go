@@ -351,3 +351,49 @@ func TestImportRejectsInvalidEntries(t *testing.T) {
 		t.Error("nil cache import succeeded")
 	}
 }
+
+// TestDecodedEntriesIsolated: the decoder carves every entry's bitsets
+// from one slab, cap-limited, so appending to one entry's Used or On
+// can never write into its neighbour's words.
+func TestDecodedEntriesIsolated(t *testing.T) {
+	want := []eval.CacheEntry{
+		{NV: 4, Used: []uint64{0xffff}, On: []uint64{0x3}, Cubes: 1},
+		{NV: 7, Used: []uint64{^uint64(0), 0xff}, On: []uint64{0x5, 0x1}, Cubes: 2},
+		{Heuristic: true, NV: 4, Used: []uint64{0xff}, On: []uint64{0x9}, Cubes: 3},
+	}
+	b, err := Marshal(&File{CacheEntries: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.CacheEntries
+	for i := range got[:len(got)-1] {
+		_ = append(got[i].Used, 0xdead)
+		_ = append(got[i].On, 0xbeef)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("appending to decoded bitsets changed a neighbour: %+v", got)
+	}
+}
+
+// TestRejectEntryWordsPastDeclaredCount: a payload whose declared entry
+// count cannot fit beside an entry's bitsets is truncated input — the
+// word slab, sized from the payload, never overruns.
+func TestRejectEntryWordsPastDeclaredCount(t *testing.T) {
+	// Two entries declared, but the payload holds only the first, an
+	// nv=16 entry large enough to pass the per-entry byte budget.
+	var w writer
+	w.u32(2)
+	w.u8(0)
+	w.u8(16)
+	for i := 0; i < 2*wordsFor(1<<16); i++ {
+		w.u64(0)
+	}
+	w.u32(1)
+	if _, err := unmarshalCacheEntries(w.b); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("got %v, want ErrTruncated", err)
+	}
+}

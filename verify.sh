@@ -38,8 +38,10 @@ go test -race ./...
 # Allocation-regression gate: on a warmed arena, one exact constraint
 # scoring must perform zero heap allocations, and on a warmed encoder one
 # classify column scan likewise (the hot-path pooling contract;
-# testing.AllocsPerRun-based, so a single stray make fails it).
-go test -run TestAllocs -count=1 ./internal/eval ./internal/core
+# testing.AllocsPerRun-based, so a single stray make fails it). The
+# store lifecycle gates bound cache import at about one allocation per
+# inserted entry and a store append of known entries at a constant.
+go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/evalstore
 
 # Hot-path semantics gate: regenerate the Table I snapshot and require
 # zero cube-count deltas against the committed baseline — the kernel,
@@ -72,13 +74,19 @@ rm -f "$tables_tmp" "$ledger_tmp"
 # against a fresh store, then warm against the populated store. The two
 # aggregate snapshots must be byte-identical (the cache may change wall
 # time, never a measurement) and the warm pass must actually reuse the
-# store (zero newly appended entries).
+# store: it appends nothing, so it must leave every shard byte-identical
+# to the cold run's and the WAL empty.
 batch_dir=$(mktemp -d /tmp/picola-batch.XXXXXX)
 go run ./cmd/batch -gen -seed 7 -count 100 -max-symbols 14 "$batch_dir/corpus" >/dev/null
 go run ./cmd/batch -store "$batch_dir/store" -json "$batch_dir/cold.json" "$batch_dir/corpus" >/dev/null
+cp -R "$batch_dir/store" "$batch_dir/store.cold"
 go run ./cmd/batch -store "$batch_dir/store" -json "$batch_dir/warm.json" "$batch_dir/corpus" >/dev/null
 cmp "$batch_dir/cold.json" "$batch_dir/warm.json"
 go run ./cmd/tables -diff "$batch_dir/cold.json" "$batch_dir/warm.json"
+for shard in "$batch_dir"/store.cold/shard-*.ir; do
+  cmp "$shard" "$batch_dir/store/$(basename "$shard")"
+done
+[ ! -s "$batch_dir/store/wal.irlog" ] || { echo "warm re-run left entries in the store WAL" >&2; exit 1; }
 rm -rf "$batch_dir"
 
 # Introspection-server smoke: run a sweep with -http on an ephemeral
