@@ -14,7 +14,7 @@
 //
 // The snapshot is deterministic — rows sort by instance name and carry
 // zero wall times — so a killed-and-resumed, resharded, or reparallel-
-// ized run produces byte-identical bytes, and `tables -diff` gates cube
+// ized run produces byte-identical bytes, and cmd/obsdiff gates cube
 // deltas between any two runs of the same corpus. Timing goes to the
 // machine-parseable stdout summary line (summed_wall_ns=...), summed
 // from per-instance walls that the checkpoint journal preserves across

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"picola/internal/benchgen"
+	"picola/internal/benchsnap"
 	"picola/internal/consfile"
 	"picola/internal/core"
 	"picola/internal/eval"
@@ -204,19 +204,19 @@ func run(ctx context.Context, cfg config, w, errw io.Writer) int {
 	sort.Strings(names)
 
 	if cfg.jsonOut != "" {
-		snap := &benchSnapshot{Schema: benchSchema}
+		snap := &benchsnap.Snapshot{Schema: benchsnap.Schema}
 		for _, name := range names {
 			r := rows[name]
 			// Wall times are deliberately zeroed: the snapshot must be
 			// byte-identical however the corpus was split, resumed, or
 			// parallelized. Timing travels via the summary line instead.
-			snap.Rows = append(snap.Rows, benchRow{
+			snap.Rows = append(snap.Rows, benchsnap.Row{
 				FSM:         r.name,
 				Constraints: r.constraints,
-				Encoders:    map[string]benchStat{"picola": {Cubes: r.cubes, WallNS: 0}},
+				Encoders:    map[string]benchsnap.Stat{"picola": {Cubes: r.cubes, WallNS: 0}},
 			})
 		}
-		if err := writeSnapshot(cfg.jsonOut, snap, w); err != nil {
+		if err := benchsnap.Write(cfg.jsonOut, snap, w); err != nil {
 			fmt.Fprintln(errw, "batch:", err)
 			return exitErr
 		}
@@ -249,10 +249,7 @@ func computeInstance(ctx context.Context, in instance, memo *eval.Cache, audit b
 	}
 	wall := time.Since(t0)
 	if audit {
-		rep := &verify.Report{}
-		rep.Merge(verify.CheckEncoding(prob, res.Encoding, verify.Options{RequireMinLength: true}))
-		rep.Merge(verify.CheckMinimization(prob, res.Encoding, memo))
-		if !rep.Ok() {
+		if rep := verify.Audit(prob, res.Encoding, memo, verify.Options{RequireMinLength: true}); !rep.Ok() {
 			return nil, fmt.Errorf("%s: -audit failed: %w", in.name, rep.Err())
 		}
 	}
@@ -387,8 +384,9 @@ func shardFilter(in []instance, idx, n int) []instance {
 
 // journal is the resumable checkpoint: an append-only file of framed
 // picola-ir/v1 containers, one per completed instance (problem,
-// encoding, audit, wall). Reopening scans the clean prefix — a frame
-// torn by a mid-run kill is simply recomputed.
+// encoding, audit, wall). Reopening scans the clean prefix and cuts the
+// file back to it — a frame torn by a mid-run kill is recomputed once,
+// and the frames appended after the cut stay readable.
 type journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -403,7 +401,7 @@ func openJournal(path string) (*journal, map[string]*row, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	payloads, _ := ir.ScanFrames(b)
+	payloads, clean := ir.ScanFrames(b)
 	done := make(map[string]*row)
 	for _, p := range payloads {
 		f, err := ir.Unmarshal(p)
@@ -420,6 +418,10 @@ func openJournal(path string) (*journal, map[string]*row, error) {
 	}
 	fh, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := ir.CutTornTail(fh, int64(len(b)), int64(clean)); err != nil {
+		_ = fh.Close() // the cut error is the one to report
 		return nil, nil, err
 	}
 	return &journal{f: fh}, done, nil
@@ -478,89 +480,32 @@ func runGen(cfg config, errw io.Writer) int {
 	return exitOK
 }
 
-// runMerge unions per-shard -json snapshots into one corpus snapshot.
-// Row names must be disjoint across inputs (shards partition the
-// corpus); the merged rows sort by name, so a sharded run's merged
-// snapshot is byte-identical to an unsharded run's.
+// runMerge unions per-shard -json snapshots into one corpus snapshot
+// (benchsnap.Merge: disjoint row names, one table, rows merged by name),
+// so a sharded run's merged snapshot is byte-identical to an unsharded
+// run's.
 func runMerge(cfg config, w, errw io.Writer) int {
 	if cfg.jsonOut == "" || len(cfg.args) < 1 {
 		fmt.Fprintln(errw, "batch: -merge needs -json OUT and at least one input snapshot")
 		return exitUsage
 	}
-	merged := &benchSnapshot{Schema: benchSchema}
-	seen := make(map[string]string)
-	for _, path := range cfg.args {
-		snap, err := readSnapshot(path)
+	snaps := make([]*benchsnap.Snapshot, len(cfg.args))
+	for i, path := range cfg.args {
+		snap, err := benchsnap.Read(path)
 		if err != nil {
 			fmt.Fprintln(errw, "batch:", err)
 			return exitErr
 		}
-		for _, r := range snap.Rows {
-			if prev, dup := seen[r.FSM]; dup {
-				fmt.Fprintf(errw, "batch: instance %q appears in both %s and %s\n", r.FSM, prev, path)
-				return exitErr
-			}
-			seen[r.FSM] = path
-			merged.Rows = append(merged.Rows, r)
-		}
+		snaps[i] = snap
 	}
-	sort.Slice(merged.Rows, func(i, j int) bool { return merged.Rows[i].FSM < merged.Rows[j].FSM })
-	if err := writeSnapshot(cfg.jsonOut, merged, w); err != nil {
+	merged, err := benchsnap.Merge(snaps...)
+	if err == nil {
+		err = benchsnap.Write(cfg.jsonOut, merged, w)
+	}
+	if err != nil {
 		fmt.Fprintln(errw, "batch:", err)
 		return exitErr
 	}
 	fmt.Fprintf(errw, "batch: merged %d rows from %d snapshot(s)\n", len(merged.Rows), len(cfg.args))
 	return exitOK
-}
-
-// ---------------------------------------------------------------------
-// picola-bench/v1 snapshots (the cmd/tables -json schema; batch
-// snapshots use table 0 and a single "picola" encoder per row, so
-// tables -diff gates cube deltas between batch runs too)
-
-const benchSchema = "picola-bench/v1"
-
-type benchSnapshot struct {
-	Schema string     `json:"schema"`
-	Table  int        `json:"table"`
-	Rows   []benchRow `json:"rows"`
-}
-
-type benchRow struct {
-	FSM         string               `json:"fsm"`
-	Constraints int                  `json:"constraints,omitempty"`
-	Encoders    map[string]benchStat `json:"encoders"`
-}
-
-type benchStat struct {
-	Cubes  int   `json:"cubes,omitempty"`
-	WallNS int64 `json:"wall_ns"`
-}
-
-func readSnapshot(path string) (*benchSnapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if snap.Schema != benchSchema {
-		return nil, fmt.Errorf("%s: unsupported schema %q", path, snap.Schema)
-	}
-	return &snap, nil
-}
-
-func writeSnapshot(path string, snap *benchSnapshot, stdout io.Writer) error {
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err = stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }

@@ -99,6 +99,20 @@ func TestBatchKillResume(t *testing.T) {
 	if !bytes.Equal(resumedSnap, fullSnap) {
 		t.Fatal("resumed snapshot differs from an uninterrupted run's")
 	}
+
+	// The first resume cut the torn tail before appending, so its 16
+	// frames are readable: a second resume restores every instance.
+	code, againSnap, stdout := runBatch(t,
+		config{checkpoint: ckpt, jsonOut: filepath.Join(out, "again.json")}, dir)
+	if code != exitOK {
+		t.Fatalf("second resume exited %d", code)
+	}
+	if !strings.Contains(stdout, "computed=0 resumed=24") {
+		t.Fatalf("second resume summary %q, want computed=0 resumed=24", stdout)
+	}
+	if !bytes.Equal(againSnap, fullSnap) {
+		t.Fatal("second resumed snapshot differs from an uninterrupted run's")
+	}
 }
 
 // TestBatchShardMerge: two process shards partition the corpus, and

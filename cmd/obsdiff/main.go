@@ -1,6 +1,5 @@
-// Command obsdiff compares two observability snapshots and reports
-// wall-clock and percentile regressions — the performance companion to
-// the quality gate of tables -diff.
+// Command obsdiff is the one snapshot comparator: benchmark quality
+// plus wall-clock and percentile regressions.
 //
 //	obsdiff OLD NEW
 //	obsdiff -wall-pct 25 -quantile-pct 50 -min-ns 1000000 OLD NEW
@@ -10,21 +9,27 @@
 //
 //	picola-ledger/v1   a -ledger run record: per-stage cumulative wall,
 //	                   per-timer totals, histogram percentiles
-//	picola-bench/v1    a tables -json snapshot: per-row, per-encoder
-//	                   encode wall time
+//	picola-bench/v1    a tables or batch -json snapshot: per-row,
+//	                   per-encoder cubes, products and encode wall time
 //	(no schema)        a -metrics registry snapshot: per-timer totals
 //	                   and histogram percentiles
 //
-// Both files must be the same kind. A comparison is skipped when both
-// sides sit under -min-ns (noise floor) or a series exists on only one
-// side (the set of stages/rows may legitimately change between runs);
-// everything else regresses when NEW exceeds OLD by more than the
-// threshold percentage (-wall-pct for walls and totals, -quantile-pct
-// for the noisier p50/p90/p99). Improvements are reported, never fatal.
+// Both files must be the same kind. Bench snapshots are quality-gated
+// first (benchsnap.Diff): a cube or product delta, or a row or encoder
+// on one side only, is a mismatch, snapshots of different tables are
+// incomparable, and the report ends with the summed-wall speedup. Then
+// a series comparison is skipped when both sides sit under -min-ns
+// (noise floor) or the series exists on one side only (the set of
+// stages/rows may legitimately change between runs); everything else
+// regresses when NEW exceeds OLD by more than the threshold percentage
+// (-wall-pct for walls and totals, -quantile-pct for the noisier
+// p50/p90/p99). Improvements are reported, never fatal. -wall-pct inf
+// compares bench snapshots on quality only, as a fresh single-sample run
+// against a committed baseline needs.
 //
-// Exit codes mirror tables -diff: 0 no regression, 1 at least one
-// regression, 2 unreadable or incomparable input. Comparing a file
-// against itself always exits 0, whatever the thresholds.
+// Exit codes: 0 clean, 1 at least one mismatch or regression, 2
+// unreadable or incomparable input. Comparing a file against itself
+// always exits 0, whatever the thresholds.
 package main
 
 import (
@@ -35,6 +40,7 @@ import (
 	"os"
 	"sort"
 
+	"picola/internal/benchsnap"
 	"picola/internal/obs"
 )
 
@@ -79,12 +85,12 @@ func quantSeries(name string, ns int64) series {
 
 // run drives one comparison and returns the exit code.
 func run(w, errw io.Writer, oldPath, newPath string, t thresholds) int {
-	oldKind, oldSeries, err := load(oldPath)
+	oldKind, oldSeries, oldBench, err := load(oldPath)
 	if err != nil {
 		fmt.Fprintln(errw, "obsdiff:", err)
 		return 2
 	}
-	newKind, newSeries, err := load(newPath)
+	newKind, newSeries, newBench, err := load(newPath)
 	if err != nil {
 		fmt.Fprintln(errw, "obsdiff:", err)
 		return 2
@@ -93,6 +99,13 @@ func run(w, errw io.Writer, oldPath, newPath string, t thresholds) int {
 		fmt.Fprintf(errw, "obsdiff: %s is a %s snapshot but %s is a %s snapshot\n",
 			oldPath, oldKind, newPath, newKind)
 		return 2
+	}
+	mismatches := 0
+	if oldBench != nil {
+		if mismatches, err = benchsnap.Diff(w, oldBench, newBench, newPath); err != nil {
+			fmt.Fprintln(errw, "obsdiff:", err)
+			return 2
+		}
 	}
 	newByName := make(map[string]series, len(newSeries))
 	for _, s := range newSeries {
@@ -121,7 +134,10 @@ func run(w, errw io.Writer, oldPath, newPath string, t thresholds) int {
 	}
 	fmt.Fprintf(w, "obsdiff: compared %d series (%s): %d regression(s)\n",
 		len(oldSeries), oldKind, regressions)
-	if regressions > 0 {
+	if mismatches > 0 {
+		fmt.Fprintf(errw, "obsdiff: %d mismatch(es) between %s and %s\n", mismatches, oldPath, newPath)
+	}
+	if mismatches > 0 || regressions > 0 {
 		return 1
 	}
 	return 0
@@ -140,37 +156,40 @@ func pctDelta(old, new int64) float64 {
 }
 
 // load reads one snapshot file, detects its kind, and flattens it into
-// named series, sorted by name for deterministic output.
-func load(path string) (kind string, out []series, err error) {
+// named series, sorted by name for deterministic output. A bench
+// snapshot is also returned parsed, for the quality diff.
+func load(path string) (kind string, out []series, bench *benchsnap.Snapshot, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	var probe struct {
 		Schema string `json:"schema"`
 	}
 	if err := json.Unmarshal(b, &probe); err != nil {
-		return "", nil, fmt.Errorf("%s: %w", path, err)
+		return "", nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	switch probe.Schema {
 	case obs.LedgerSchema:
 		out, err = ledgerSeries(b)
-	case "picola-bench/v1":
-		out, err = benchSeries(b)
+	case benchsnap.Schema:
+		if bench, err = benchsnap.Parse(b); err == nil {
+			out = benchSeries(bench)
+		}
 	case "":
 		out, err = metricsSeries(b)
 	default:
-		return "", nil, fmt.Errorf("%s: unsupported schema %q", path, probe.Schema)
+		return "", nil, nil, fmt.Errorf("%s: unsupported schema %q", path, probe.Schema)
 	}
 	if err != nil {
-		return "", nil, fmt.Errorf("%s: %w", path, err)
+		return "", nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	kind = probe.Schema
 	if kind == "" {
 		kind = "metrics"
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return kind, out, nil
+	return kind, out, bench, nil
 }
 
 // ledgerSeries flattens a -ledger record: per-stage cumulative wall,
@@ -197,27 +216,16 @@ func ledgerSeries(b []byte) ([]series, error) {
 	return out, nil
 }
 
-// benchSeries flattens a tables -json snapshot: one wall series per
-// (row, encoder) pair.
-func benchSeries(b []byte) ([]series, error) {
-	var snap struct {
-		Rows []struct {
-			FSM      string `json:"fsm"`
-			Encoders map[string]struct {
-				WallNS int64 `json:"wall_ns"`
-			} `json:"encoders"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, err
-	}
+// benchSeries flattens a bench snapshot: one wall series per (row,
+// encoder) pair.
+func benchSeries(snap *benchsnap.Snapshot) []series {
 	var out []series
 	for _, row := range snap.Rows {
 		for enc, st := range row.Encoders {
 			out = append(out, wallSeries(row.FSM+"."+enc+".wall", st.WallNS))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // metricsSeries flattens a -metrics registry snapshot: per-timer totals

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,5 +179,75 @@ func TestMetricsSnapshotCompare(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "hist.h.p99") {
 		t.Fatalf("missing histogram percentile series:\n%s", out.String())
+	}
+}
+
+// TestDiffExitCodes pins the bench quality-gate exit-code contract on
+// the diff_*.json goldens with the wall check off (-wall-pct inf): 0
+// when the snapshots agree on every quality metric, 1 on any delta
+// (including missing and extra rows), 2 when a snapshot is unusable or
+// the two are of different tables.
+func TestDiffExitCodes(t *testing.T) {
+	td := func(name string) string { return filepath.Join("testdata", name) }
+	qualityOnly := thresholds{wallPct: math.Inf(1), quantPct: 50, minNS: 1_000_000}
+	cases := []struct {
+		name     string
+		oldPath  string
+		newPath  string
+		wantCode int
+		wantOut  string // substring of stdout, "" to skip
+		wantErr  string // substring of stderr, "" to skip
+	}{
+		{"identical", "diff_old.json", "diff_old.json", 0, "0 mismatches", ""},
+		{"wall-time-only", "diff_old.json", "diff_same.json", 0, "4 measurements compared, 0 mismatches", ""},
+		{"cube-delta", "diff_old.json", "diff_delta.json", 1, "cubes 4 -> 6 (+2)", "1 mismatch(es)"},
+		{"missing-row", "diff_old.json", "diff_missing_row.json", 1, "beta", "1 mismatch(es)"},
+		{"extra-row", "diff_missing_row.json", "diff_old.json", 1, "only in", "1 mismatch(es)"},
+		{"malformed-new", "diff_old.json", "diff_malformed.json", 2, "", "diff_malformed.json"},
+		{"malformed-old", "diff_malformed.json", "diff_old.json", 2, "", "diff_malformed.json"},
+		{"bad-schema", "diff_old.json", "diff_badschema.json", 2, "", "unsupported schema"},
+		{"unreadable", "diff_old.json", "diff_nonexistent.json", 2, "", "diff_nonexistent.json"},
+		{"table-mismatch", "diff_old.json", "diff_table2.json", 2, "", "different tables"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errw bytes.Buffer
+			code := run(&out, &errw, td(tc.oldPath), td(tc.newPath), qualityOnly)
+			if code != tc.wantCode {
+				t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s",
+					code, tc.wantCode, out.String(), errw.String())
+			}
+			if tc.wantOut != "" && !strings.Contains(out.String(), tc.wantOut) {
+				t.Fatalf("stdout missing %q:\n%s", tc.wantOut, out.String())
+			}
+			if tc.wantErr != "" && !strings.Contains(errw.String(), tc.wantErr) {
+				t.Fatalf("stderr missing %q:\n%s", tc.wantErr, errw.String())
+			}
+		})
+	}
+}
+
+// TestBenchQualityGateAtDefaultThresholds: the quality gate runs before
+// the wall check whatever the thresholds. Every pair here has only
+// improved or absent wall series, so the wall check alone would pass
+// them all.
+func TestBenchQualityGateAtDefaultThresholds(t *testing.T) {
+	td := func(name string) string { return filepath.Join("testdata", name) }
+	cases := []struct {
+		name, newPath string
+		wantCode      int
+	}{
+		{"different-tables", "diff_table2.json", 2},
+		{"cube-delta", "diff_delta.json", 1},
+		{"missing-row", "diff_missing_row.json", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errw bytes.Buffer
+			if code := run(&out, &errw, td("diff_old.json"), td(tc.newPath), defThresh); code != tc.wantCode {
+				t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s",
+					code, tc.wantCode, out.String(), errw.String())
+			}
+		})
 	}
 }

@@ -129,10 +129,7 @@ func main() {
 		// The minimum-length invariant only holds when the length was not
 		// overridden and the encoder targets it ("all" grows the length).
 		vopts := verify.Options{RequireMinLength: *nv == 0 && *algo != "all"}
-		rep := &verify.Report{}
-		rep.Merge(verify.CheckEncoding(p, e, vopts))
-		rep.Merge(verify.CheckMinimization(p, e, memo))
-		rep.Merge(verify.CheckCost(p, e, memo))
+		rep := verify.Audit(p, e, memo, vopts)
 		if !rep.Ok() {
 			fmt.Fprintln(os.Stderr, "picola: -check failed:", rep.Err())
 			reopts := opts
@@ -143,11 +140,7 @@ func main() {
 				if err != nil {
 					return false
 				}
-				bad := &verify.Report{}
-				bad.Merge(verify.CheckEncoding(q, qr.Encoding, vopts))
-				bad.Merge(verify.CheckMinimization(q, qr.Encoding, memo))
-				bad.Merge(verify.CheckCost(q, qr.Encoding, memo))
-				return !bad.Ok()
+				return !verify.Audit(q, qr.Encoding, memo, vopts).Ok()
 			}, 0)
 			fmt.Fprintf(os.Stderr, "picola: shrunk repro:\n%s", verify.Repro(shrunk))
 			if err := session.Close(); err != nil {

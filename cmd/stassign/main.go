@@ -152,11 +152,7 @@ func main() {
 					if err != nil {
 						return false
 					}
-					bad := &verify.Report{}
-					bad.Merge(verify.CheckEncoding(q, qe, verify.Options{RequireMinLength: true}))
-					bad.Merge(verify.CheckMinimization(q, qe, memo))
-					bad.Merge(verify.CheckCost(q, qe, memo))
-					return !bad.Ok()
+					return !verify.Audit(q, qe, memo, verify.Options{RequireMinLength: true}).Ok()
 				}, 0)
 				fmt.Fprintf(os.Stderr, "stassign: shrunk constraint-level repro:\n%s", verify.Repro(shrunk))
 			}
@@ -243,17 +239,12 @@ func loadMachine(bench string, args []string) (*kiss.FSM, error) {
 // checkAssignment re-extracts the machine's face constraints and runs
 // the semantic oracle stack on the state encoding.
 func checkAssignment(m *kiss.FSM, e *face.Encoding, memo *eval.Cache) *verify.Report {
-	rep := &verify.Report{}
 	prob, _, err := symbolic.ExtractConstraints(m)
 	if err != nil {
-		rep.Merge(&verify.Report{Failures: []verify.Failure{{
-			Check: "extract", Constraint: -1, Detail: err.Error()}}})
-		return rep
+		return &verify.Report{Failures: []verify.Failure{{
+			Check: "extract", Constraint: -1, Detail: err.Error()}}}
 	}
-	rep.Merge(verify.CheckEncoding(prob, e, verify.Options{RequireMinLength: true}))
-	rep.Merge(verify.CheckMinimization(prob, e, memo))
-	rep.Merge(verify.CheckCost(prob, e, memo))
-	return rep
+	return verify.Audit(prob, e, memo, verify.Options{RequireMinLength: true})
 }
 
 // faceEncoder maps a stassign encoder to its constraint-level core so a

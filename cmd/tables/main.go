@@ -10,15 +10,12 @@
 // Absolute values differ from the paper's (the suite is synthetic; see
 // DESIGN.md §4) — the comparisons are the reproduction target.
 //
-// -json FILE additionally writes a machine-readable snapshot of the run
-// (per-benchmark cube counts / product terms and encode wall time, tables
-// 1 and 2) so BENCH_*.json trajectory files can be populated.
-//
-//	tables -diff OLD.json NEW.json
-//
-// compares two snapshots: per-row, per-encoder cube/product deltas (the
-// regression gate — they must be all zero) plus the aggregate wall-clock
-// speedup of NEW over OLD. A nonzero delta exits 1.
+// -json FILE additionally writes a machine-readable picola-bench/v1
+// snapshot of the run (per-benchmark cube counts / product terms and
+// encode wall time, tables 1 and 2; internal/benchsnap) so BENCH_*.json
+// trajectory files can be populated. cmd/obsdiff compares two snapshots:
+// per-row, per-encoder cube/product deltas (the regression gate — they
+// must be all zero) plus the aggregate wall-clock speedup of NEW over OLD.
 //
 // -j N bounds the parallel fan-out (rows, encoders per row, and the
 // encoders' internal portfolio/scoring). The default is GOMAXPROCS;
@@ -32,17 +29,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"time"
 
 	"picola/internal/baseline/enc"
 	"picola/internal/baseline/nova"
 	"picola/internal/benchgen"
+	"picola/internal/benchsnap"
 	"picola/internal/core"
 	"picola/internal/ctxutil"
 	"picola/internal/eval"
@@ -65,7 +60,6 @@ func main() {
 	jFlag := par.RegisterFlag(flag.CommandLine)
 	formatName := flag.String("format", "text", "output format: text, md or csv")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark snapshot to `FILE` (tables 1 and 2)")
-	diffMode := flag.Bool("diff", false, "compare two -json snapshots given as `OLD NEW` arguments and report cube/product deltas")
 	check := flag.Bool("check", false, "run the semantic verification oracle on every encoding (tables 1 and 2); exit 1 with a shrunk repro on failure")
 	timeout := flag.Duration("timeout", 0, "bound the run's wall clock (0 = none)")
 	verbose := flag.Bool("v", false, "print a per-stage wall-clock summary to stderr")
@@ -103,23 +97,15 @@ func main() {
 		defer func() { _ = httpSrv.Close() }()
 	}
 	var err error
-	var snap *benchSnapshot
-	exitCode := 0
-	switch {
-	case *diffMode:
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "tables: -diff needs exactly two snapshot files: tables -diff OLD.json NEW.json")
-			exitCode = 2
-		} else {
-			exitCode = runDiff(os.Stdout, os.Stderr, flag.Arg(0), flag.Arg(1))
-		}
-	case *table == 1:
+	var snap *benchsnap.Snapshot
+	switch *table {
+	case 1:
 		snap, err = table1(*only, *seed, *encBudget)
-	case *table == 2:
+	case 2:
 		snap, err = table2(*only, *seed)
-	case *table == 3:
+	case 3:
 		err = table3(*only)
-	case *table == 4:
+	case 4:
 		err = table4(*only)
 	default:
 		err = fmt.Errorf("unknown table %d", *table)
@@ -128,7 +114,7 @@ func main() {
 		if snap == nil {
 			err = fmt.Errorf("-json supports tables 1 and 2 only")
 		} else {
-			err = writeSnapshot(*jsonOut, snap)
+			err = benchsnap.Write(*jsonOut, snap, os.Stdout)
 		}
 	}
 	if *verbose {
@@ -141,53 +127,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(1)
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
-	}
 }
 
 // tracer is the -trace sink (nil when untraced); threaded into the PICOLA
 // encoder runs.
 var tracer obs.Tracer
-
-// benchSnapshot is the -json output: a machine-readable record of one
-// table run, the unit the BENCH_*.json trajectory files accumulate.
-type benchSnapshot struct {
-	Schema string     `json:"schema"` // "picola-bench/v1"
-	Table  int        `json:"table"`
-	Rows   []benchRow `json:"rows"`
-}
-
-// benchRow is one benchmark's results across the table's encoders.
-type benchRow struct {
-	FSM         string               `json:"fsm"`
-	Constraints int                  `json:"constraints,omitempty"`
-	States      int                  `json:"states,omitempty"`
-	Encoders    map[string]benchStat `json:"encoders"`
-}
-
-// benchStat is one encoder's measurement on one benchmark. Cubes is the
-// Table I constraint-implementation metric; Products the Table II encoded
-// two-level size; WallNS the encode wall time.
-type benchStat struct {
-	Cubes     int   `json:"cubes,omitempty"`
-	Products  int   `json:"products,omitempty"`
-	WallNS    int64 `json:"wall_ns"`
-	Completed *bool `json:"completed,omitempty"`
-}
-
-func writeSnapshot(path string, snap *benchSnapshot) error {
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
 
 type table1Row struct {
 	name                string
@@ -280,7 +224,7 @@ func table1Compute(spec benchgen.Spec, seed int64, encBudget int) (*table1Row, e
 	return row, nil
 }
 
-func table1(only string, seed int64, encBudget int) (*benchSnapshot, error) {
+func table1(only string, seed int64, encBudget int) (*benchsnap.Snapshot, error) {
 	tab := &report.Table{
 		Title:  "Table I — cubes to implement the group constraints at minimum code length",
 		Header: []string{"FSM", "const", "NOVA", "ENC", "PICOLA", "t_nova", "t_enc", "t_picola"},
@@ -297,16 +241,16 @@ func table1(only string, seed int64, encBudget int) (*benchSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &benchSnapshot{Schema: "picola-bench/v1", Table: 1}
+	snap := &benchsnap.Snapshot{Schema: benchsnap.Schema, Table: 1}
 	var totNova, totEnc, totPic int
 	var winsPic, winsNova, encFails int
 	encComparable := true
 	for _, row := range rows {
 		completed := row.encCompleted
-		snap.Rows = append(snap.Rows, benchRow{
+		snap.Rows = append(snap.Rows, benchsnap.Row{
 			FSM:         row.name,
 			Constraints: row.constraints,
-			Encoders: map[string]benchStat{
+			Encoders: map[string]benchsnap.Stat{
 				"nova":   {Cubes: row.novaCubes, WallNS: int64(row.tNova)},
 				"enc":    {Cubes: row.encCubes, WallNS: int64(row.tEnc), Completed: &completed},
 				"picola": {Cubes: row.picCubes, WallNS: int64(row.tPic)},
@@ -399,7 +343,7 @@ func table2Compute(spec benchgen.Spec, seed int64) (*table2Row, error) {
 		ih: reps[0], ioh: reps[1], neu: reps[2]}, nil
 }
 
-func table2(only string, seed int64) (*benchSnapshot, error) {
+func table2(only string, seed int64) (*benchsnap.Snapshot, error) {
 	tab := &report.Table{
 		Title:  "Table II — state assignment: two-level size and time, normalized to NOVA-ih",
 		Header: []string{"FSM", "ih", "t", "ioh", "t", "NEW", "t"},
@@ -416,7 +360,7 @@ func table2(only string, seed int64) (*benchSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &benchSnapshot{Schema: "picola-bench/v1", Table: 2}
+	snap := &benchsnap.Snapshot{Schema: benchsnap.Schema, Table: 2}
 	var totIH, totIOH, totNew int
 	for _, row := range rows {
 		ih, ioh, neu := row.ih, row.ioh, row.neu
@@ -425,10 +369,10 @@ func table2(only string, seed int64) (*benchSnapshot, error) {
 			fmt.Sprint(ih.Products), "1.00",
 			fmt.Sprint(ioh.Products), fmt.Sprintf("%.2f", timeRatio(ioh.TotalTime, base)),
 			fmt.Sprint(neu.Products), fmt.Sprintf("%.2f", timeRatio(neu.TotalTime, base)))
-		snap.Rows = append(snap.Rows, benchRow{
+		snap.Rows = append(snap.Rows, benchsnap.Row{
 			FSM:    row.name,
 			States: row.states,
-			Encoders: map[string]benchStat{
+			Encoders: map[string]benchsnap.Stat{
 				"nova-ih":  {Products: ih.Products, WallNS: int64(ih.TotalTime)},
 				"nova-ioh": {Products: ioh.Products, WallNS: int64(ioh.TotalTime)},
 				"picola":   {Products: neu.Products, WallNS: int64(neu.TotalTime)},
@@ -562,13 +506,8 @@ func checkEncoded(fsm, encName string, prob *face.Problem, e *face.Encoding,
 	if !checkEnabled {
 		return nil
 	}
-	failed := func(q *face.Problem, qe *face.Encoding) *verify.Report {
-		rep := &verify.Report{}
-		rep.Merge(verify.CheckEncoding(q, qe, verify.Options{RequireMinLength: true}))
-		rep.Merge(verify.CheckMinimization(q, qe, memo))
-		return rep
-	}
-	rep := failed(prob, e)
+	vopts := verify.Options{RequireMinLength: true}
+	rep := verify.Audit(prob, e, memo, vopts)
 	if rep.Ok() {
 		return nil
 	}
@@ -577,7 +516,7 @@ func checkEncoded(fsm, encName string, prob *face.Problem, e *face.Encoding,
 		if err != nil {
 			return false
 		}
-		return !failed(q, qe).Ok()
+		return !verify.Audit(q, qe, memo, vopts).Ok()
 	}, 0)
 	return fmt.Errorf("%s %s: -check failed: %w\nshrunk repro:\n%s",
 		fsm, encName, rep.Err(), verify.Repro(shrunk))
@@ -608,121 +547,6 @@ func forEach[T any](specs []benchgen.Spec, fn func(benchgen.Spec) (T, error)) ([
 		pDone.Add(1)
 		return r, err
 	})
-}
-
-// readSnapshot loads and sanity-checks a -json benchmark snapshot.
-func readSnapshot(path string) (*benchSnapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if snap.Schema != "picola-bench/v1" {
-		return nil, fmt.Errorf("%s: unsupported schema %q", path, snap.Schema)
-	}
-	return &snap, nil
-}
-
-// runDiff drives a -diff comparison and maps the outcome to the exit
-// code contract: 0 when the snapshots agree on every quality metric, 1
-// on any delta, 2 when a snapshot is unreadable, malformed, or the two
-// are not comparable.
-func runDiff(w, errw io.Writer, oldPath, newPath string) int {
-	mismatches, err := diffSnapshots(w, oldPath, newPath)
-	if err != nil {
-		fmt.Fprintln(errw, "tables:", err)
-		return 2
-	}
-	if mismatches > 0 {
-		fmt.Fprintf(errw, "tables: %d mismatch(es) between %s and %s\n", mismatches, oldPath, newPath)
-		return 1
-	}
-	return 0
-}
-
-// diffSnapshots compares two -json snapshots of the same table. Quality
-// metrics (cubes, products) are the regression gate: any per-row,
-// per-encoder delta is reported and counted. Wall times are expected to
-// move — the summary line reports the aggregate speedup of new over old
-// instead. Rows pair by FSM name in the old snapshot's order; encoders
-// print in sorted-name order. The error return is reserved for unusable
-// input (unreadable file, malformed JSON, schema or table mismatch).
-func diffSnapshots(w io.Writer, oldPath, newPath string) (int, error) {
-	oldSnap, err := readSnapshot(oldPath)
-	if err != nil {
-		return 0, err
-	}
-	newSnap, err := readSnapshot(newPath)
-	if err != nil {
-		return 0, err
-	}
-	if oldSnap.Table != newSnap.Table {
-		return 0, fmt.Errorf("snapshots are of different tables: %d vs %d", oldSnap.Table, newSnap.Table)
-	}
-	newRows := make(map[string]benchRow, len(newSnap.Rows))
-	for _, r := range newSnap.Rows {
-		newRows[r.FSM] = r
-	}
-	var oldWall, newWall int64
-	stats, mismatches := 0, 0
-	for _, or := range oldSnap.Rows {
-		nr, ok := newRows[or.FSM]
-		if !ok {
-			fmt.Fprintf(w, "%-12s missing from %s\n", or.FSM, newPath)
-			mismatches++
-			continue
-		}
-		delete(newRows, or.FSM)
-		names := make([]string, 0, len(or.Encoders))
-		for name := range or.Encoders {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ns, ok := nr.Encoders[name]
-			if !ok {
-				fmt.Fprintf(w, "%-12s %-10s missing from %s\n", or.FSM, name, newPath)
-				mismatches++
-				continue
-			}
-			os1 := or.Encoders[name]
-			stats++
-			oldWall += os1.WallNS
-			newWall += ns.WallNS
-			if dc, dp := ns.Cubes-os1.Cubes, ns.Products-os1.Products; dc != 0 || dp != 0 {
-				fmt.Fprintf(w, "%-12s %-10s cubes %d -> %d (%+d)  products %d -> %d (%+d)\n",
-					or.FSM, name, os1.Cubes, ns.Cubes, dc, os1.Products, ns.Products, dp)
-				mismatches++
-			}
-		}
-		for name := range nr.Encoders {
-			if _, ok := or.Encoders[name]; !ok {
-				fmt.Fprintf(w, "%-12s %-10s only in %s\n", or.FSM, name, newPath)
-				mismatches++
-			}
-		}
-	}
-	extra := make([]string, 0, len(newRows))
-	for fsm := range newRows {
-		extra = append(extra, fsm)
-	}
-	sort.Strings(extra)
-	for _, fsm := range extra {
-		fmt.Fprintf(w, "%-12s only in %s\n", fsm, newPath)
-		mismatches++
-	}
-	fmt.Fprintf(w, "table %d: %d rows, %d measurements compared, %d mismatches\n",
-		oldSnap.Table, len(oldSnap.Rows), stats, mismatches)
-	if newWall > 0 {
-		fmt.Fprintf(w, "wall: old=%v new=%v speedup=%.2fx\n",
-			time.Duration(oldWall).Round(time.Millisecond),
-			time.Duration(newWall).Round(time.Millisecond),
-			float64(oldWall)/float64(newWall))
-	}
-	return mismatches, nil
 }
 
 // table4 is the power extension experiment: the switching activity of the

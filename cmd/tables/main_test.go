@@ -1,57 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"picola/internal/benchgen"
 )
-
-// TestDiffExitCodes pins the -diff exit-code contract: 0 when the
-// snapshots agree on every quality metric, 1 on any delta (including
-// missing rows), 2 when a snapshot is unusable.
-func TestDiffExitCodes(t *testing.T) {
-	td := func(name string) string { return filepath.Join("testdata", name) }
-	cases := []struct {
-		name     string
-		oldPath  string
-		newPath  string
-		wantCode int
-		wantOut  string // substring of stdout, "" to skip
-		wantErr  string // substring of stderr, "" to skip
-	}{
-		{"identical", "diff_old.json", "diff_old.json", 0, "0 mismatches", ""},
-		{"wall-time-only", "diff_old.json", "diff_same.json", 0, "4 measurements compared, 0 mismatches", ""},
-		{"cube-delta", "diff_old.json", "diff_delta.json", 1, "cubes 4 -> 6 (+2)", "1 mismatch(es)"},
-		{"missing-row", "diff_old.json", "diff_missing_row.json", 1, "beta", "1 mismatch(es)"},
-		{"extra-row", "diff_missing_row.json", "diff_old.json", 1, "only in", "1 mismatch(es)"},
-		{"malformed-new", "diff_old.json", "diff_malformed.json", 2, "", "diff_malformed.json"},
-		{"malformed-old", "diff_malformed.json", "diff_old.json", 2, "", "diff_malformed.json"},
-		{"bad-schema", "diff_old.json", "diff_badschema.json", 2, "", "unsupported schema"},
-		{"unreadable", "diff_old.json", "diff_nonexistent.json", 2, "", "diff_nonexistent.json"},
-		{"table-mismatch", "diff_old.json", "diff_table2.json", 2, "", "different tables"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out, errw bytes.Buffer
-			code := runDiff(&out, &errw, td(tc.oldPath), td(tc.newPath))
-			if code != tc.wantCode {
-				t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s",
-					code, tc.wantCode, out.String(), errw.String())
-			}
-			if tc.wantOut != "" && !strings.Contains(out.String(), tc.wantOut) {
-				t.Fatalf("stdout missing %q:\n%s", tc.wantOut, out.String())
-			}
-			if tc.wantErr != "" && !strings.Contains(errw.String(), tc.wantErr) {
-				t.Fatalf("stderr missing %q:\n%s", tc.wantErr, errw.String())
-			}
-		})
-	}
-}
 
 // TestForEachHonorsCancelledContext is the -timeout regression test for
 // the row harness: with the run context already cancelled, forEach must

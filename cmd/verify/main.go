@@ -185,16 +185,12 @@ func main() {
 
 // audit runs the full oracle stack on one instance with one encoder.
 func audit(p *face.Problem, run encoderFunc, seed int64, meta bool) *verify.Report {
-	rep := &verify.Report{}
 	e, err := run(p, seed)
 	if err != nil {
-		rep.Merge(&verify.Report{Failures: []verify.Failure{{
-			Check: "encode", Constraint: -1, Detail: err.Error()}}})
-		return rep
+		return &verify.Report{Failures: []verify.Failure{{
+			Check: "encode", Constraint: -1, Detail: err.Error()}}}
 	}
-	rep.Merge(verify.CheckEncoding(p, e, verify.Options{RequireMinLength: true}))
-	rep.Merge(verify.CheckMinimization(p, e, memo))
-	rep.Merge(verify.CheckCost(p, e, memo))
+	rep := verify.Audit(p, e, memo, verify.Options{RequireMinLength: true})
 	if meta {
 		rep.Merge(verify.CheckMetamorphic(p, e, seed))
 	}

@@ -2,7 +2,6 @@ package picola
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"picola/internal/benchgen"
+	"picola/internal/benchsnap"
 	"picola/internal/consfile"
 	"picola/internal/core"
 	"picola/internal/eval"
@@ -182,40 +182,23 @@ func tablesSnapshot(t *testing.T, goBin string, j int) []byte {
 	return canonicalizeSnapshot(t, out.Bytes()[i:])
 }
 
-// canonicalizeSnapshot zeroes every wall_ns in a picola-bench snapshot
-// and re-marshals it (json sorts map keys, so the bytes are canonical).
+// canonicalizeSnapshot zeroes every wall time in a picola-bench snapshot
+// and writes it back canonically.
 func canonicalizeSnapshot(t *testing.T, b []byte) []byte {
 	t.Helper()
-	var snap struct {
-		Schema string `json:"schema"`
-		Table  int    `json:"table"`
-		Rows   []struct {
-			FSM         string                     `json:"fsm"`
-			Constraints int                        `json:"constraints,omitempty"`
-			States      int                        `json:"states,omitempty"`
-			Encoders    map[string]json.RawMessage `json:"encoders"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &snap); err != nil {
+	snap, err := benchsnap.Parse(b)
+	if err != nil {
 		t.Fatalf("bad snapshot: %v\n%s", err, b)
 	}
 	for _, row := range snap.Rows {
-		for k, raw := range row.Encoders {
-			var stat map[string]any
-			if err := json.Unmarshal(raw, &stat); err != nil {
-				t.Fatal(err)
-			}
-			stat["wall_ns"] = 0
-			nb, err := json.Marshal(stat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row.Encoders[k] = nb
+		for k, st := range row.Encoders {
+			st.WallNS = 0
+			row.Encoders[k] = st
 		}
 	}
-	out, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
+	var out bytes.Buffer
+	if err := benchsnap.Write("-", snap, &out); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out.Bytes()
 }

@@ -370,12 +370,11 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 }
 
 // repairTornTail runs under the lock before the first write through a
-// new WAL handle f. ScanFrames stops at a torn tail, so frames appended
-// after one would never load and the next compaction would truncate
-// them away: the tail is cut back to the clean frame prefix first. The
-// WAL is scanned here unless a read already did; the cut is made only
-// while the WAL is still the size that scan saw, so a frame another
-// process is appending right now is never cut.
+// new WAL handle f. Frames appended after a torn tail would never load
+// and the next compaction would truncate them away, so the tail is cut
+// back to the clean frame prefix first (ir.CutTornTail, which leaves a
+// WAL another process has grown since the scan alone). The WAL is
+// scanned here unless a read already did.
 func (s *Store) repairTornTail(f *os.File) error {
 	if !s.walScanned {
 		b, err := os.ReadFile(f.Name())
@@ -385,21 +384,11 @@ func (s *Store) repairTornTail(f *os.File) error {
 		_, clean := ir.ScanFrames(b)
 		s.walScanned, s.walSize, s.walClean = true, int64(len(b)), int64(clean)
 	}
-	if s.walClean == s.walSize {
-		return nil
+	cut, err := ir.CutTornTail(f, s.walSize, s.walClean)
+	if cut {
+		s.walSize = s.walClean
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if fi.Size() != s.walSize {
-		return nil
-	}
-	if err := f.Truncate(s.walClean); err != nil {
-		return err
-	}
-	s.walSize = s.walClean
-	return nil
+	return err
 }
 
 // CompactStats describes one compaction.

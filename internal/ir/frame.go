@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 
 	"encoding/binary"
 )
@@ -77,4 +78,27 @@ func ScanFrames(b []byte) (payloads [][]byte, clean int) {
 		payloads = append(payloads, p)
 		off += frameHeaderBytes + n
 	}
+}
+
+// CutTornTail truncates the frame file f back to its clean prefix after
+// a scan that saw size bytes of which ScanFrames found the first clean
+// intact. Frames appended after a torn tail would never be read back, so
+// an appender cuts the tail before its first write. The cut is made only
+// while f is still size bytes long: a frame another process is appending
+// right now is never cut. It reports whether f was truncated.
+func CutTornTail(f *os.File, size, clean int64) (bool, error) {
+	if clean == size {
+		return false, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	if fi.Size() != size {
+		return false, nil
+	}
+	if err := f.Truncate(clean); err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -470,9 +470,9 @@ func unmarshalProblem(b []byte) (*face.Problem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if wt == 0 {
-			return nil, fmt.Errorf("%w: constraint %d: weight 0 (canonical weights start at 1)",
-				ErrCorrupt, i)
+		if wt == 0 || wt > 1<<31 {
+			return nil, fmt.Errorf("%w: constraint %d: weight %d outside [1, 2^31]",
+				ErrCorrupt, i, wt)
 		}
 		c := face.NewConstraint(nsym)
 		for wi := 0; wi < words; wi++ {

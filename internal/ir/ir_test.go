@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -306,6 +307,14 @@ func TestRejectOutOfRangeConstraintBit(t *testing.T) {
 	// The last constraint's bitset word is the final 8 bytes of the
 	// payload; set a bit beyond the symbol count.
 	p[len(p)-6] |= 0x04 // bit 10 of the little-endian word
+	if _, err := Unmarshal(problemContainer(p)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("out-of-range constraint bit gave %v, want ErrCorrupt", err)
+	}
+}
+
+// problemContainer wraps a hand-edited Problem section payload in a
+// one-section container.
+func problemContainer(p []byte) []byte {
 	var w writer
 	w.bytes([]byte(Magic))
 	w.u16(Version)
@@ -314,8 +323,36 @@ func TestRejectOutOfRangeConstraintBit(t *testing.T) {
 	w.u32(secProblem)
 	w.u64(uint64(len(p)))
 	w.bytes(p)
-	if _, err := Unmarshal(w.b); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("out-of-range constraint bit gave %v, want ErrCorrupt", err)
+	return w.b
+}
+
+// TestRejectOutOfRangeWeight: the decoder accepts exactly the weights
+// marshalProblem writes, [1, 2^31], so anything it decodes re-marshals.
+func TestRejectOutOfRangeWeight(t *testing.T) {
+	for _, tc := range []struct {
+		wt     uint32
+		reject bool
+	}{{0, true}, {1<<31 + 1, true}, {1<<32 - 1, true}, {1 << 31, false}, {1, false}} {
+		p, err := marshalProblem(sampleProblem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last constraint is its u32 weight then one bitset word.
+		binary.LittleEndian.PutUint32(p[len(p)-12:], tc.wt)
+		f, err := Unmarshal(problemContainer(p))
+		if tc.reject {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("weight %d gave %v, want ErrCorrupt", tc.wt, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("weight %d rejected: %v", tc.wt, err)
+			continue
+		}
+		if _, err := Marshal(f); err != nil {
+			t.Errorf("weight %d decoded but did not re-marshal: %v", tc.wt, err)
+		}
 	}
 }
 

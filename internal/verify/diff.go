@@ -125,6 +125,17 @@ func checkContainment(rep *Report, label string, e *face.Encoding, i int, c face
 	}
 }
 
+// Audit runs the single-encoding oracle stack every -check and -audit
+// flag runs — CheckEncoding (with opts), CheckMinimization and
+// CheckCost — and returns their merged report. cache may be nil; it only
+// memoizes pipeline-count recomputations.
+func Audit(p *face.Problem, e *face.Encoding, cache *eval.Cache, opts Options) *Report {
+	rep := CheckEncoding(p, e, opts)
+	rep.Merge(CheckMinimization(p, e, cache))
+	rep.Merge(CheckCost(p, e, cache))
+	return rep
+}
+
 // CheckCost validates the batch evaluator against an independent
 // re-summation: eval.Evaluate's per-constraint counts, totals and
 // satisfied count must match per-constraint recomputation through

@@ -57,10 +57,7 @@ var heuristicEncoders = []struct {
 // checkAll runs the whole oracle stack on one (problem, encoding) pair.
 func checkAll(t *testing.T, p *face.Problem, e *face.Encoding, minLen bool) {
 	t.Helper()
-	rep := &verify.Report{}
-	rep.Merge(verify.CheckEncoding(p, e, verify.Options{RequireMinLength: minLen}))
-	rep.Merge(verify.CheckMinimization(p, e, nil))
-	rep.Merge(verify.CheckCost(p, e, nil))
+	rep := verify.Audit(p, e, nil, verify.Options{RequireMinLength: minLen})
 	rep.Merge(verify.CheckMetamorphic(p, e, 7))
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
