@@ -149,21 +149,21 @@ func TestCompatibleBasics(t *testing.T) {
 	// B^3 over 8 symbols: each needs a dim-3 cube (the whole space).
 	p := &face.Problem{Names: make([]string, 8)}
 	e := &encoder{p: p, n: 8, nv: 3}
-	a := newTracked(face.FromMembers(8, 0, 1, 2, 3, 4), Original, 0, -1, 1)
-	b := newTracked(face.FromMembers(8, 5, 6, 7, 3, 2), Original, 0, -1, 1)
+	a := newTracked(face.FromMembers(8, 0, 1, 2, 3, 4), 0, 1)
+	b := newTracked(face.FromMembers(8, 5, 6, 7, 3, 2), 0, 1)
 	a.satisfied = true
 	if e.compatible(a, b) {
 		t.Fatal("two 5-member constraints cannot coexist in B^3")
 	}
 	// Small disjoint constraints in a roomy space are compatible.
 	e2 := &encoder{p: p, n: 8, nv: 4}
-	c := newTracked(face.FromMembers(8, 0, 1), Original, 0, -1, 1)
-	d := newTracked(face.FromMembers(8, 2, 3), Original, 0, -1, 1)
+	c := newTracked(face.FromMembers(8, 0, 1), 0, 1)
+	d := newTracked(face.FromMembers(8, 2, 3), 0, 1)
 	if !e2.compatible(c, d) {
 		t.Fatal("disjoint pairs must be compatible in B^4")
 	}
 	// A son equal to one father: {0,1} inside {0,1,2,3} is compatible.
-	f := newTracked(face.FromMembers(8, 0, 1, 2, 3), Original, 0, -1, 1)
+	f := newTracked(face.FromMembers(8, 0, 1, 2, 3), 0, 1)
 	if !e2.compatible(f, c) {
 		t.Fatal("nested constraints must be compatible")
 	}

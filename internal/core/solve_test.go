@@ -26,7 +26,7 @@ func TestSolveMaintainsClassCapacity(t *testing.T) {
 			p.AddConstraint(c)
 		}
 		nv := p.MinLength()
-		e, err := encodeOnce(context.Background(), p, Options{DisablePolish: true}.withDefaults(), nv, false, 0)
+		e, err := encodeOnce(context.Background(), p, Options{DisablePolish: true}.withDefaults(), nv, guideWeight, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestGuideTracksOnlyOriginalMembers(t *testing.T) {
 		big.Add(s)
 	}
 	p.AddConstraint(big)
-	e, err := encodeOnce(context.Background(), p, Options{}.withDefaults(), p.MinLength(), false, 0)
+	e, err := encodeOnce(context.Background(), p, Options{}.withDefaults(), p.MinLength(), guideWeight, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGuideTracksOnlyOriginalMembers(t *testing.T) {
 		t.Fatal("an infeasible constraint must spawn a guide row")
 	}
 	g := e.rows[e.nOri]
-	if g.kind != GuideKind {
+	if g.depth == 0 {
 		t.Fatal("appended row must be a guide")
 	}
 	for s := 0; s < 11; s++ {
@@ -136,22 +136,18 @@ func TestColumnCostFavorsNearCompletion(t *testing.T) {
 		face.FromMembers(6, 2, 3),
 	}
 	e := &encoder{p: p, n: 6, nv: 3, enc: face.NewEncoding(6, 3)}
-	a := newTracked(p.Constraints[0], Original, 0, -1, 1)
-	b := newTracked(p.Constraints[1], Original, 0, -1, 1)
+	a := newTracked(p.Constraints[0], 0, 1)
+	b := newTracked(p.Constraints[1], 0, 1)
 	// Constraint a has a single unsatisfied dichotomy left (vs symbol 4);
 	// b still has all four.
-	for s := 0; s < 6; s++ {
-		if a.outsiders.Has(s) && s != 4 {
-			a.mark[s] = 1
-		}
-	}
+	a.unsat = face.FromMembers(6, 4)
 	e.rows = []*tracked{a, b}
-	e.unsat = [][]int{{4}, {0, 1, 4, 5}}
+	e.collectUnsat()
 	// A column putting {0,1} on one side and 4 on the other completes a:
 	// weight 1/1. The same column satisfies at most 4 of b's dichotomies:
 	// weight ≤ 1. Check a completing column scores at least 1.
 	col := face.FromMembers(6, 0, 1) // members of a at 1, symbol 4 at 0
-	if got := e.columnCost(col); got < 1 {
+	if got := e.newColScorer(col).cost(); got < 1 {
 		t.Fatalf("completing column scores %v", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"picola/internal/cover"
 	"picola/internal/ctxutil"
-	"picola/internal/exact"
 	"picola/internal/face"
 	"picola/internal/obs"
 )
@@ -208,7 +207,7 @@ func (c *Cache) ConstraintCubesHeuristic(e *face.Encoding, con face.Constraint) 
 
 func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.Constraint, heuristic bool) (int, error) {
 	if c == nil {
-		return minimizeConstraint(ctx, e, con, heuristic)
+		return minimize(ctx, e, con, heuristic, nil, nil)
 	}
 	if err := ctxutil.Check(ctx, "eval.minimize"); err != nil {
 		return 0, err
@@ -221,7 +220,7 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 			return 1, nil
 		}
 		mCacheBypass.Inc()
-		return minimizeConstraint(ctx, e, con, heuristic)
+		return minimize(ctx, e, con, heuristic, nil, nil)
 	}
 	sh := &c.shards[fnvShard(kb.key)]
 	sh.mu.RLock()
@@ -249,7 +248,7 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		mWarmHits.Inc()
 		return 1, nil
 	}
-	k, err := c.minimizeWarm(ctx, e, con, heuristic, kb)
+	k, err := minimize(ctx, e, con, heuristic, c, kb)
 	if err != nil {
 		return 0, err
 	}
@@ -282,26 +281,6 @@ func updateRate() {
 	if t := h + m; t > 0 {
 		gCacheRate.Set(h * 100 / t)
 	}
-}
-
-// minimizeWarm is the cache-miss compute path: the pooled exact scorer
-// within the input limit (identical to the cold path), otherwise the
-// pooled espresso build seeded with the memoized don't-care cover of the
-// request's (nv, used-codes) signature. Counts are identical to
-// minimizeConstraint — the warm layer only changes how the same
-// minimization input is assembled.
-func (c *Cache) minimizeWarm(ctx context.Context, e *face.Encoding, con face.Constraint, heuristic bool, kb *keyBuf) (int, error) {
-	mConstraintCubes.Inc()
-	t0 := time.Now()
-	defer func() { hMinimize.Observe(int64(time.Since(t0))) }()
-	s := scorerPool.Get().(*scorer)
-	defer scorerPool.Put(s)
-	if !heuristic && e.NV <= exact.MaxInputs {
-		mExact.Inc()
-		return s.exactCount(ctx, e, con)
-	}
-	mHeuristic.Inc()
-	return s.heurCount(ctx, e, con, c.dcCover(kb, e))
 }
 
 // fnvShard hashes the key (FNV-1a) onto a shard index.

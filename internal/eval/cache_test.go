@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"picola/internal/espresso"
 	"picola/internal/face"
 	"picola/internal/par"
 )
@@ -47,7 +48,8 @@ func randomInstance(r *rand.Rand) (*face.Encoding, face.Constraint) {
 }
 
 // TestCacheMatchesUncached: the memoized count equals the direct one for
-// both minimizer policies, on first (miss) and second (hit) lookup.
+// both minimizer policies, on first (miss) and second (hit) lookup, and
+// the direct heuristic count equals espresso's on ConstraintFunction.
 func TestCacheMatchesUncached(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cache := NewCache()
@@ -69,6 +71,15 @@ func TestCacheMatchesUncached(t *testing.T) {
 		wantH, err := ConstraintCubesHeuristic(e, c)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The pooled heuristic path must count what espresso returns on
+		// ConstraintFunction's covers, the reference internal/verify uses.
+		ref, err := espresso.Minimize(ConstraintFunction(e, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantH != ref.Len() {
+			t.Fatalf("trial %d heuristic: pooled %d, ConstraintFunction reference %d", trial, wantH, ref.Len())
 		}
 		gotH, err := cache.ConstraintCubesHeuristic(e, c)
 		if err != nil {

@@ -68,7 +68,7 @@ func ConstraintFunction(e *face.Encoding, c face.Constraint) *espresso.Function 
 // spaces beyond the exact minimizer's input limit fall back to the
 // espresso heuristic. A satisfied constraint costs exactly one cube.
 func ConstraintCubes(e *face.Encoding, c face.Constraint) (int, error) {
-	return minimizeConstraint(context.Background(), e, c, false)
+	return minimize(context.Background(), e, c, false, nil, nil)
 }
 
 // ConstraintCubesHeuristic is ConstraintCubes evaluated with the espresso
@@ -76,37 +76,42 @@ func ConstraintCubes(e *face.Encoding, c face.Constraint) (int, error) {
 // ENC is slow precisely because it runs full logic minimization inside
 // its search loop, and that property is part of what Table I reproduces.
 func ConstraintCubesHeuristic(e *face.Encoding, c face.Constraint) (int, error) {
-	return minimizeConstraint(context.Background(), e, c, true)
+	return minimize(context.Background(), e, c, true, nil, nil)
 }
 
-// minimizeConstraint runs the actual minimization behind ConstraintCubes
+// minimize runs the actual minimization behind ConstraintCubes
 // (heuristic = false: exact within the input limit, espresso beyond) and
 // ConstraintCubesHeuristic (heuristic = true: espresso always). It is the
-// single compute path Cache memoizes. ctx is checked at the minimization
-// boundary (here and inside the minimizers it dispatches to).
-func minimizeConstraint(ctx context.Context, e *face.Encoding, c face.Constraint, heuristic bool) (int, error) {
+// single compute path Cache memoizes: the uncached, bypassed and missed
+// requests all run here. Both minimizers read the pooled scorer's ON/OFF
+// covers, which hold the same cubes in the same symbol order as
+// ConstraintFunction's. On a cache miss, kb holds the request's key and
+// espresso starts from dcm's memoized don't-care cover of its used-code
+// signature; with kb nil espresso derives that cover itself. ctx is
+// checked at the minimization boundary (here and inside the minimizers
+// it dispatches to).
+func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristic bool, dcm *Cache, kb *keyBuf) (int, error) {
 	if err := ctxutil.Check(ctx, "eval.minimize"); err != nil {
 		return 0, err
 	}
 	mConstraintCubes.Inc()
 	t0 := time.Now()
 	defer func() { hMinimize.Observe(int64(time.Since(t0))) }()
+	s := scorerPool.Get().(*scorer)
+	defer scorerPool.Put(s)
 	if !heuristic && e.NV <= exact.MaxInputs {
 		// Exact path: pooled, count-only, zero steady-state allocations.
 		// The scorer's Counter mirrors exact.Minimize exactly, so the
 		// count is the one the unpooled reference path returns.
 		mExact.Inc()
-		s := scorerPool.Get().(*scorer)
-		defer scorerPool.Put(s)
 		return s.exactCount(ctx, e, c)
 	}
 	mHeuristic.Inc()
-	f := ConstraintFunction(e, c)
-	min, err := espresso.MinimizeContext(ctx, f)
-	if err != nil {
-		return 0, err
+	var dc *cover.Cover
+	if kb != nil {
+		dc = dcm.dcCover(kb, e)
 	}
-	return min.Len(), nil
+	return s.heurCount(ctx, e, c, dc)
 }
 
 // Cost is the per-problem evaluation of an encoding.

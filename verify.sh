@@ -57,6 +57,11 @@ go run ./cmd/tables -table 1 -json "$tables_tmp" -ledger "$ledger_tmp" >/dev/nul
 go run ./cmd/obsdiff -wall-pct inf BENCH_4.json "$tables_tmp"
 grep -q '"schema": "picola-ledger/v1"' "$ledger_tmp"
 
+# Table III golden gate: EncodeAll plus the code-length sweep is the only
+# committed experiment that runs the estimate polish at nv 8-10, so its
+# output (no wall times) must match the committed table byte for byte.
+go run ./cmd/tables -table 3 | cmp testdata/table3.txt -
+
 # Regression-comparator self-consistency: obsdiff of a snapshot against
 # itself must exit 0 for both input kinds, whatever the thresholds.
 go run ./cmd/obsdiff "$ledger_tmp" "$ledger_tmp"
