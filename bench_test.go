@@ -18,6 +18,7 @@
 package picola
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -436,12 +437,14 @@ func BenchmarkCubeKernelsMultiWord(b *testing.B) {
 
 // BenchmarkMinimizeSmall measures whole minimizer runs on a small random
 // fr-form function — the constraint-scoring shape — under the single-word
-// kernels and under the generic reference domain.
+// kernels and under the generic reference domain, and the exact word path
+// on the same function given as its ON and used bitsets.
 func BenchmarkMinimizeSmall(b *testing.B) {
 	const inputs = 5
 	d := cube.Binary(inputs)
 	rng := rand.New(rand.NewSource(7))
 	on, off := cover.New(d), cover.New(d)
+	var onw, usedw uint64 // the same function as bitsets, for the word path
 	for x := 0; x < 1<<inputs; x++ {
 		c := d.NewCube()
 		for v := 0; v < inputs; v++ {
@@ -450,10 +453,23 @@ func BenchmarkMinimizeSmall(b *testing.B) {
 		switch rng.Intn(3) {
 		case 0:
 			on.Add(c)
+			onw |= 1 << uint(x)
+			usedw |= 1 << uint(x)
 		case 1:
 			off.Add(c)
+			usedw |= 1 << uint(x)
 		}
 	}
+	b.Run("exact-words", func(b *testing.B) {
+		var ct exact.Counter
+		for i := 0; i < b.N; i++ {
+			n, err := ct.CountWords(context.Background(), inputs, onw, usedw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSinkInt = n
+		}
+	})
 	for _, path := range []struct {
 		name string
 		d    *cube.Domain

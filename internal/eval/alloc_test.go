@@ -39,8 +39,8 @@ func TestConstraintFunctionSharesDomain(t *testing.T) {
 
 // TestAllocsExactScoring is the steady-state allocation gate of the
 // tentpole: on a warmed arena, one exact single-word constraint scoring —
-// cube construction, classification, prime generation, covering — performs
-// zero heap allocations.
+// bitset build, prime generation, covering — performs zero heap
+// allocations.
 func TestAllocsExactScoring(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
@@ -64,14 +64,10 @@ func TestAllocsExactScoring(t *testing.T) {
 	}
 }
 
-// TestAllocsWiderCodeSpace: the dense counter covers up to 8 inputs; a
-// 5-bit space must also be allocation-free once warmed.
-func TestAllocsWiderCodeSpace(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
-	}
-	e := testEncoding(20, 5)
-	c := face.FromMembers(20, 0, 3, 7, 11, 19)
+// assertScoringAllocFree fails if a warmed ConstraintCubes of c under e
+// allocates.
+func assertScoringAllocFree(t *testing.T, e *face.Encoding, c face.Constraint) {
+	t.Helper()
 	score := func() {
 		if _, err := ConstraintCubes(e, c); err != nil {
 			t.Fatal(err)
@@ -79,8 +75,46 @@ func TestAllocsWiderCodeSpace(t *testing.T) {
 	}
 	score()
 	if allocs := testing.AllocsPerRun(100, score); allocs != 0 {
-		t.Fatalf("5-bit exact scoring allocates %.1f objects/run, want 0", allocs)
+		t.Fatalf("%d-bit exact scoring allocates %.1f objects/run, want 0", e.NV, allocs)
 	}
+}
+
+// TestAllocsWiderCodeSpace: a 5-bit space must also be allocation-free
+// once warmed.
+func TestAllocsWiderCodeSpace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	assertScoringAllocFree(t, testEncoding(20, 5), face.FromMembers(20, 0, 3, 7, 11, 19))
+}
+
+// TestAllocsWidestWord: the word path's widest space, nv = 6, where the
+// bitsets fill the whole word and the prime shifts reach bit 32. The 40
+// codes are spread over all 64 minterms, so every one is ON, OFF or
+// don't-care in play.
+func TestAllocsWidestWord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	const n = 40
+	e := face.NewEncoding(n, 6)
+	c := face.NewConstraint(n)
+	for s := 0; s < n; s++ {
+		e.Codes[s] = uint64(s*37) % 64
+		if s%3 != 1 {
+			c.Add(s)
+		}
+	}
+	assertScoringAllocFree(t, e, c)
+}
+
+// TestAllocsCounterPath: past the word path, the Counter over the pooled
+// covers (nv 7–11) must stay allocation-free too.
+func TestAllocsCounterPath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	assertScoringAllocFree(t, testEncoding(70, 7), face.FromMembers(70, 0, 5, 9, 33, 64, 69))
 }
 
 // TestAllocsImport: importing into a cache allocates only the interned

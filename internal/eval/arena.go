@@ -11,10 +11,12 @@ import (
 	"picola/internal/face"
 )
 
-// scorer is the pooled scratch of one exact constraint scoring: a slab of
-// cube words backing the n code cubes, reusable ON/OFF cover headers, and
-// the count-only exact minimizer. On a warmed instance, scoring allocates
-// nothing — the TestAllocs gate enforces that.
+// scorer is the pooled scratch of one constraint scoring: a slab of cube
+// words backing the n code cubes, reusable ON/OFF cover headers, and the
+// count-only exact minimizer. The word path (nv ≤ exact.WordsMaxInputs)
+// uses only the minimizer; the Counter and espresso paths build the
+// covers. On a warmed instance, exact scoring allocates nothing — the
+// TestAllocs gates enforce that.
 type scorer struct {
 	words    []uint64
 	onCubes  []cube.Cube

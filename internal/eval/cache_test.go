@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"picola/internal/espresso"
+	"picola/internal/exact"
 	"picola/internal/face"
 	"picola/internal/par"
 )
@@ -141,6 +142,39 @@ func TestCacheKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestCacheKeyNamesMinimizer: beyond exact.MaxInputs espresso serves the
+// exact policy too, so at nv = 12 an exact and a heuristic request share
+// one entry, and Export marks it Heuristic — the count it holds is
+// espresso's.
+func TestCacheKeyNamesMinimizer(t *testing.T) {
+	const nv = 12
+	if nv <= exact.MaxInputs || nv > cacheMaxNV {
+		t.Fatalf("nv = %d must be cacheable and beyond the exact limit %d", nv, exact.MaxInputs)
+	}
+	e := face.NewEncoding(4, nv)
+	e.Codes[0], e.Codes[1], e.Codes[2], e.Codes[3] = 0b000, 0b011, 0b001, 0b110
+	c := face.FromMembers(4, 0, 1) // the members' supercube holds code 001
+	cache := NewCache()
+	k, err := cache.ConstraintCubes(e, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kh, err := cache.ConstraintCubesHeuristic(e, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != kh {
+		t.Fatalf("exact request %d cubes, heuristic %d: both run espresso", k, kh)
+	}
+	ents := cache.Export()
+	if len(ents) != 1 {
+		t.Fatalf("cache holds %d entries, want the one espresso entry", len(ents))
+	}
+	if !ents[0].Heuristic || ents[0].NV != nv || ents[0].Cubes != k {
+		t.Fatalf("entry %+v, want Heuristic at nv %d with %d cubes", ents[0], nv, k)
+	}
+}
+
 // TestCacheBypassOnConflict: a member and a non-member sharing a code
 // (non-injective encoding) cannot be expressed as disjoint ON/OFF
 // bitsets; the cache must bypass, not mis-memoize.
@@ -155,6 +189,9 @@ func TestCacheBypassOnConflict(t *testing.T) {
 	// cached path must propagate the same outcome and memoize nothing.
 	cache := NewCache()
 	want, wantErr := ConstraintCubes(e, c)
+	if wantErr == nil {
+		t.Fatal("a code both ON and OFF must be an error")
+	}
 	got, gotErr := cache.ConstraintCubes(e, c)
 	if (gotErr == nil) != (wantErr == nil) || got != want {
 		t.Fatalf("bypassed lookup: (%d, %v), direct: (%d, %v)", got, gotErr, want, wantErr)

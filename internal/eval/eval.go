@@ -7,6 +7,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"picola/internal/cover"
@@ -79,17 +80,48 @@ func ConstraintCubesHeuristic(e *face.Encoding, c face.Constraint) (int, error) 
 	return minimize(context.Background(), e, c, true, nil, nil)
 }
 
+// minimizer names the minimizer that scores one request.
+type minimizer uint8
+
+const (
+	// byWords is exact.Counter.CountWords: exact, straight from the
+	// ON and used bitsets, at nv ≤ exact.WordsMaxInputs.
+	byWords minimizer = iota
+	// byCounter is exact.Counter.Count over the pooled covers: exact,
+	// up to exact.MaxInputs.
+	byCounter
+	// byEspresso is the espresso heuristic: every heuristic request,
+	// and exact requests beyond exact.MaxInputs.
+	byEspresso
+)
+
+// minimizerFor is the one rule that picks the minimizer for a request
+// policy and code length. minimize dispatches on it and cacheKey tags
+// entries with it, so a key names the minimizer whose count it holds.
+func minimizerFor(heuristic bool, nv int) minimizer {
+	switch {
+	case heuristic || nv > exact.MaxInputs:
+		return byEspresso
+	case nv <= exact.WordsMaxInputs:
+		return byWords
+	default:
+		return byCounter
+	}
+}
+
 // minimize runs the actual minimization behind ConstraintCubes
 // (heuristic = false: exact within the input limit, espresso beyond) and
-// ConstraintCubesHeuristic (heuristic = true: espresso always). It is the
-// single compute path Cache memoizes: the uncached, bypassed and missed
-// requests all run here. Both minimizers read the pooled scorer's ON/OFF
+// ConstraintCubesHeuristic (heuristic = true: espresso always), with the
+// minimizer minimizerFor picks. It is the single compute path Cache
+// memoizes: the uncached, bypassed and missed requests all run here. The
+// word path counts from the ON and used bitsets: on a cache miss kb
+// holds the request's key and its words, otherwise codeWords builds the
+// same words. The Counter and espresso read the pooled scorer's ON/OFF
 // covers, which hold the same cubes in the same symbol order as
-// ConstraintFunction's. On a cache miss, kb holds the request's key and
-// espresso starts from dcm's memoized don't-care cover of its used-code
-// signature; with kb nil espresso derives that cover itself. ctx is
-// checked at the minimization boundary (here and inside the minimizers
-// it dispatches to).
+// ConstraintFunction's; on a cache miss espresso starts from dcm's
+// memoized don't-care cover of the used-code signature, and with kb nil
+// it derives that cover itself. ctx is checked at the minimization
+// boundary (here and inside the minimizers it dispatches to).
 func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristic bool, dcm *Cache, kb *keyBuf) (int, error) {
 	if err := ctxutil.Check(ctx, "eval.minimize"); err != nil {
 		return 0, err
@@ -99,10 +131,23 @@ func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristi
 	defer func() { hMinimize.Observe(int64(time.Since(t0))) }()
 	s := scorerPool.Get().(*scorer)
 	defer scorerPool.Put(s)
-	if !heuristic && e.NV <= exact.MaxInputs {
-		// Exact path: pooled, count-only, zero steady-state allocations.
-		// The scorer's Counter mirrors exact.Minimize exactly, so the
-		// count is the one the unpooled reference path returns.
+	switch minimizerFor(heuristic, e.NV) {
+	case byWords:
+		// Exact path, word-parallel: the count exact.Minimize returns,
+		// with no cubes built at all.
+		mExact.Inc()
+		var w [2]uint64
+		if kb != nil {
+			copy(w[:], kb.words)
+		} else if code, ok := codeWords(e, c, w[:1], w[1:]); !ok {
+			return 0, fmt.Errorf("eval: code %d is both ON and OFF: a member and a non-member share it", code)
+		}
+		return s.counter.CountWords(ctx, e.NV, w[0], w[1])
+	case byCounter:
+		// Exact path over covers: pooled, count-only, zero steady-state
+		// allocations. The scorer's Counter mirrors exact.Minimize
+		// exactly, so the count is the one the unpooled reference path
+		// returns.
 		mExact.Inc()
 		return s.exactCount(ctx, e, c)
 	}

@@ -88,10 +88,13 @@ var keyPool = sync.Pool{New: func() any { return new(keyBuf) }}
 // bitset (whose complement is the don't-care set) and the ON-set bitset
 // over the 2^nv code space — in that order, so the [nv, used...] prefix
 // (see dcKey) is the contiguous sub-signature the don't-care cover is a
-// pure function of. It reports false when the request cannot be
-// canonicalized that way — the code space exceeds cacheMaxNV, or a member
-// and a non-member share a code (only possible on non-injective
-// encodings), which would put the code in both the ON and OFF covers.
+// pure function of. The policy byte names the minimizer that computes
+// the request (minimizerFor), not the one requested: an exact request
+// that espresso serves shares the heuristic request's entry. It reports
+// false when the request cannot be canonicalized that way — the code
+// space exceeds cacheMaxNV, or a member and a non-member share a code
+// (only possible on non-injective encodings), which would put the code
+// in both the ON and OFF covers.
 //
 //picola:hot
 func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool) bool {
@@ -100,43 +103,24 @@ func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool
 		return false
 	}
 	words := ((1 << uint(nv)) + 63) / 64
-	mask := uint64(1)<<uint(nv) - 1
 	if cap(kb.words) < 2*words {
 		kb.words = make([]uint64, 2*words)
 	}
 	kb.words = kb.words[:2*words]
-	for i := range kb.words {
-		kb.words[i] = 0
-	}
-	on := kb.words[:words]
-	used := kb.words[words:]
-	for s := 0; s < e.N(); s++ {
-		code := e.Codes[s] & mask
-		used[code/64] |= 1 << (code % 64)
-		if con.Has(s) {
-			on[code/64] |= 1 << (code % 64)
-		}
+	if _, ok := codeWords(e, con, kb.words[:words], kb.words[words:]); !ok {
+		return false // code is both ON and OFF: not canonicalizable
 	}
 	usedCount := 0
-	for _, w := range used {
+	for _, w := range kb.words[words:] {
 		usedCount += bits.OnesCount64(w)
 	}
 	kb.injective = usedCount == e.N()
-	for s := 0; s < e.N(); s++ {
-		if con.Has(s) {
-			continue
-		}
-		code := e.Codes[s] & mask
-		if on[code/64]&(1<<(code%64)) != 0 {
-			return false // code is both ON and OFF: not canonicalizable
-		}
-	}
 	if cap(kb.key) < 2+16*words {
 		kb.key = make([]byte, 0, 2+16*words)
 	}
 	kb.key = kb.key[:0]
 	tag := byte(0)
-	if heuristic {
+	if minimizerFor(heuristic, nv) == byEspresso {
 		tag = 1
 	}
 	kb.key = append(kb.key, tag, byte(nv))
@@ -151,6 +135,35 @@ func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool
 			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
 	}
 	return true
+}
+
+// codeWords fills the bitsets on and used, each ⌈2^nv/64⌉ words over the
+// code space, with the codes of con's members and of every symbol. It
+// reports false, with the offending code, when a member and a non-member
+// share a code: that code would be both ON and OFF.
+//
+//picola:hot
+func codeWords(e *face.Encoding, con face.Constraint, on, used []uint64) (uint64, bool) {
+	mask := uint64(1)<<uint(e.NV) - 1
+	for i := range on {
+		on[i], used[i] = 0, 0
+	}
+	for s := 0; s < e.N(); s++ {
+		code := e.Codes[s] & mask
+		used[code/64] |= 1 << (code % 64)
+		if con.Has(s) {
+			on[code/64] |= 1 << (code % 64)
+		}
+	}
+	for s := 0; s < e.N(); s++ {
+		if con.Has(s) {
+			continue
+		}
+		if code := e.Codes[s] & mask; on[code/64]&(1<<(code%64)) != 0 {
+			return code, false
+		}
+	}
+	return 0, true
 }
 
 // dcKey returns the [nv, used-words...] prefix of the built key — the

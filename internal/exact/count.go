@@ -25,6 +25,12 @@ const denseMax = 8
 // (where the result depends on visit order). Minimize remains the
 // reference implementation; the parity is enforced by tests.
 //
+// CountWords is the Counter's second entry point, for single-output
+// functions of at most WordsMaxInputs inputs given as bitsets. It does
+// not mirror Minimize's search: it proves the minimum with its own, and
+// so returns Minimize's count whenever Minimize's search finishes within
+// its budget (every function the encoder has been measured to produce).
+//
 // A Counter is not safe for concurrent use; pool instances across
 // goroutines.
 type Counter struct {
@@ -43,6 +49,13 @@ type Counter struct {
 	flat       []int
 
 	solver covering.Solver
+
+	// Word path (CountWords): implicant words per don't-care set, the
+	// prime columns, the branch and bound's column stack, its incumbent
+	// and its node count against the budget.
+	imp                    [1 << WordsMaxInputs]uint64
+	wcols, wstack          []uint64
+	wbest, wnodes, wbudget int
 }
 
 // Count returns the minimum cover cardinality of f, exactly as
@@ -93,6 +106,14 @@ func (ct *Counter) count(f *espresso.Function, inputs int) (int, error) {
 	if err := ct.classify(f, inputs, outVar, no, nm); err != nil {
 		return 0, err
 	}
+	return ct.countTags(inputs, no, nm)
+}
+
+// countTags counts the minimum cover of the function classified into
+// ct.on and ct.dc: prime generation, covering rows, branch and bound.
+//
+//picola:hot
+func (ct *Counter) countTags(inputs, no, nm int) (int, error) {
 	ct.care = growU64(ct.care, nm)
 	anyOn := false
 	for x := 0; x < nm; x++ {

@@ -4,7 +4,9 @@
 // ground truth for the heuristic espresso loop — the evaluator tests and
 // the optimal-encoding reference use it — and handles the binary-input,
 // single-(multi-valued)-output-variable domains the rest of the
-// repository works with.
+// repository works with. Counter counts the same minimum without
+// building the cover, and its CountWords counts single-output functions
+// of up to six inputs straight from their ON and used bitsets.
 //
 // Complexity is exponential in the input count; Minimize refuses
 // functions with more than MaxInputs binary inputs.

@@ -1,0 +1,291 @@
+package exact
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"time"
+
+	"picola/internal/ctxutil"
+)
+
+// WordsMaxInputs bounds the word path: at nv ≤ 6 the 2^nv minterms of a
+// single-output function fit one uint64, so every implicant set, prime
+// set and cover is one machine word.
+const WordsMaxInputs = 6
+
+// wordsNodeBudget bounds the word path's covering search. An exhausted
+// search falls back to the tag-based count over the same function, so
+// the budget can cost time but never change a count.
+const wordsNodeBudget = 100_000
+
+// halfMask[i] selects the minterm positions whose bit i is 0: the base
+// halves of the one-larger cubes that free variable i.
+var halfMask = [WordsMaxInputs]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff,
+	0x0000ffff0000ffff,
+	0x00000000ffffffff,
+}
+
+// subcube[D] has bit s set for every s ⊆ D: the minterms of the cube
+// with base 0 and don't-care set D. Shifting it left by a base x with
+// x&D == 0 gives the minterms of the cube (x, D).
+var subcube = func() (t [1 << WordsMaxInputs]uint64) {
+	t[0] = 1
+	for d := 1; d < len(t); d++ {
+		i := bits.TrailingZeros(uint(d))
+		p := t[d&^(1<<i)]
+		t[d] = p | p<<(1<<i)
+	}
+	return t
+}()
+
+// CountWords returns the minimum number of cubes covering the
+// single-output function over nv ≤ WordsMaxInputs inputs whose ON-set is
+// on and whose OFF-set is used &^ on (the rest is don't-care): bit x of
+// each word is minterm x, and bits at or above 2^nv are ignored. It is
+// the count exact.Minimize returns for the same function, computed
+// word-parallel: primes by shifting implicant words, then essential
+// primes, a greedy incumbent and a branch and bound over minterm masks.
+// A search that exhausts its node budget is recounted by the Counter's
+// tag path. It allocates nothing once the Counter's buffers are warm.
+func (ct *Counter) CountWords(ctx context.Context, nv int, on, used uint64) (int, error) {
+	if err := ctxutil.Check(ctx, "exact.count"); err != nil {
+		return 0, err
+	}
+	if nv < 0 || nv > WordsMaxInputs {
+		return 0, fmt.Errorf("exact: %d inputs outside the word path's range [0, %d]", nv, WordsMaxInputs)
+	}
+	mMinimize.Inc()
+	t0 := time.Now()
+	n, _, err := ct.countWords(nv, on, used, wordsNodeBudget)
+	tMinimize.Observe(time.Since(t0))
+	return n, err
+}
+
+// countWords is CountWords under an explicit node budget. finished
+// reports whether the word search completed; when it did not, n is the
+// tag path's count.
+//
+//picola:hot
+func (ct *Counter) countWords(nv int, on, used uint64, budget int) (n int, finished bool, err error) {
+	if n, finished = ct.searchWords(nv, on, used, budget); finished {
+		return n, true, nil
+	}
+	n, err = ct.countWordTags(nv, on, used)
+	return n, false, err
+}
+
+// searchWords counts the minimum cover of the word function. It reports
+// false when the branch and bound ran out of budget before proving its
+// incumbent minimal.
+//
+//picola:hot
+func (ct *Counter) searchWords(nv int, on, used uint64, budget int) (int, bool) {
+	full := ^uint64(0)
+	if nv < WordsMaxInputs {
+		full = 1<<(uint(1)<<uint(nv)) - 1
+	}
+	on &= full
+	if on == 0 {
+		return 0, true
+	}
+
+	// imp[D] marks the bases x of the implicants (x, D): I_∅ is every
+	// minterm that is not OFF, and I_{D∪{i}} keeps the bases with bit i
+	// clear whose upper half (x | 1<<i, D) is an implicant too.
+	nd := 1 << uint(nv)
+	imp := &ct.imp
+	imp[0] = (on | ^used) & full
+	for d := 1; d < nd; d++ {
+		i := bits.TrailingZeros(uint(d))
+		p := imp[d&^(1<<i)]
+		imp[d] = p & (p >> (uint(1) << uint(i))) & halfMask[i]
+	}
+
+	// Primes at D are the implicants that neither half of any one-larger
+	// implicant contains. Only their ON minterms matter to the cover, so
+	// each becomes a column mask; a prime covering no ON minterm is no
+	// column at all.
+	ct.wcols = ct.wcols[:0]
+	var once, twice uint64
+	for d := 0; d < nd; d++ {
+		p := imp[d]
+		if p == 0 {
+			continue
+		}
+		for i := 0; i < nv; i++ {
+			if d&(1<<i) == 0 {
+				up := imp[d|1<<i]
+				p &^= up | up<<(uint(1)<<uint(i))
+			}
+		}
+		for sub := subcube[d]; p != 0; p &= p - 1 {
+			if c := sub << uint(bits.TrailingZeros64(p)) & on; c != 0 {
+				ct.wcols = append(ct.wcols, c)
+				twice |= once & c
+				once |= c
+			}
+		}
+	}
+
+	// Essential primes: the only column over some ON minterm.
+	ess := once &^ twice
+	u := on
+	n := 0
+	for _, c := range ct.wcols {
+		if c&ess != 0 {
+			n++
+			u &^= c
+		}
+	}
+	if u == 0 {
+		return n, true
+	}
+
+	// The residual problem: the columns restricted to the minterms the
+	// essentials left uncovered.
+	ct.wstack = ct.wstack[:0]
+	for _, c := range ct.wcols {
+		if g := c & u; g != 0 {
+			ct.wstack = append(ct.wstack, g)
+		}
+	}
+	cols := ct.wstack[:len(ct.wstack):len(ct.wstack)]
+	ct.wbest = greedyWords(cols, u)
+	ct.wnodes, ct.wbudget = 0, budget
+	ct.branchWords(cols, u, 0)
+	return n + ct.wbest, ct.wnodes <= ct.wbudget
+}
+
+// greedyWords returns the size of the cover built by repeatedly taking
+// the column over the most uncovered minterms.
+//
+//picola:hot
+func greedyWords(cols []uint64, u uint64) int {
+	k := 0
+	for u != 0 {
+		var best uint64
+		bestGain := 0
+		for _, c := range cols {
+			if g := bits.OnesCount64(c & u); g > bestGain {
+				best, bestGain = c, g
+			}
+		}
+		u &^= best
+		k++
+	}
+	return k
+}
+
+// branchWords is one node of the branch and bound: cols, each restricted
+// to the uncovered minterms u, are the columns still allowed, and depth
+// columns are already chosen. It lowers ct.wbest to any smaller cover it
+// finds. A node branches on an uncovered minterm that one column covers,
+// else one that two columns cover, else the lowest; it branches once per
+// column over that minterm, and the i-th branch excludes the columns
+// before it, whose covers the earlier branches already explored.
+//
+//picola:hot
+func (ct *Counter) branchWords(cols []uint64, u uint64, depth int) {
+	ct.wnodes++
+	if ct.wnodes > ct.wbudget {
+		return
+	}
+	var once, twice, thrice uint64
+	for _, c := range cols {
+		thrice |= twice & c
+		twice |= once & c
+		once |= c
+	}
+	if once != u {
+		return // an uncovered minterm no allowed column covers
+	}
+	var m uint64
+	switch {
+	case once&^twice != 0:
+		m = once &^ twice
+	case twice&^thrice != 0:
+		m = twice &^ thrice
+	default:
+		m = u
+	}
+	m &= -m
+	if depth+indepBound(cols, u, once&^twice, twice&^thrice) >= ct.wbest {
+		return
+	}
+	base := len(ct.wstack)
+	for i, c := range cols {
+		if c&m == 0 {
+			continue
+		}
+		nu := u &^ c
+		if nu == 0 {
+			ct.wbest = depth + 1 // the bound above proved depth+1 < wbest
+			return
+		}
+		for j, cj := range cols {
+			if cj&m != 0 && j <= i {
+				continue
+			}
+			if g := cj & nu; g != 0 {
+				ct.wstack = append(ct.wstack, g)
+			}
+		}
+		top := len(ct.wstack)
+		ct.branchWords(ct.wstack[base:top:top], nu, depth+1)
+		ct.wstack = ct.wstack[:base]
+		if ct.wnodes > ct.wbudget {
+			return
+		}
+	}
+}
+
+// indepBound returns a lower bound on the columns any cover of u needs:
+// the size of a set of uncovered minterms no column covers two of,
+// picked greedily, minterms in fewer columns first (the forced class c1,
+// then the two-column class c2, then the rest).
+//
+//picola:hot
+func indepBound(cols []uint64, u, c1, c2 uint64) int {
+	k := 0
+	for r := u; r != 0; {
+		var m uint64
+		switch {
+		case r&c1 != 0:
+			m = r & c1
+		case r&c2 != 0:
+			m = r & c2
+		default:
+			m = r
+		}
+		m &= -m
+		r &^= m
+		for _, c := range cols {
+			if c&m != 0 {
+				r &^= c
+			}
+		}
+		k++
+	}
+	return k
+}
+
+// countWordTags counts the word function along the Counter's tag path:
+// per-minterm ON and DC tags, Quine–McCluskey primes and the covering
+// solver, as Count does for the same function given as covers.
+//
+//picola:hot
+func (ct *Counter) countWordTags(nv int, on, used uint64) (int, error) {
+	nm := 1 << uint(nv)
+	ct.on = growU64(ct.on, nm)
+	ct.dc = growU64(ct.dc, nm)
+	for x := 0; x < nm; x++ {
+		ct.on[x] = on >> uint(x) & 1
+		ct.dc[x] = ^(on | used) >> uint(x) & 1
+	}
+	return ct.countTags(nv, 1, nm)
+}

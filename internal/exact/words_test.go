@@ -1,0 +1,200 @@
+package exact
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"picola/internal/cover"
+	"picola/internal/cube"
+	"picola/internal/espresso"
+)
+
+// wordFunc builds the covers of the word function CountWords counts:
+// one ON cube per bit of on, one OFF cube per bit of used &^ on, and the
+// rest don't-care (the fr form, so Off is non-nil even when empty).
+func wordFunc(nv int, on, used uint64) *espresso.Function {
+	d := cube.Binary(nv)
+	onc, offc := cover.New(d), cover.New(d)
+	for x := 0; x < 1<<uint(nv); x++ {
+		var dst *cover.Cover
+		switch {
+		case on>>uint(x)&1 == 1:
+			dst = onc
+		case used>>uint(x)&1 == 1:
+			dst = offc
+		default:
+			continue
+		}
+		c := d.NewCube()
+		for v := 0; v < nv; v++ {
+			d.Set(c, v, x>>uint(v)&1)
+		}
+		dst.Add(c)
+	}
+	return &espresso.Function{D: d, On: onc, Off: offc}
+}
+
+// checkWords compares CountWords with the reference on one function.
+func checkWords(t *testing.T, ct *Counter, nv int, on, used uint64) {
+	t.Helper()
+	min, err := Minimize(wordFunc(nv, on, used), nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := ct.CountWords(context.Background(), nv, on, used)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != min.Len() {
+		t.Fatalf("nv=%d on=%#x used=%#x: CountWords %d, Minimize %d", nv, on, used, n, min.Len())
+	}
+}
+
+// randWords draws a random word function over nv inputs: each minterm
+// is ON with odds onOdds in 6, OFF with odds offOdds in 6, else
+// don't-care.
+func randWords(rng *rand.Rand, nv, onOdds, offOdds int) (on, used uint64) {
+	for x := 0; x < 1<<uint(nv); x++ {
+		switch r := rng.Intn(6); {
+		case r < onOdds:
+			on |= 1 << uint(x)
+			used |= 1 << uint(x)
+		case r < onOdds+offOdds:
+			used |= 1 << uint(x)
+		}
+	}
+	return on, used
+}
+
+// TestCountWordsExhaustiveSmall: every ON/OFF/DC assignment at nv ≤ 3
+// (3 + 9 + 81 + 6,561 functions) counts what Minimize counts.
+func TestCountWordsExhaustiveSmall(t *testing.T) {
+	var ct Counter
+	for nv := 0; nv <= 3; nv++ {
+		nm := 1 << uint(nv)
+		total := 1
+		for i := 0; i < nm; i++ {
+			total *= 3
+		}
+		for f := 0; f < total; f++ {
+			var on, used uint64
+			for x, r := 0, f; x < nm; x, r = x+1, r/3 {
+				switch r % 3 {
+				case 0:
+					on |= 1 << uint(x)
+					used |= 1 << uint(x)
+				case 1:
+					used |= 1 << uint(x)
+				}
+			}
+			checkWords(t, &ct, nv, on, used)
+		}
+	}
+}
+
+// TestCountWordsRandom: seeded random functions at nv 4–6, sparse and
+// dense, with nv = 6 reaching the 32-bit shift and the full-word mask
+// (every minterm used, the widest encoder shape).
+func TestCountWordsRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ct Counter
+	for nv := 4; nv <= WordsMaxInputs; nv++ {
+		for iter := 0; iter < 300; iter++ {
+			on, used := randWords(rng, nv, 2+iter%2, 2)
+			checkWords(t, &ct, nv, on, used)
+		}
+	}
+	for iter := 0; iter < 200; iter++ {
+		on := rng.Uint64()
+		checkWords(t, &ct, 6, on, ^uint64(0))
+	}
+}
+
+// TestCountWordsIgnoresHighBits: bits at or above 2^nv are outside the
+// code space.
+func TestCountWordsIgnoresHighBits(t *testing.T) {
+	var ct Counter
+	for nv := 0; nv < WordsMaxInputs; nv++ {
+		hi := ^uint64(0) << (uint(1) << uint(nv))
+		rng := rand.New(rand.NewSource(int64(nv)))
+		for iter := 0; iter < 20; iter++ {
+			on, used := randWords(rng, nv, 2, 2)
+			want, err := ct.CountWords(context.Background(), nv, on, used)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ct.CountWords(context.Background(), nv, on|hi&rng.Uint64(), used|hi&rng.Uint64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("nv=%d: high bits moved the count %d -> %d", nv, want, got)
+			}
+		}
+	}
+}
+
+// TestCountWordsBudgetFallback: a one-node budget leaves every search
+// that needs a second node unfinished, and the count is then the
+// Counter's; with the real budget the same functions finish.
+func TestCountWordsBudgetFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var ct, ref Counter
+	unfinished := 0
+	for iter := 0; iter < 400; iter++ {
+		nv := 5 + iter%2
+		on, used := randWords(rng, nv, 2, 2)
+		want, err := ref.Count(wordFunc(nv, on, used), nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, finished, err := ct.countWords(nv, on, used, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Fatalf("nv=%d on=%#x used=%#x: one-node budget %d, Counter %d", nv, on, used, n, want)
+		}
+		if !finished {
+			unfinished++
+			if n, finished, _ = ct.countWords(nv, on, used, wordsNodeBudget); !finished || n != want {
+				t.Fatalf("nv=%d on=%#x used=%#x: full budget (%d, finished %v), Counter %d",
+					nv, on, used, n, finished, want)
+			}
+		}
+	}
+	if unfinished == 0 {
+		t.Fatal("no search needed a second node; the fallback went untested")
+	}
+	t.Logf("%d of 400 searches fell back", unfinished)
+}
+
+// TestCountWordsValidation: the word path refuses widths it cannot hold
+// and a cancelled context.
+func TestCountWordsValidation(t *testing.T) {
+	var ct Counter
+	for _, nv := range []int{-1, WordsMaxInputs + 1} {
+		if _, err := ct.CountWords(context.Background(), nv, 1, 1); err == nil {
+			t.Fatalf("nv=%d must be rejected", nv)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ct.CountWords(ctx, 3, 1, 1); err == nil {
+		t.Fatal("a cancelled context must return an error")
+	}
+}
+
+// FuzzCountWords checks the word path against exact.Minimize on any
+// (nv, on, used). The seed corpus holds the deepest covering search of a
+// cold perfbench corpus pass.
+func FuzzCountWords(f *testing.F) {
+	f.Add(uint8(3), uint64(0b10110111), uint64(0b11111111))
+	f.Add(uint8(6), uint64(0x0123456789abcdef), ^uint64(0))
+	f.Fuzz(func(t *testing.T, nv uint8, on, used uint64) {
+		n := int(nv % (WordsMaxInputs + 1))
+		var ct Counter
+		checkWords(t, &ct, n, on, used)
+	})
+}
