@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -13,14 +14,21 @@ import (
 // plus two 1-word bitsets, plus the fixed overhead.
 const entrySizeNV4 = int64(2+16) + entryBytesOverhead
 
-// sameShardEntries builds k distinct nv=4 entries whose canonical keys
-// all hash to one shard, so eviction order is observable.
-func sameShardEntries(k int) []CacheEntry {
+// sameShardEntries builds k distinct entries whose canonical keys all
+// hash to one shard, so eviction order is observable. Their code
+// lengths cycle through nvs (nv = 4 when none is given).
+func sameShardEntries(k int, nvs ...int) []CacheEntry {
+	if len(nvs) == 0 {
+		nvs = []int{4}
+	}
 	var ents []CacheEntry
 	shard := uint64(0)
 	for v := uint64(1); len(ents) < k; v++ {
-		ent := CacheEntry{NV: 4, Used: []uint64{v}, On: []uint64{v & 1}, Cubes: int(v)}
-		s := fnvShard(ent.Key())
+		nv := nvs[len(ents)%len(nvs)]
+		w := entryWords(nv)
+		ent := CacheEntry{NV: nv, Used: make([]uint64, w), On: make([]uint64, w), Cubes: int(v)}
+		ent.Used[0], ent.On[0] = v, v&1
+		s := ent.ShardHash() % cacheShards
 		if len(ents) == 0 {
 			shard = s
 		}
@@ -32,40 +40,58 @@ func sameShardEntries(k int) []CacheEntry {
 }
 
 // TestCacheEvictionFIFO: a full shard evicts its oldest entries first,
-// in insertion order, and the accounting tracks it exactly.
+// in insertion order across both key widths, and the accounting tracks
+// it exactly. A FIFO queue over the same budget is the reference.
 func TestCacheEvictionFIFO(t *testing.T) {
-	c := NewCacheBytes(cacheShards * 3 * entrySizeNV4) // 3 entries per shard
-	ents := sameShardEntries(5)
-	for i, ent := range ents {
-		st, err := c.Import([]CacheEntry{ent})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantEvicted := 0
-		if i >= 3 {
-			wantEvicted = 1
-		}
-		if st.Inserted != 1 || st.Evicted != wantEvicted {
-			t.Fatalf("insert %d: stats %v, want 1 inserted, %d evicted", i, st, wantEvicted)
-		}
-	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d entries, want 3", c.Len())
-	}
-	if c.Bytes() != 3*entrySizeNV4 {
-		t.Fatalf("cache accounts %d bytes, want %d", c.Bytes(), 3*entrySizeNV4)
-	}
-	// The survivors must be exactly the three newest, FIFO having evicted
-	// ents[0] and ents[1].
-	got := map[string]bool{}
-	for _, ent := range c.Export() {
-		got[string(ent.Key())] = true
-	}
-	for i, ent := range ents {
-		want := i >= 2
-		if got[string(ent.Key())] != want {
-			t.Errorf("entry %d present=%v, want %v", i, !want, want)
-		}
+	const entrySizeNV8 = int64(2+16*4) + entryBytesOverhead
+	for _, tc := range []struct {
+		name     string
+		ents     []CacheEntry
+		perShard int64
+	}{
+		{"nv4", sameShardEntries(5), 3 * entrySizeNV4},
+		{"nv4+nv8", sameShardEntries(9, 4, 8), 2*entrySizeNV4 + entrySizeNV8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCacheBytes(cacheShards * tc.perShard)
+			var live []CacheEntry
+			var liveBytes int64
+			size := func(ent CacheEntry) int64 { return int64(len(ent.Key())) + entryBytesOverhead }
+			for i, ent := range tc.ents {
+				wantEvicted := 0
+				for liveBytes+size(ent) > tc.perShard {
+					liveBytes -= size(live[0])
+					live = live[1:]
+					wantEvicted++
+				}
+				live = append(live, ent)
+				liveBytes += size(ent)
+				st, err := c.Import([]CacheEntry{ent})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Inserted != 1 || st.Evicted != wantEvicted {
+					t.Fatalf("insert %d: stats %v, want 1 inserted, %d evicted", i, st, wantEvicted)
+				}
+				if c.Len() != len(live) || c.Bytes() != liveBytes {
+					t.Fatalf("insert %d: cache holds %d entries / %d bytes, want %d / %d",
+						i, c.Len(), c.Bytes(), len(live), liveBytes)
+				}
+				got := map[string]bool{}
+				for _, ent := range c.Export() {
+					got[string(ent.Key())] = true
+				}
+				for _, ent := range live {
+					if !got[string(ent.Key())] {
+						t.Fatalf("insert %d: entry nv=%d used=%#x evicted out of insertion order",
+							i, ent.NV, ent.Used[0])
+					}
+				}
+			}
+			if len(live) == len(tc.ents) {
+				t.Fatal("the sequence never filled the shard")
+			}
+		})
 	}
 }
 
@@ -107,7 +133,8 @@ func TestCacheOversizeEntry(t *testing.T) {
 }
 
 // TestImportStatsClasses: duplicates and invalid entries land in their
-// own counters and never abort the batch.
+// own counters and never abort the batch. A count too large for the
+// cache's int32 storage is refused, never truncated.
 func TestImportStatsClasses(t *testing.T) {
 	c := NewCache()
 	ents := sameShardEntries(2)
@@ -118,18 +145,19 @@ func TestImportStatsClasses(t *testing.T) {
 		{NV: cacheMaxNV + 1, Used: []uint64{1}, On: []uint64{1}},
 		{NV: 4, Used: []uint64{1}, On: []uint64{1, 9}},
 		{NV: 4, Used: []uint64{2}, On: []uint64{2}, Cubes: -7},
+		{NV: 4, Used: []uint64{3}, On: []uint64{3}, Cubes: math.MaxInt32 + 1},
 		ents[1],
 	}
 	st, err := c.Import(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ImportStats{Inserted: 2, Duplicate: 1, BadNV: 2, BadShape: 1, BadCubes: 1}
+	want := ImportStats{Inserted: 2, Duplicate: 1, BadNV: 2, BadShape: 1, BadCubes: 2}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	if st.Skipped() != 5 {
-		t.Fatalf("skipped %d, want 5", st.Skipped())
+	if st.Skipped() != 6 {
+		t.Fatalf("skipped %d, want 6", st.Skipped())
 	}
 	// Re-importing the whole batch: everything valid is now a duplicate.
 	st, err = c.Import(batch)

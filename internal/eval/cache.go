@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"cmp"
 	"context"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,9 +48,10 @@ const (
 	// never grow without limit.
 	DefaultCacheBytes = 64 << 20
 	// entryBytesOverhead approximates the per-entry bookkeeping cost
-	// beyond the key bytes themselves: the map header slot, the interned
-	// string header, the order-ring slot, and the value. The accounting
-	// only has to be honest about scale, not exact.
+	// beyond the canonical key bytes themselves: the map slot, the
+	// eviction-ring slot once a shard has one, and a wide key's string
+	// header. The accounting only has to be honest about scale, not
+	// exact.
 	entryBytesOverhead = 64
 	// dcMemoCap bounds the don't-care memo; a full memo recomputes
 	// fresh covers instead of storing, affecting speed only.
@@ -62,13 +66,21 @@ const (
 // pure function of the key and caching can never change an answer. A nil
 // *Cache is valid and simply computes every request.
 //
-// Memory is bounded: every entry is charged its key bytes plus a fixed
-// bookkeeping overhead against the cache's byte budget, and a full shard
-// evicts its oldest entries first (FIFO in insertion order — the
-// deterministic policy: given the same insertion sequence, the same
-// entries are evicted). Because a memoized value is a pure function of
-// its key, eviction can only cost recomputation time, never change a
-// result.
+// Keys come in two widths. At nv ≤ 6 — one word per bitset, the
+// minimum code length of up to 64 symbols — the key is narrow: three
+// words, hashed, compared and stored without building a string.
+// Wider code spaces (nv 7–12) keep their canonical bytes as a string.
+// A map value packs the count as an int32 beside the shard's insertion
+// number.
+//
+// Memory is bounded: every entry is charged its canonical key bytes plus
+// a fixed bookkeeping overhead against the cache's byte budget, and a
+// full shard evicts its oldest entries first (FIFO in insertion order —
+// the deterministic policy: given the same insertion sequence, the same
+// entries are evicted). A shard builds its eviction ring from the
+// insertion numbers when it first overflows, so a cache that never fills
+// keeps no ring. Because a memoized value is a pure function of its key,
+// eviction can only cost recomputation time, never change a result.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	// shardBudget is the per-shard byte budget (the cache-wide budget
@@ -85,14 +97,33 @@ type Cache struct {
 }
 
 type cacheShard struct {
-	mu sync.RWMutex
-	m  map[string]int
-	// order holds the live keys in insertion order; order[head:] are
-	// live, order[:head] already evicted (the prefix is compacted away
-	// once it outgrows the live tail).
-	order []string
+	mu     sync.RWMutex
+	narrow map[narrowKey]slot
+	wide   map[string]slot
+	// seq numbers the shard's insertions; the ring is built before it
+	// could wrap.
+	seq uint32
+	// order is the eviction ring, nil until the shard first overflows
+	// its budget: then it holds the live keys in insertion order;
+	// order[head:] are live, order[:head] already evicted (the prefix is
+	// compacted away once it outgrows the live tail).
+	order []ringKey
 	head  int
 	bytes int64
+}
+
+// slot is one memoized count and the insertion number that orders it
+// for eviction.
+type slot struct {
+	cubes int32
+	seq   uint32
+}
+
+// ringKey is one key of the eviction ring: narrow, or wide when wide is
+// non-empty.
+type ringKey struct {
+	narrow narrowKey
+	wide   string
 }
 
 // NewCache returns an empty cache with the default memory bound.
@@ -110,7 +141,8 @@ func NewCacheBytes(maxBytes int64) *Cache {
 		dcm:         make(map[string]*cover.Cover),
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]int)
+		c.shards[i].narrow = make(map[narrowKey]slot)
+		c.shards[i].wide = make(map[string]slot)
 	}
 	return c
 }
@@ -123,7 +155,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
 		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
+		n += len(c.shards[i].narrow) + len(c.shards[i].wide)
 		c.shards[i].mu.RUnlock()
 	}
 	return n
@@ -143,27 +175,53 @@ func (c *Cache) Bytes() int64 {
 	return n
 }
 
-// insert memoizes key→cubes under the shard's byte budget, evicting the
-// oldest entries first until the new one fits. It reports whether the
-// key was inserted (false: already present, or the entry alone exceeds
-// the whole budget), how many entries were evicted to make room, and
-// the accounted bytes those evictions freed. Metrics are the caller's
-// job — this runs inside the shard lock.
-func (sh *cacheShard) insert(key []byte, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
-	size := int64(len(key)) + entryBytesOverhead
+// get returns the memoized count of kb's key. The caller holds the lock.
+func (sh *cacheShard) get(kb *keyBuf) (slot, bool) {
+	if kb.wide() {
+		v, ok := sh.wide[string(kb.key)]
+		return v, ok
+	}
+	v, ok := sh.narrow[kb.nk]
+	return v, ok
+}
+
+// getLocked is get under the shard's read lock.
+func (sh *cacheShard) getLocked(kb *keyBuf) (slot, bool) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.get(kb)
+}
+
+// insert memoizes kb's key → cubes under the shard's byte budget,
+// evicting the oldest entries first until the new one fits. It reports
+// whether the key was inserted (false: already present, or the entry
+// alone exceeds the whole budget), how many entries were evicted to make
+// room, and the accounted bytes those evictions freed. Metrics are the
+// caller's job — this runs inside the shard lock.
+func (sh *cacheShard) insert(kb *keyBuf, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
+	size := kb.size()
 	if size > budget {
 		return false, 0, 0
 	}
-	if _, exists := sh.m[string(key)]; exists {
+	if _, exists := sh.get(kb); exists {
 		return false, 0, 0
+	}
+	if sh.order == nil && (sh.bytes+size > budget || sh.seq == math.MaxUint32) {
+		sh.buildRing()
 	}
 	for sh.bytes+size > budget && sh.head < len(sh.order) {
 		old := sh.order[sh.head]
-		sh.order[sh.head] = ""
+		sh.order[sh.head] = ringKey{}
 		sh.head++
-		delete(sh.m, old)
-		sh.bytes -= int64(len(old)) + entryBytesOverhead
-		freed += int64(len(old)) + entryBytesOverhead
+		n := int64(narrowKeyBytes)
+		if old.wide != "" {
+			delete(sh.wide, old.wide)
+			n = int64(len(old.wide))
+		} else {
+			delete(sh.narrow, old.narrow)
+		}
+		sh.bytes -= n + entryBytesOverhead
+		freed += n + entryBytesOverhead
 		evicted++
 	}
 	// Compact the evicted prefix once it dominates the slice so the ring
@@ -172,18 +230,53 @@ func (sh *cacheShard) insert(key []byte, cubes int, budget int64) (inserted bool
 		sh.order = append(sh.order[:0], sh.order[sh.head:]...)
 		sh.head = 0
 	}
-	ks := string(key)
-	sh.m[ks] = cubes
-	sh.order = append(sh.order, ks)
+	v := slot{cubes: int32(cubes), seq: sh.seq}
+	sh.seq++
+	var rk ringKey
+	if kb.wide() {
+		rk.wide = string(kb.key)
+		sh.wide[rk.wide] = v
+	} else {
+		rk.narrow = kb.nk
+		sh.narrow[kb.nk] = v
+	}
+	if sh.order != nil {
+		sh.order = append(sh.order, rk)
+	}
 	sh.bytes += size
 	return true, evicted, freed
 }
 
+// buildRing lays the shard's live keys out in insertion order, the
+// order FIFO eviction takes them in. From here on insert keeps the ring
+// current, so the insertion numbers no longer matter.
+func (sh *cacheShard) buildRing() {
+	type numbered struct {
+		seq uint32
+		key ringKey
+	}
+	all := make([]numbered, 0, len(sh.narrow)+len(sh.wide))
+	//lint:ignore detrange collected keys are sorted by insertion number below
+	for k, v := range sh.narrow {
+		all = append(all, numbered{v.seq, ringKey{narrow: k}})
+	}
+	//lint:ignore detrange collected keys are sorted by insertion number below
+	for k, v := range sh.wide {
+		all = append(all, numbered{v.seq, ringKey{wide: k}})
+	}
+	slices.SortFunc(all, func(a, b numbered) int { return cmp.Compare(a.seq, b.seq) })
+	sh.order = make([]ringKey, len(all), len(all)+1)
+	for i, n := range all {
+		sh.order[i] = n.key
+	}
+	sh.head = 0
+}
+
 // insertLocked is insert under the shard lock.
-func (sh *cacheShard) insertLocked(key []byte, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
+func (sh *cacheShard) insertLocked(kb *keyBuf, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.insert(key, cubes, budget)
+	return sh.insert(kb, cubes, budget)
 }
 
 // ConstraintCubes is the memoized ConstraintCubes: exact minimization
@@ -222,10 +315,8 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		mCacheBypass.Inc()
 		return minimize(ctx, e, con, heuristic, nil, nil)
 	}
-	sh := &c.shards[fnvShard(kb.key)]
-	sh.mu.RLock()
-	k, hit := sh.m[string(kb.key)]
-	sh.mu.RUnlock()
+	sh := &c.shards[kb.hash%cacheShards]
+	v, hit := sh.getLocked(kb)
 	if hit {
 		// Hot path: corpus re-runs take this branch millions of times per
 		// sweep, so it pays for nothing but the lookup — no wall clocks,
@@ -234,7 +325,7 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		if mCacheHits.Value()&1023 == 0 {
 			updateRate()
 		}
-		return k, nil
+		return int(v.cubes), nil
 	}
 	t0 := time.Now()
 	defer func() { hCacheLookup.Observe(int64(time.Since(t0))) }()
@@ -254,9 +345,9 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 	}
 	mCacheMisses.Inc()
 	updateRate()
-	inserted, evicted, freed := sh.insertLocked(kb.key, k, c.shardBudget)
+	inserted, evicted, freed := sh.insertLocked(kb, k, c.shardBudget)
 	if inserted {
-		noteInsert(int64(len(kb.key))+entryBytesOverhead, evicted, freed)
+		noteInsert(kb.size(), evicted, freed)
 	}
 	return k, nil
 }
@@ -281,18 +372,4 @@ func updateRate() {
 	if t := h + m; t > 0 {
 		gCacheRate.Set(h * 100 / t)
 	}
-}
-
-// fnvShard hashes the key (FNV-1a) onto a shard index.
-func fnvShard(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h % cacheShards
 }

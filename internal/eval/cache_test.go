@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,7 +21,7 @@ func cacheKey(e *face.Encoding, c face.Constraint, heuristic bool) (string, bool
 	if !kb.cacheKey(e, c, heuristic) {
 		return "", false
 	}
-	return string(kb.key), true
+	return fmt.Sprint(kb.nk, kb.key), true
 }
 
 // randomInstance builds a deterministic pseudo-random injective encoding
@@ -258,5 +261,51 @@ func TestExportedEntriesIsolated(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("appending to exported bitsets changed a neighbour: %+v", got)
+	}
+}
+
+// TestEntryKeyOrderAndHash: at both key widths, CompareEntries orders
+// entries as their canonical key bytes do, ShardHash is the FNV-1a hash
+// of those bytes, and a KeySet tells keys apart exactly as the bytes do.
+// The bitset words come from a small set so that ties reach every word.
+func TestEntryKeyOrderAndHash(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	vals := []uint64{0, 1, 0x100, 0xff << 56, ^uint64(0)}
+	var ents []CacheEntry
+	for i := 0; i < 300; i++ {
+		nv := 4 + r.Intn(5) // narrow at nv 4–6, wide at 7–8
+		w := entryWords(nv)
+		ent := CacheEntry{Heuristic: r.Intn(2) == 0, NV: nv, Used: make([]uint64, w), On: make([]uint64, w)}
+		for j := range ent.Used {
+			ent.Used[j], ent.On[j] = vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]
+		}
+		ents = append(ents, ent)
+	}
+	set := NewKeySet(0)
+	distinct := map[string]bool{}
+	for i := range ents {
+		a := &ents[i]
+		for j := range ents {
+			b := &ents[j]
+			if got, want := CompareEntries(a, b), bytes.Compare(a.Key(), b.Key()); got != want {
+				t.Fatalf("CompareEntries(%+v, %+v) = %d, canonical bytes compare %d", *a, *b, got, want)
+			}
+		}
+		h := fnv.New64a()
+		h.Write(a.Key())
+		if a.ShardHash() != h.Sum64() {
+			t.Fatalf("ShardHash(%+v) = %#x, FNV-1a of the key %#x", *a, a.ShardHash(), h.Sum64())
+		}
+		k := string(a.Key())
+		if added := set.Add(a); added == distinct[k] {
+			t.Fatalf("KeySet.Add(%+v) = %v, key seen before: %v", *a, added, distinct[k])
+		}
+		distinct[k] = true
+		if !set.Has(a) {
+			t.Fatalf("KeySet lost %+v", *a)
+		}
+	}
+	if set.Len() != len(distinct) {
+		t.Fatalf("KeySet holds %d keys, want %d", set.Len(), len(distinct))
 	}
 }

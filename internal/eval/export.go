@@ -3,6 +3,8 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -59,39 +61,67 @@ func parseCacheKey(key string, cubes int, slab []uint64) (CacheEntry, []uint64, 
 	return ent, slab[2*w:], true
 }
 
-// Export snapshots every memoized entry in a deterministic order (sorted
-// by raw key bytes). A nil cache exports nothing. Concurrent inserts may
-// or may not be included; each exported entry is individually consistent.
-// The bitset words of all exported entries share one allocation.
+// Export snapshots every memoized entry in a deterministic order (the
+// canonical key order, CompareEntries). A nil cache exports nothing.
+// Concurrent inserts may or may not be included; each exported entry is
+// individually consistent. The bitset words of all exported entries
+// share one allocation.
 func (c *Cache) Export() []CacheEntry {
 	if c == nil {
 		return nil
 	}
-	type pair struct {
-		key   string
-		cubes int
+	type narrowPair struct {
+		key   narrowKey
+		cubes int32
 	}
-	pairs := make([]pair, 0, c.Len())
+	type widePair struct {
+		key   string
+		cubes int32
+	}
+	narrow := make([]narrowPair, 0, c.Len())
+	var wide []widePair
 	words := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		//lint:ignore detrange pair collection sorted by key below before any use
-		for k, v := range sh.m {
-			pairs = append(pairs, pair{k, v})
+		for k, v := range sh.narrow {
+			narrow = append(narrow, narrowPair{k, v.cubes})
+		}
+		//lint:ignore detrange pair collection sorted by key below before any use
+		for k, v := range sh.wide {
+			wide = append(wide, widePair{k, v.cubes})
 			words += (len(k) - 2) / 8
 		}
 		sh.mu.RUnlock()
 	}
-	// The interned key bytes ARE the canonical order (AppendKey is the
-	// identity round-trip of parseCacheKey), so sort the raw keys.
-	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key, b.key) })
-	slab := make([]uint64, words)
-	entries := make([]CacheEntry, 0, len(pairs))
-	for _, p := range pairs {
+	// A narrow key's words and a wide key's bytes each compare in
+	// canonical order, and a narrow key sorts before every wide key of
+	// its tag, so the two sorted runs merge on the tag alone.
+	slices.SortFunc(narrow, func(a, b narrowPair) int { return a.key.compare(&b.key) })
+	slices.SortFunc(wide, func(a, b widePair) int { return strings.Compare(a.key, b.key) })
+	slab := make([]uint64, 2*len(narrow)+words)
+	entries := make([]CacheEntry, 0, len(narrow)+len(wide))
+	for len(narrow) > 0 || len(wide) > 0 {
+		if len(narrow) > 0 && (len(wide) == 0 || narrow[0].key[0]>>8 <= uint64(wide[0].key[0])) {
+			p := narrow[0]
+			narrow = narrow[1:]
+			slab[0], slab[1] = bits.ReverseBytes64(p.key[1]), bits.ReverseBytes64(p.key[2])
+			entries = append(entries, CacheEntry{
+				Heuristic: p.key[0]>>8 != 0,
+				NV:        int(p.key[0] & 0xff),
+				Used:      slab[0:1:1],
+				On:        slab[1:2:2],
+				Cubes:     int(p.cubes),
+			})
+			slab = slab[2:]
+			continue
+		}
+		p := wide[0]
+		wide = wide[1:]
 		var ent CacheEntry
 		var ok bool
-		if ent, slab, ok = parseCacheKey(p.key, p.cubes, slab); ok {
+		if ent, slab, ok = parseCacheKey(p.key, int(p.cubes), slab); ok {
 			entries = append(entries, ent)
 		}
 	}
@@ -142,7 +172,8 @@ type ImportStats struct {
 	BadNV int
 	// BadShape entries carry bitsets of the wrong word count for NV.
 	BadShape int
-	// BadCubes entries declare a negative cube count.
+	// BadCubes entries declare a cube count outside [0, math.MaxInt32],
+	// the range the cache stores.
 	BadCubes int
 	// Evicted is the number of older memoized entries evicted to fit
 	// the inserted ones.
@@ -181,7 +212,7 @@ func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 	if c == nil {
 		return st, fmt.Errorf("eval: cannot import into a nil cache")
 	}
-	key := make([]byte, 0, 2+16*entryWords(cacheMaxNV))
+	var kb keyBuf
 	for _, ent := range entries {
 		if ent.NV < 1 || ent.NV > cacheMaxNV {
 			st.BadNV++
@@ -191,19 +222,19 @@ func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 			st.BadShape++
 			continue
 		}
-		if ent.Cubes < 0 {
+		if ent.Cubes < 0 || ent.Cubes > math.MaxInt32 {
 			st.BadCubes++
 			continue
 		}
-		key = ent.AppendKey(key[:0])
-		sh := &c.shards[fnvShard(key)]
-		inserted, evicted, freed := sh.insertLocked(key, ent.Cubes, c.shardBudget)
-		dup := !inserted && int64(len(key))+entryBytesOverhead <= c.shardBudget
+		kb.entryKey(&ent)
+		sh := &c.shards[kb.hash%cacheShards]
+		inserted, evicted, freed := sh.insertLocked(&kb, ent.Cubes, c.shardBudget)
+		dup := !inserted && kb.size() <= c.shardBudget
 		switch {
 		case inserted:
 			st.Inserted++
 			st.Evicted += evicted
-			noteInsert(int64(len(key))+entryBytesOverhead, evicted, freed)
+			noteInsert(kb.size(), evicted, freed)
 		case dup:
 			st.Duplicate++
 		default:

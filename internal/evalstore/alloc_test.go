@@ -40,6 +40,57 @@ func TestAllocsStoreAppendKnown(t *testing.T) {
 	}
 }
 
+// TestAllocsStoreLoad: a load keys its dedup set and the cache by the
+// narrow entries' words, so it allocates no string, map entry or ring
+// slot per entry. What it does allocate — file reads, decode slabs, the
+// maps' tables — barely grows with the store: quadrupling the entry
+// count from 2,500 to 10,000 may add at most one allocation per ten
+// added entries (string keys cost about two per entry).
+func TestAllocsStoreLoad(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	load := func(n int) float64 {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Append(syntheticEntries(n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var st LoadStats
+		allocs := testing.AllocsPerRun(3, func() {
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = s.Load(eval.NewCacheBytes(256 << 20)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if st.Import.Inserted < n-n/100 {
+			t.Fatalf("loaded %d of %d entries", st.Import.Inserted, n)
+		}
+		t.Logf("%.0f allocations to load %d entries", allocs, n)
+		return allocs
+	}
+	const small, large = 2500, 10000
+	if extra := load(large) - load(small); extra > (large-small)/10 {
+		t.Fatalf("loading %d more entries allocates %.0f more objects, want <= %d",
+			large-small, extra, (large-small)/10)
+	}
+}
+
 // syntheticEntries returns n distinct-in-practice nv=5 entries, the
 // code length of most corpus signatures.
 func syntheticEntries(n int) []eval.CacheEntry {
@@ -55,7 +106,9 @@ func syntheticEntries(n int) []eval.CacheEntry {
 // BenchmarkStoreLifecycle times each step of a warm re-run's store
 // lifecycle on a compacted store of about 200k nv=5 entries: Load into
 // a fresh cache, Export the cache, Append the export back (every entry
-// already known), and Compact an empty WAL.
+// already known), and Compact an empty WAL. ColdSave is a cold run's
+// whole save: Export, Append and Compact of the same cache into a fresh
+// store.
 func BenchmarkStoreLifecycle(b *testing.B) {
 	const cacheBytes = 256 << 20
 	dir := b.TempDir()
@@ -118,6 +171,24 @@ func BenchmarkStoreLifecycle(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := warm.Compact(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ColdSave", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cold, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n, err := cold.Append(cache.Export()); n != len(exported) || err != nil {
+				b.Fatalf("appended %d (err %v), want %d", n, err, len(exported))
+			}
+			if st, err := cold.Compact(); st.Entries != len(exported) || err != nil {
+				b.Fatalf("compacted %d (err %v), want %d", st.Entries, err, len(exported))
+			}
+			if err := cold.Close(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,6 +10,8 @@
 //	shard-00.ir … shard-0f.ir   compacted picola-ir/v1 CacheEntries
 //	                            containers, entries assigned to shards
 //	                            by FNV-1a of their canonical key
+//	                            (eval.CacheEntry.ShardHash) and sorted
+//	                            by it (eval.CompareEntries)
 //	wal.irlog                   the append journal: length+CRC frames
 //	                            (internal/ir framing), each payload one
 //	                            picola-ir/v1 CacheEntries container
@@ -35,8 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -69,20 +69,11 @@ const (
 
 func shardName(i int) string { return fmt.Sprintf("shard-%02x.ir", i) }
 
-// shardOf assigns a canonical key to an on-disk shard (64-bit FNV-1a).
-// The assignment is part of the layout: every process sharding the same
-// key space places every entry in the same file.
-func shardOf(key string) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h % storeShards)
+// shardOf assigns an entry to an on-disk shard by the FNV-1a hash of
+// its canonical key. The assignment is part of the layout: every process
+// sharding the same key space places every entry in the same file.
+func shardOf(ent *eval.CacheEntry) int {
+	return int(ent.ShardHash() % storeShards)
 }
 
 // Store is one on-disk cache directory. All methods are safe for
@@ -94,10 +85,10 @@ type Store struct {
 	dir string
 
 	mu sync.Mutex
-	// known holds the canonical keys believed to be on disk (loaded or
-	// appended by this process); Append uses it to write only novel
-	// entries.
-	known map[string]struct{}
+	// known holds the keys believed to be on disk: those the last read
+	// found, plus those this process appended since. Append uses it to
+	// write only novel entries.
+	known *eval.KeySet
 	wal   *os.File
 	// walSize and walClean are what the last read of the WAL saw: its
 	// length and the length of its clean frame prefix (walScanned is
@@ -111,7 +102,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("evalstore: %w", err)
 	}
-	return &Store{dir: dir, known: make(map[string]struct{})}, nil
+	return &Store{dir: dir, known: eval.NewKeySet(0)}, nil
 }
 
 // Dir returns the store's directory.
@@ -157,7 +148,7 @@ type LoadStats struct {
 // files and WAL frames are counted and skipped, never fatal; the only
 // errors are environmental (an unreadable directory).
 func (s *Store) Load(c *eval.Cache) (LoadStats, error) {
-	entries, _, st, err := s.readAll()
+	entries, st, err := s.readAll()
 	if err != nil {
 		return st, err
 	}
@@ -221,13 +212,12 @@ func readWAL(path string) (input, error) {
 
 // readAll is the single disk-read path shared by Load, Entries, and
 // Compact: every distinct entry on disk (first wins, shard order then
-// WAL order) with its canonical key, plus the skip accounting, with no
-// in-memory cache bound applied. The shard files and the WAL are read
-// and decoded concurrently; the merge then walks them in the fixed
-// shard-then-WAL order, so the result is the sequential one. Each
-// entry's key is built once, into a reused buffer, and a key string is
-// allocated only for an entry that is kept.
-func (s *Store) readAll() ([]eval.CacheEntry, []string, LoadStats, error) {
+// WAL order), plus the skip accounting, with no in-memory cache bound
+// applied. The shard files and the WAL are read and decoded
+// concurrently; the merge then walks them in the fixed shard-then-WAL
+// order, so the result is the sequential one. The dedup set keys narrow
+// entries by their words, so it builds no string for them.
+func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
 	var st LoadStats
 	inputs, err := par.Map(storeShards+1, par.Workers(0), func(i int) (input, error) {
 		if i < storeShards {
@@ -236,7 +226,7 @@ func (s *Store) readAll() ([]eval.CacheEntry, []string, LoadStats, error) {
 		return readWAL(filepath.Join(s.dir, walName))
 	})
 	if err != nil {
-		return nil, nil, st, err
+		return nil, st, err
 	}
 	total := 0
 	for _, in := range inputs {
@@ -245,9 +235,7 @@ func (s *Store) readAll() ([]eval.CacheEntry, []string, LoadStats, error) {
 		}
 	}
 	entries := make([]eval.CacheEntry, 0, total)
-	keys := make([]string, 0, total)
-	seen := make(map[string]struct{}, total)
-	var buf []byte
+	seen := eval.NewKeySet(total)
 	for i, in := range inputs {
 		switch {
 		case i == storeShards:
@@ -263,14 +251,9 @@ func (s *Store) readAll() ([]eval.CacheEntry, []string, LoadStats, error) {
 		}
 		for _, batch := range in.batches {
 			for j := range batch {
-				buf = batch[j].AppendKey(buf[:0])
-				if _, dup := seen[string(buf)]; dup {
-					continue
+				if seen.Add(&batch[j]) {
+					entries = append(entries, batch[j])
 				}
-				k := string(buf)
-				seen[k] = struct{}{}
-				entries = append(entries, batch[j])
-				keys = append(keys, k)
 			}
 		}
 	}
@@ -278,24 +261,20 @@ func (s *Store) readAll() ([]eval.CacheEntry, []string, LoadStats, error) {
 	mLoadEntries.Add(int64(len(entries)))
 	wal := inputs[storeShards]
 	s.noteRead(seen, int64(wal.size), int64(wal.clean))
-	return entries, keys, st, nil
+	return entries, st, nil
 }
 
-// noteRead records a read under the lock: its keys join the known set —
-// the first read's set becomes it outright — and its WAL scan is kept
-// for Append's torn-tail repair.
-func (s *Store) noteRead(seen map[string]struct{}, walSize, walClean int64) {
+// noteRead records a read under the lock: its keys replace the known
+// set — an entry this process appended that has since left the disk (a
+// journal truncated by another process's compaction, a corrupt shard)
+// must be appended again — and its WAL scan is kept for Append's
+// torn-tail repair.
+func (s *Store) noteRead(seen *eval.KeySet, walSize, walClean int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.known) == 0 {
-		s.known = seen
-	} else {
-		for k := range seen {
-			s.known[k] = struct{}{}
-		}
-	}
+	s.known = seen
 	s.walScanned, s.walSize, s.walClean = true, walSize, walClean
-	gEntries.Set(int64(len(s.known)))
+	gEntries.Set(int64(seen.Len()))
 }
 
 // appendChunkEntries bounds one WAL frame's entry count. Chunking keeps
@@ -314,23 +293,16 @@ var appendChunkEntries = 1 << 16
 func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type keyed struct {
-		key string
-		i   int // index into entries
-	}
-	var fresh []keyed
-	var buf []byte
+	var fresh []int // indexes into entries
 	for i := range entries {
-		buf = entries[i].AppendKey(buf[:0])
-		if _, ok := s.known[string(buf)]; ok {
-			continue
+		if !s.known.Has(&entries[i]) {
+			fresh = append(fresh, i)
 		}
-		fresh = append(fresh, keyed{string(buf), i})
 	}
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	slices.SortFunc(fresh, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(fresh, func(a, b int) int { return eval.CompareEntries(&entries[a], &entries[b]) })
 	if s.wal == nil {
 		f, err := os.OpenFile(filepath.Join(s.dir, walName),
 			os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -348,8 +320,8 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 	for len(fresh) > 0 {
 		batch := fresh[:min(len(fresh), appendChunkEntries)]
 		ents = ents[:0]
-		for _, kv := range batch {
-			ents = append(ents, entries[kv.i])
+		for _, i := range batch {
+			ents = append(ents, entries[i])
 		}
 		payload, err := ir.Marshal(&ir.File{CacheEntries: ents})
 		if err != nil {
@@ -358,14 +330,14 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 		if err := ir.WriteFrame(s.wal, payload); err != nil {
 			return written, fmt.Errorf("evalstore: %w", err)
 		}
-		for _, kv := range batch {
-			s.known[kv.key] = struct{}{}
+		for i := range ents {
+			s.known.Add(&ents[i])
 		}
 		written += len(batch)
 		fresh = fresh[len(batch):]
 	}
 	mAppended.Add(int64(written))
-	gEntries.Set(int64(len(s.known)))
+	gEntries.Set(int64(s.known.Len()))
 	return written, nil
 }
 
@@ -430,22 +402,20 @@ func (s *Store) Compact() (CompactStats, error) {
 		// canonical form, and rewriting them would reproduce their bytes.
 		return st, nil
 	}
-	entries, keys, ls, err := s.readAll()
+	entries, ls, err := s.readAll()
 	if err != nil {
 		return st, err
 	}
 	byShard := make([][]eval.CacheEntry, storeShards)
-	keysByShard := make([][]string, storeShards)
-	for i, k := range keys {
-		sh := shardOf(k)
+	for i := range entries {
+		sh := shardOf(&entries[i])
 		byShard[sh] = append(byShard[sh], entries[i])
-		keysByShard[sh] = append(keysByShard[sh], k)
 	}
 	for i, batch := range byShard {
 		if len(batch) == 0 {
 			continue
 		}
-		sort.Sort(&keyedEntries{keys: keysByShard[i], ents: batch})
+		eval.SortEntries(batch)
 		payload, err := ir.Marshal(&ir.File{CacheEntries: batch})
 		if err != nil {
 			return st, fmt.Errorf("evalstore: shard %d: %w", i, err)
@@ -507,20 +477,6 @@ func createTemp(dir, name string) (*os.File, error) {
 	return nil, err
 }
 
-// keyedEntries sorts an entry slice by a parallel precomputed key
-// slice, keeping both aligned.
-type keyedEntries struct {
-	keys []string
-	ents []eval.CacheEntry
-}
-
-func (k *keyedEntries) Len() int           { return len(k.keys) }
-func (k *keyedEntries) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k *keyedEntries) Swap(i, j int) {
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-	k.ents[i], k.ents[j] = k.ents[j], k.ents[i]
-}
-
 // truncateWAL empties the journal (through the open handle when one
 // exists, so subsequent appends keep working) under the lock.
 func (s *Store) truncateWAL(walPath string) error {
@@ -542,10 +498,10 @@ func (s *Store) truncateWAL(walPath string) error {
 // (the inventory view; unreadable inputs skipped as in Load, and no
 // in-memory cache bound applied — the full store is always returned).
 func (s *Store) Entries() ([]eval.CacheEntry, error) {
-	entries, keys, _, err := s.readAll()
+	entries, _, err := s.readAll()
 	if err != nil {
 		return nil, err
 	}
-	sort.Sort(&keyedEntries{keys: keys, ents: entries})
+	eval.SortEntries(entries)
 	return entries, nil
 }

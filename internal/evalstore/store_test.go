@@ -3,9 +3,11 @@ package evalstore
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -925,5 +927,144 @@ func TestStoreLoadEvictingBudget(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.Export(), refCache.Export()) {
 		t.Fatal("surviving entries differ from the sequential reference")
+	}
+}
+
+// TestStoreReadForgetsLostEntries: a read replaces the known set, so an
+// entry this process appended that has since left the disk is appended
+// again, not taken for stored. The journal goes either removed while
+// the store holds no handle, or truncated under its open handle, as
+// another process's compaction does.
+func TestStoreReadForgetsLostEntries(t *testing.T) {
+	for _, lose := range []string{"removed", "truncated"} {
+		t.Run(lose, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ents := testEntries(50)
+			if n, err := s.Append(ents); n != len(ents) || err != nil {
+				t.Fatalf("append wrote %d (err %v), want %d", n, err, len(ents))
+			}
+			walPath := filepath.Join(dir, walName)
+			if lose == "removed" {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				err = os.Remove(walPath)
+			} else {
+				err = os.Truncate(walPath, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := s.Load(nil); st.Entries != 0 || err != nil {
+				t.Fatalf("read found %d entries (err %v), want 0", st.Entries, err)
+			}
+			if n, err := s.Append(ents); n != len(ents) || err != nil {
+				t.Fatalf("re-append wrote %d (err %v), want %d: the lost entries stayed known", n, err, len(ents))
+			}
+			if got := len(loadAll(t, dir)); got != len(ents) {
+				t.Fatalf("reload found %d entries, want %d", got, len(ents))
+			}
+		})
+	}
+}
+
+// layoutEntries regenerates the entries of testdata/layout-v1, a store
+// written by an earlier version of this package: narrow (nv 1–6) and
+// wide (nv 7–8) entries of both policies, spread over 15 shards.
+func layoutEntries() []eval.CacheEntry {
+	r := rand.New(rand.NewSource(11))
+	seen := map[string]bool{}
+	var out []eval.CacheEntry
+	for nv := 1; nv <= 8; nv++ {
+		for _, heuristic := range []bool{false, true} {
+			for k := 0; k < 3; k++ {
+				w := ((1 << nv) + 63) / 64
+				ent := eval.CacheEntry{Heuristic: heuristic, NV: nv, Used: make([]uint64, w), On: make([]uint64, w), Cubes: 1 + r.Intn(9)}
+				for i := range ent.Used {
+					ent.Used[i] = r.Uint64()
+					if nv < 6 {
+						ent.Used[i] &= 1<<(1<<nv) - 1
+					}
+					ent.On[i] = ent.Used[i] & r.Uint64()
+				}
+				if k := string(ent.Key()); !seen[k] {
+					seen[k] = true
+					out = append(out, ent)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestStoreLayoutStable pins the on-disk layout across versions: a
+// store an earlier version wrote loads exactly its entries, and
+// appending and compacting them into a fresh directory reproduces every
+// file byte for byte — the shard each entry hashes to, the order within
+// each shard, and the encoding.
+func TestStoreLayoutStable(t *testing.T) {
+	const golden = "testdata/layout-v1"
+	want := layoutEntries()
+	s, err := Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := eval.NewCache()
+	st, err := s.Load(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries != len(want) || st.Import.Inserted != len(want) || st.SkippedShards != 0 || st.WALFrames != 0 {
+		t.Fatalf("load stats %+v, want %d entries from clean shards", st, len(want))
+	}
+	sorted := slices.Clone(want)
+	eval.SortEntries(sorted)
+	if got := c.Export(); !reflect.DeepEqual(got, sorted) {
+		t.Fatal("the loaded entries differ from the ones the store was written with")
+	}
+
+	dir := t.TempDir()
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if n, err := fresh.Append(want); n != len(want) || err != nil {
+		t.Fatalf("append wrote %d (err %v), want %d", n, err, len(want))
+	}
+	if _, err := fresh.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	goldenFiles, err := os.ReadDir(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(goldenFiles) {
+		t.Fatalf("rewrite made %d files, the golden store has %d", len(files), len(goldenFiles))
+	}
+	for _, de := range goldenFiles {
+		wantB, err := os.ReadFile(filepath.Join(golden, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotB, wantB) {
+			t.Errorf("%s differs from the golden store's", de.Name())
+		}
 	}
 }
