@@ -437,14 +437,15 @@ func BenchmarkCubeKernelsMultiWord(b *testing.B) {
 
 // BenchmarkMinimizeSmall measures whole minimizer runs on a small random
 // fr-form function — the constraint-scoring shape — under the single-word
-// kernels and under the generic reference domain, and the exact word path
-// on the same function given as its ON and used bitsets.
+// kernels and under the generic reference domain, and exact.Counter on
+// the same function given as its ON and used bitsets (the word path)
+// and on an nv = 7 constraint function (the tag path).
 func BenchmarkMinimizeSmall(b *testing.B) {
 	const inputs = 5
 	d := cube.Binary(inputs)
 	rng := rand.New(rand.NewSource(7))
 	on, off := cover.New(d), cover.New(d)
-	var onw, usedw uint64 // the same function as bitsets, for the word path
+	onw, usedw := make([]uint64, 1), make([]uint64, 1) // the same function as bitsets
 	for x := 0; x < 1<<inputs; x++ {
 		c := d.NewCube()
 		for v := 0; v < inputs; v++ {
@@ -453,23 +454,34 @@ func BenchmarkMinimizeSmall(b *testing.B) {
 		switch rng.Intn(3) {
 		case 0:
 			on.Add(c)
-			onw |= 1 << uint(x)
-			usedw |= 1 << uint(x)
+			onw[0] |= 1 << uint(x)
+			usedw[0] |= 1 << uint(x)
 		case 1:
 			off.Add(c)
-			usedw |= 1 << uint(x)
+			usedw[0] |= 1 << uint(x)
 		}
 	}
-	b.Run("exact-words", func(b *testing.B) {
-		var ct exact.Counter
-		for i := 0; i < b.N; i++ {
-			n, err := ct.CountWords(context.Background(), inputs, onw, usedw)
-			if err != nil {
-				b.Fatal(err)
+	// The tag path's function: 70 symbols coded 0–69, the members coded
+	// 0, 5, 9, 33, 64 and 69.
+	const tagInputs = 7
+	onw7 := []uint64{1<<0 | 1<<5 | 1<<9 | 1<<33, 1<<(64%64) | 1<<(69%64)}
+	usedw7 := []uint64{^uint64(0), 1<<(70%64) - 1}
+	for _, path := range []struct {
+		name     string
+		nv       int
+		on, used []uint64
+	}{{"exact-words", inputs, onw, usedw}, {"exact-tags", tagInputs, onw7, usedw7}} {
+		b.Run(path.name, func(b *testing.B) {
+			var ct exact.Counter
+			for i := 0; i < b.N; i++ {
+				n, err := ct.Count(context.Background(), path.nv, path.on, path.used)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSinkInt = n
 			}
-			benchSinkInt = n
-		}
-	})
+		})
+	}
 	for _, path := range []struct {
 		name string
 		d    *cube.Domain
@@ -495,17 +507,6 @@ func BenchmarkMinimizeSmall(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchSinkInt = mc.Len()
-			}
-		})
-		b.Run("exact-counter/"+path.name, func(b *testing.B) {
-			var ct exact.Counter
-			for i := 0; i < b.N; i++ {
-				f := &espresso.Function{D: dd, On: onc, Off: offc}
-				n, err := ct.Count(f, inputs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSinkInt = n
 			}
 		})
 	}

@@ -186,15 +186,6 @@ func Solve(rowCols [][]int, ncols int, opts ...Options) []int {
 	return append([]int(nil), s.Solve(rowCols, ncols, opts...)...)
 }
 
-// Greedy returns a feasible cover by repeatedly taking the column
-// covering the most uncovered rows (ties to the lowest index).
-func Greedy(rowCols [][]int, ncols int) []int {
-	var s Solver
-	s.buildColRows(rowCols, ncols)
-	s.greedy(rowCols, ncols)
-	return append([]int(nil), s.best...)
-}
-
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)

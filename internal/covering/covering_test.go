@@ -100,14 +100,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGreedyIsFeasible(t *testing.T) {
-	rows := [][]int{{0, 1}, {2}, {1, 2}, {3, 0}}
-	g := Greedy(rows, 4)
-	if !covers(rows, g) {
-		t.Fatalf("greedy %v does not cover", g)
-	}
-}
-
 func TestBudgetReturnsFeasible(t *testing.T) {
 	rows := make([][]int, 12)
 	for i := range rows {

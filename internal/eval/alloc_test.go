@@ -108,8 +108,9 @@ func TestAllocsWidestWord(t *testing.T) {
 	assertScoringAllocFree(t, e, c)
 }
 
-// TestAllocsCounterPath: past the word path, the Counter over the pooled
-// covers (nv 7–11) must stay allocation-free too.
+// TestAllocsCounterPath: past the word path, the Counter's tag path (nv
+// 7–11), fed from bitsets that codeWords fills in the uncached path's
+// pooled scorer, must stay allocation-free too.
 func TestAllocsCounterPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")

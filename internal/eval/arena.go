@@ -11,12 +11,12 @@ import (
 	"picola/internal/face"
 )
 
-// scorer is the pooled scratch of one constraint scoring: a slab of cube
-// words backing the n code cubes, reusable ON/OFF cover headers, and the
-// count-only exact minimizer. The word path (nv ≤ exact.WordsMaxInputs)
-// uses only the minimizer; the Counter and espresso paths build the
-// covers. On a warmed instance, exact scoring allocates nothing — the
-// TestAllocs gates enforce that.
+// scorer is the pooled scratch of one constraint scoring: for espresso
+// a slab of cube words backing the n code cubes and reusable ON/OFF
+// cover headers; for the exact path the count-only exact minimizer and,
+// when the request has no cache key, its ON and used bitsets. On a
+// warmed instance, exact scoring allocates nothing — the TestAllocs
+// gates enforce that.
 type scorer struct {
 	words    []uint64
 	onCubes  []cube.Cube
@@ -24,12 +24,13 @@ type scorer struct {
 	on, off  cover.Cover
 	fn       espresso.Function
 	counter  exact.Counter
+	bits     []uint64
 }
 
 var scorerPool = sync.Pool{New: func() any { return new(scorer) }}
 
 // build populates the pooled code-cube slab and the ON/OFF cover headers
-// for one constraint scoring — the same partition ConstraintFunction
+// for one espresso scoring — the same partition ConstraintFunction
 // builds (member codes ON, non-member codes OFF, unused codes implicit
 // DC) — and returns the interned domain.
 //
@@ -62,16 +63,6 @@ func (s *scorer) build(e *face.Encoding, c face.Constraint) *cube.Domain {
 	s.on = cover.Cover{D: d, Cubes: s.onCubes}
 	s.off = cover.Cover{D: d, Cubes: s.offCubes}
 	return d
-}
-
-// exactCount scores one constraint with the pooled exact path: the slab
-// build above fed to the count-only mirror of exact.Minimize.
-//
-//picola:hot
-func (s *scorer) exactCount(ctx context.Context, e *face.Encoding, c face.Constraint) (int, error) {
-	d := s.build(e, c)
-	s.fn = espresso.Function{D: d, On: &s.on, Off: &s.off}
-	return s.counter.CountContext(ctx, &s.fn, e.NV)
 }
 
 // heurCount scores one constraint with the pooled espresso path. dc may

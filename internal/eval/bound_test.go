@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"picola/internal/exact"
 	"picola/internal/face"
 )
 
@@ -134,15 +135,19 @@ func TestCacheOversizeEntry(t *testing.T) {
 
 // TestImportStatsClasses: duplicates and invalid entries land in their
 // own counters and never abort the batch. A count too large for the
-// cache's int32 storage is refused, never truncated.
+// cache's int32 storage is refused, never truncated, and so is an
+// exact-tagged entry above exact.MaxInputs, where espresso computes the
+// exact requests and their keys carry its tag.
 func TestImportStatsClasses(t *testing.T) {
 	c := NewCache()
 	ents := sameShardEntries(2)
+	over := entryWords(exact.MaxInputs + 1)
 	batch := []CacheEntry{
 		ents[0],
 		ents[0], // duplicate within the batch
 		{NV: 0},
 		{NV: cacheMaxNV + 1, Used: []uint64{1}, On: []uint64{1}},
+		{NV: exact.MaxInputs + 1, Used: make([]uint64, over), On: make([]uint64, over), Cubes: 3},
 		{NV: 4, Used: []uint64{1}, On: []uint64{1, 9}},
 		{NV: 4, Used: []uint64{2}, On: []uint64{2}, Cubes: -7},
 		{NV: 4, Used: []uint64{3}, On: []uint64{3}, Cubes: math.MaxInt32 + 1},
@@ -152,12 +157,12 @@ func TestImportStatsClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ImportStats{Inserted: 2, Duplicate: 1, BadNV: 2, BadShape: 1, BadCubes: 2}
+	want := ImportStats{Inserted: 2, Duplicate: 1, BadNV: 3, BadShape: 1, BadCubes: 2}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	if st.Skipped() != 6 {
-		t.Fatalf("skipped %d, want 6", st.Skipped())
+	if st.Skipped() != 7 {
+		t.Fatalf("skipped %d, want 7", st.Skipped())
 	}
 	// Re-importing the whole batch: everything valid is now a duplicate.
 	st, err = c.Import(batch)

@@ -84,12 +84,9 @@ func ConstraintCubesHeuristic(e *face.Encoding, c face.Constraint) (int, error) 
 type minimizer uint8
 
 const (
-	// byWords is exact.Counter.CountWords: exact, straight from the
-	// ON and used bitsets, at nv ≤ exact.WordsMaxInputs.
-	byWords minimizer = iota
-	// byCounter is exact.Counter.Count over the pooled covers: exact,
-	// up to exact.MaxInputs.
-	byCounter
+	// byExact is exact.Counter.Count, straight from the ON and used
+	// bitsets: every exact request up to exact.MaxInputs.
+	byExact minimizer = iota
 	// byEspresso is the espresso heuristic: every heuristic request,
 	// and exact requests beyond exact.MaxInputs.
 	byEspresso
@@ -97,16 +94,13 @@ const (
 
 // minimizerFor is the one rule that picks the minimizer for a request
 // policy and code length. minimize dispatches on it and cacheKey tags
-// entries with it, so a key names the minimizer whose count it holds.
+// entries with it, so a key names the minimizer whose count it holds;
+// Import refuses an entry whose tag contradicts it.
 func minimizerFor(heuristic bool, nv int) minimizer {
-	switch {
-	case heuristic || nv > exact.MaxInputs:
+	if heuristic || nv > exact.MaxInputs {
 		return byEspresso
-	case nv <= exact.WordsMaxInputs:
-		return byWords
-	default:
-		return byCounter
 	}
+	return byExact
 }
 
 // minimize runs the actual minimization behind ConstraintCubes
@@ -114,13 +108,13 @@ func minimizerFor(heuristic bool, nv int) minimizer {
 // ConstraintCubesHeuristic (heuristic = true: espresso always), with the
 // minimizer minimizerFor picks. It is the single compute path Cache
 // memoizes: the uncached, bypassed and missed requests all run here. The
-// word path counts from the ON and used bitsets: on a cache miss kb
+// exact path counts from the ON and used bitsets: on a cache miss kb
 // holds the request's key and its words, otherwise codeWords builds the
-// same words. The Counter and espresso read the pooled scorer's ON/OFF
-// covers, which hold the same cubes in the same symbol order as
-// ConstraintFunction's; on a cache miss espresso starts from dcm's
-// memoized don't-care cover of the used-code signature, and with kb nil
-// it derives that cover itself. ctx is checked at the minimization
+// same words in the pooled scorer. Espresso reads the pooled scorer's
+// ON/OFF covers, which hold the same cubes in the same symbol order as
+// ConstraintFunction's; on a cache miss it starts from dcm's memoized
+// don't-care cover of the used-code signature, and with kb nil it
+// derives that cover itself. ctx is checked at the minimization
 // boundary (here and inside the minimizers it dispatches to).
 func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristic bool, dcm *Cache, kb *keyBuf) (int, error) {
 	if err := ctxutil.Check(ctx, "eval.minimize"); err != nil {
@@ -131,25 +125,25 @@ func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristi
 	defer func() { hMinimize.Observe(int64(time.Since(t0))) }()
 	s := scorerPool.Get().(*scorer)
 	defer scorerPool.Put(s)
-	switch minimizerFor(heuristic, e.NV) {
-	case byWords:
-		// Exact path, word-parallel: the count exact.Minimize returns,
-		// with no cubes built at all.
+	if minimizerFor(heuristic, e.NV) == byExact {
+		// Exact path: the count exact.Minimize returns, with no cubes
+		// built at all.
 		mExact.Inc()
-		var w [2]uint64
+		var on, used []uint64
 		if kb != nil {
-			copy(w[:], kb.words)
-		} else if code, ok := codeWords(e, c, w[:1], w[1:]); !ok {
-			return 0, fmt.Errorf("eval: code %d is both ON and OFF: a member and a non-member share it", code)
+			h := len(kb.words) / 2
+			on, used = kb.words[:h], kb.words[h:]
+		} else {
+			n := entryWords(e.NV)
+			if cap(s.bits) < 2*n {
+				s.bits = make([]uint64, 2*n)
+			}
+			on, used = s.bits[:n], s.bits[n:2*n]
+			if code, ok := codeWords(e, c, on, used); !ok {
+				return 0, fmt.Errorf("eval: code %d is both ON and OFF: a member and a non-member share it", code)
+			}
 		}
-		return s.counter.CountWords(ctx, e.NV, w[0], w[1])
-	case byCounter:
-		// Exact path over covers: pooled, count-only, zero steady-state
-		// allocations. The scorer's Counter mirrors exact.Minimize
-		// exactly, so the count is the one the unpooled reference path
-		// returns.
-		mExact.Inc()
-		return s.exactCount(ctx, e, c)
+		return s.counter.Count(ctx, e.NV, on, used)
 	}
 	mHeuristic.Inc()
 	var dc *cover.Cover

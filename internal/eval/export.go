@@ -168,7 +168,9 @@ type ImportStats struct {
 	Duplicate int
 	// Oversize entries exceed the whole per-shard byte budget alone.
 	Oversize int
-	// BadNV entries declare a code length outside [1, cacheMaxNV].
+	// BadNV entries declare a code length outside [1, cacheMaxNV], or
+	// carry the exact tag at a code length where espresso computes
+	// exact requests (minimizerFor), a key no request builds.
 	BadNV int
 	// BadShape entries carry bitsets of the wrong word count for NV.
 	BadShape int
@@ -214,7 +216,7 @@ func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 	}
 	var kb keyBuf
 	for _, ent := range entries {
-		if ent.NV < 1 || ent.NV > cacheMaxNV {
+		if ent.NV < 1 || ent.NV > cacheMaxNV || ent.Heuristic != (minimizerFor(ent.Heuristic, ent.NV) == byEspresso) {
 			st.BadNV++
 			continue
 		}

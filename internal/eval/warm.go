@@ -244,11 +244,7 @@ func (c *Cache) dcCover(kb *keyBuf, e *face.Encoding) *cover.Cover {
 	d := cube.BinaryInterned(e.NV)
 	un := cover.New(d)
 	for s := 0; s < e.N(); s++ {
-		cu := d.NewCube()
-		for col := 0; col < e.NV; col++ {
-			d.Set(cu, col, e.Bit(s, col))
-		}
-		un.Add(cu)
+		un.Add(codeCube(d, e, s))
 	}
 	dc := un.Complement()
 	if kb.injective {

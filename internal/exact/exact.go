@@ -4,9 +4,10 @@
 // ground truth for the heuristic espresso loop — the evaluator tests and
 // the optimal-encoding reference use it — and handles the binary-input,
 // single-(multi-valued)-output-variable domains the rest of the
-// repository works with. Counter counts the same minimum without
-// building the cover, and its CountWords counts single-output functions
-// of up to six inputs straight from their ON and used bitsets.
+// repository works with. Counter counts the same minimum for a
+// single-output function given as its ON and used bitsets, without
+// building the cover: word-parallel up to six inputs, along per-minterm
+// tags beyond.
 //
 // Complexity is exponential in the input count; Minimize refuses
 // functions with more than MaxInputs binary inputs.
@@ -295,24 +296,4 @@ func primeToCube(d *cube.Domain, inputs, outVar, no int, p prime) cube.Cube {
 		}
 	}
 	return c
-}
-
-// CountOutputs is a helper mirroring the WithOutputs layout: it returns
-// the number of inputs and outputs of a function domain, or an error when
-// the shape is unsupported.
-func CountOutputs(d *cube.Domain) (inputs, outputs int, err error) {
-	n := d.NumVars()
-	if n == 0 {
-		return 0, 0, fmt.Errorf("exact: empty domain")
-	}
-	for v := 0; v < n-1; v++ {
-		if d.Size(v) != 2 {
-			return 0, 0, fmt.Errorf("exact: variable %d is not binary", v)
-		}
-	}
-	if d.Size(n-1) == 2 {
-		// Ambiguous: an all-binary domain is a single-output function.
-		return n, 1, nil
-	}
-	return n - 1, d.Size(n - 1), nil
 }

@@ -201,18 +201,6 @@ func TestExactCoversArePrimes(t *testing.T) {
 	}
 }
 
-func TestCountOutputs(t *testing.T) {
-	if in, out, err := CountOutputs(cube.Binary(5)); err != nil || in != 5 || out != 1 {
-		t.Fatalf("Binary(5): %d %d %v", in, out, err)
-	}
-	if in, out, err := CountOutputs(cube.WithOutputs(3, 4)); err != nil || in != 3 || out != 4 {
-		t.Fatalf("WithOutputs(3,4): %d %d %v", in, out, err)
-	}
-	if _, _, err := CountOutputs(cube.New(3, 2)); err == nil {
-		t.Fatal("MV input must be rejected")
-	}
-}
-
 func TestSolveCoverOptimality(t *testing.T) {
 	// A small covering instance with a known optimum of 2:
 	// rows: {0,1} {1,2} {0,2} — any two of the three columns cover all.

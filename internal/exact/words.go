@@ -1,13 +1,6 @@
 package exact
 
-import (
-	"context"
-	"fmt"
-	"math/bits"
-	"time"
-
-	"picola/internal/ctxutil"
-)
+import "math/bits"
 
 // WordsMaxInputs bounds the word path: at nv ≤ 6 the 2^nv minterms of a
 // single-output function fit one uint64, so every implicant set, prime
@@ -43,39 +36,18 @@ var subcube = func() (t [1 << WordsMaxInputs]uint64) {
 	return t
 }()
 
-// CountWords returns the minimum number of cubes covering the
-// single-output function over nv ≤ WordsMaxInputs inputs whose ON-set is
-// on and whose OFF-set is used &^ on (the rest is don't-care): bit x of
-// each word is minterm x, and bits at or above 2^nv are ignored. It is
-// the count exact.Minimize returns for the same function, computed
-// word-parallel: primes by shifting implicant words, then essential
-// primes, a greedy incumbent and a branch and bound over minterm masks.
-// A search that exhausts its node budget is recounted by the Counter's
-// tag path. It allocates nothing once the Counter's buffers are warm.
-func (ct *Counter) CountWords(ctx context.Context, nv int, on, used uint64) (int, error) {
-	if err := ctxutil.Check(ctx, "exact.count"); err != nil {
-		return 0, err
-	}
-	if nv < 0 || nv > WordsMaxInputs {
-		return 0, fmt.Errorf("exact: %d inputs outside the word path's range [0, %d]", nv, WordsMaxInputs)
-	}
-	mMinimize.Inc()
-	t0 := time.Now()
-	n, _, err := ct.countWords(nv, on, used, wordsNodeBudget)
-	tMinimize.Observe(time.Since(t0))
-	return n, err
-}
-
-// countWords is CountWords under an explicit node budget. finished
-// reports whether the word search completed; when it did not, n is the
-// tag path's count.
+// countWords is Count's word path, under an explicit node budget: primes
+// by shifting implicant words, then essential primes, a greedy
+// incumbent and a branch and bound over minterm masks. finished reports
+// whether the word search completed; when it did not, n is the tag
+// path's count of the same function.
 //
 //picola:hot
-func (ct *Counter) countWords(nv int, on, used uint64, budget int) (n int, finished bool, err error) {
-	if n, finished = ct.searchWords(nv, on, used, budget); finished {
+func (ct *Counter) countWords(nv int, on, used []uint64, budget int) (n int, finished bool, err error) {
+	if n, finished = ct.searchWords(nv, on[0], used[0], budget); finished {
 		return n, true, nil
 	}
-	n, err = ct.countWordTags(nv, on, used)
+	n, err = ct.countTags(nv, on, used)
 	return n, false, err
 }
 
@@ -272,20 +244,4 @@ func indepBound(cols []uint64, u, c1, c2 uint64) int {
 		k++
 	}
 	return k
-}
-
-// countWordTags counts the word function along the Counter's tag path:
-// per-minterm ON and DC tags, Quine–McCluskey primes and the covering
-// solver, as Count does for the same function given as covers.
-//
-//picola:hot
-func (ct *Counter) countWordTags(nv int, on, used uint64) (int, error) {
-	nm := 1 << uint(nv)
-	ct.on = growU64(ct.on, nm)
-	ct.dc = growU64(ct.dc, nm)
-	for x := 0; x < nm; x++ {
-		ct.on[x] = on >> uint(x) & 1
-		ct.dc[x] = ^(on | used) >> uint(x) & 1
-	}
-	return ct.countTags(nv, 1, nm)
 }

@@ -10,18 +10,18 @@ import (
 	"picola/internal/espresso"
 )
 
-// wordFunc builds the covers of the word function CountWords counts:
-// one ON cube per bit of on, one OFF cube per bit of used &^ on, and the
-// rest don't-care (the fr form, so Off is non-nil even when empty).
-func wordFunc(nv int, on, used uint64) *espresso.Function {
+// bitsFunc builds the covers of the function Count counts: one ON cube
+// per bit of on, one OFF cube per bit of used &^ on, and the rest
+// don't-care (the fr form, so Off is non-nil even when empty).
+func bitsFunc(nv int, on, used []uint64) *espresso.Function {
 	d := cube.Binary(nv)
 	onc, offc := cover.New(d), cover.New(d)
 	for x := 0; x < 1<<uint(nv); x++ {
 		var dst *cover.Cover
 		switch {
-		case on>>uint(x)&1 == 1:
+		case on[x/64]>>uint(x%64)&1 == 1:
 			dst = onc
-		case used>>uint(x)&1 == 1:
+		case used[x/64]>>uint(x%64)&1 == 1:
 			dst = offc
 		default:
 			continue
@@ -35,36 +35,50 @@ func wordFunc(nv int, on, used uint64) *espresso.Function {
 	return &espresso.Function{D: d, On: onc, Off: offc}
 }
 
-// checkWords compares CountWords with the reference on one function.
-func checkWords(t *testing.T, ct *Counter, nv int, on, used uint64) {
+// checkCount compares Count with the reference on one function.
+func checkCount(t *testing.T, ct *Counter, nv int, on, used []uint64) {
 	t.Helper()
-	min, err := Minimize(wordFunc(nv, on, used), nv)
+	min, err := Minimize(bitsFunc(nv, on, used), nv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ct.CountWords(context.Background(), nv, on, used)
+	n, err := ct.Count(context.Background(), nv, on, used)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != min.Len() {
-		t.Fatalf("nv=%d on=%#x used=%#x: CountWords %d, Minimize %d", nv, on, used, n, min.Len())
+		t.Fatalf("nv=%d on=%#x used=%#x: Count %d, Minimize %d", nv, on, used, n, min.Len())
 	}
 }
 
-// randWords draws a random word function over nv inputs: each minterm
-// is ON with odds onOdds in 6, OFF with odds offOdds in 6, else
-// don't-care.
-func randWords(rng *rand.Rand, nv, onOdds, offOdds int) (on, used uint64) {
+// checkWords is checkCount on one-word bitsets.
+func checkWords(t *testing.T, ct *Counter, nv int, on, used uint64) {
+	t.Helper()
+	checkCount(t, ct, nv, []uint64{on}, []uint64{used})
+}
+
+// randBits draws a random function over nv inputs as its ON and used
+// bitsets: each minterm is ON with odds onOdds in 6, OFF with odds
+// offOdds in 6, else don't-care.
+func randBits(rng *rand.Rand, nv, onOdds, offOdds int) (on, used []uint64) {
+	w := (1<<uint(nv) + 63) / 64
+	on, used = make([]uint64, w), make([]uint64, w)
 	for x := 0; x < 1<<uint(nv); x++ {
 		switch r := rng.Intn(6); {
 		case r < onOdds:
-			on |= 1 << uint(x)
-			used |= 1 << uint(x)
+			on[x/64] |= 1 << uint(x%64)
+			used[x/64] |= 1 << uint(x%64)
 		case r < onOdds+offOdds:
-			used |= 1 << uint(x)
+			used[x/64] |= 1 << uint(x%64)
 		}
 	}
 	return on, used
+}
+
+// randWords is randBits at nv ≤ WordsMaxInputs, as single words.
+func randWords(rng *rand.Rand, nv, onOdds, offOdds int) (on, used uint64) {
+	o, u := randBits(rng, nv, onOdds, offOdds)
+	return o[0], u[0]
 }
 
 // TestCountWordsExhaustiveSmall: every ON/OFF/DC assignment at nv ≤ 3
@@ -115,20 +129,21 @@ func TestCountWordsRandom(t *testing.T) {
 // code space.
 func TestCountWordsIgnoresHighBits(t *testing.T) {
 	var ct Counter
+	count := func(nv int, on, used uint64) int {
+		t.Helper()
+		n, err := ct.Count(context.Background(), nv, []uint64{on}, []uint64{used})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 	for nv := 0; nv < WordsMaxInputs; nv++ {
 		hi := ^uint64(0) << (uint(1) << uint(nv))
 		rng := rand.New(rand.NewSource(int64(nv)))
 		for iter := 0; iter < 20; iter++ {
 			on, used := randWords(rng, nv, 2, 2)
-			want, err := ct.CountWords(context.Background(), nv, on, used)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ct.CountWords(context.Background(), nv, on|hi&rng.Uint64(), used|hi&rng.Uint64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
+			want := count(nv, on, used)
+			if got := count(nv, on|hi&rng.Uint64(), used|hi&rng.Uint64()); got != want {
 				t.Fatalf("nv=%d: high bits moved the count %d -> %d", nv, want, got)
 			}
 		}
@@ -136,30 +151,31 @@ func TestCountWordsIgnoresHighBits(t *testing.T) {
 }
 
 // TestCountWordsBudgetFallback: a one-node budget leaves every search
-// that needs a second node unfinished, and the count is then the
-// Counter's; with the real budget the same functions finish.
+// that needs a second node unfinished, and the tag path's count is then
+// Minimize's; with the real budget the same functions finish.
 func TestCountWordsBudgetFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var ct, ref Counter
+	var ct Counter
 	unfinished := 0
 	for iter := 0; iter < 400; iter++ {
 		nv := 5 + iter%2
 		on, used := randWords(rng, nv, 2, 2)
-		want, err := ref.Count(wordFunc(nv, on, used), nv)
+		min, err := Minimize(bitsFunc(nv, []uint64{on}, []uint64{used}), nv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, finished, err := ct.countWords(nv, on, used, 1)
+		want := min.Len()
+		n, finished, err := ct.countWords(nv, []uint64{on}, []uint64{used}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != want {
-			t.Fatalf("nv=%d on=%#x used=%#x: one-node budget %d, Counter %d", nv, on, used, n, want)
+			t.Fatalf("nv=%d on=%#x used=%#x: one-node budget %d, Minimize %d", nv, on, used, n, want)
 		}
 		if !finished {
 			unfinished++
-			if n, finished, _ = ct.countWords(nv, on, used, wordsNodeBudget); !finished || n != want {
-				t.Fatalf("nv=%d on=%#x used=%#x: full budget (%d, finished %v), Counter %d",
+			if n, finished, _ = ct.countWords(nv, []uint64{on}, []uint64{used}, wordsNodeBudget); !finished || n != want {
+				t.Fatalf("nv=%d on=%#x used=%#x: full budget (%d, finished %v), Minimize %d",
 					nv, on, used, n, finished, want)
 			}
 		}
@@ -170,18 +186,34 @@ func TestCountWordsBudgetFallback(t *testing.T) {
 	t.Logf("%d of 400 searches fell back", unfinished)
 }
 
-// TestCountWordsValidation: the word path refuses widths it cannot hold
-// and a cancelled context.
+// TestCountWordsValidation: Count refuses input counts outside [0,
+// MaxInputs], bitsets shorter than ⌈2^nv/64⌉ words, and a cancelled
+// context.
 func TestCountWordsValidation(t *testing.T) {
 	var ct Counter
-	for _, nv := range []int{-1, WordsMaxInputs + 1} {
-		if _, err := ct.CountWords(context.Background(), nv, 1, 1); err == nil {
+	ctx := context.Background()
+	wide := make([]uint64, 64)
+	for _, nv := range []int{-1, MaxInputs + 1} {
+		if _, err := ct.Count(ctx, nv, wide, wide); err == nil {
 			t.Fatalf("nv=%d must be rejected", nv)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	for _, tc := range []struct {
+		nv       int
+		on, used []uint64
+	}{
+		{3, nil, wide},
+		{3, wide, nil},
+		{7, wide[:1], wide[:2]},
+		{9, wide[:8], wide[:7]},
+	} {
+		if _, err := ct.Count(ctx, tc.nv, tc.on, tc.used); err == nil {
+			t.Fatalf("nv=%d with %d- and %d-word bitsets must be rejected", tc.nv, len(tc.on), len(tc.used))
+		}
+	}
+	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := ct.CountWords(ctx, 3, 1, 1); err == nil {
+	if _, err := ct.Count(cctx, 3, wide, wide); err == nil {
 		t.Fatal("a cancelled context must return an error")
 	}
 }

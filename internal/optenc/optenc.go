@@ -16,9 +16,7 @@ package optenc
 import (
 	"fmt"
 
-	"picola/internal/cover"
-	"picola/internal/cube"
-	"picola/internal/espresso"
+	"picola/internal/eval"
 	"picola/internal/exact"
 	"picola/internal/face"
 )
@@ -101,26 +99,13 @@ func Optimal(p *face.Problem) (*Result, error) {
 }
 
 // exactCost sums the exact minimum cube counts of all constraints under
-// the encoding.
+// the encoding. It minimizes with exact.Minimize, the reference, rather
+// than the Counter the evaluator uses, so the search stays independent
+// of the evaluator it helps validate.
 func exactCost(p *face.Problem, e *face.Encoding) (int, error) {
 	total := 0
-	d := cube.BinaryInterned(e.NV)
 	for _, con := range p.Constraints {
-		on := cover.New(d)
-		off := cover.New(d)
-		for s := 0; s < e.N(); s++ {
-			c := d.NewCube()
-			for col := 0; col < e.NV; col++ {
-				d.Set(c, col, e.Bit(s, col))
-			}
-			if con.Has(s) {
-				on.Add(c)
-			} else {
-				off.Add(c)
-			}
-		}
-		f := &espresso.Function{D: d, On: on, Off: off}
-		min, err := exact.Minimize(f, e.NV)
+		min, err := exact.Minimize(eval.ConstraintFunction(e, con), e.NV)
 		if err != nil {
 			return 0, err
 		}
