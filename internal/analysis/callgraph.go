@@ -172,28 +172,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// FuncOf returns the node of a declared module function, nil otherwise.
-func (prog *Program) FuncOf(obj *types.Func) *Func {
-	if obj == nil {
-		return nil
-	}
-	return prog.Funcs[obj]
-}
-
-// FuncAt returns the function whose declaration encloses pos, walking
-// the ancestor stack provided by inspect. Nil inside function literals'
-// enclosing declarations is never returned — the nearest FuncDecl wins.
-func (prog *Program) FuncAt(pkg *Package, stack []ast.Node) *Func {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				return prog.Funcs[obj]
-			}
-		}
-	}
-	return nil
-}
-
 // isHotDecl reports whether the declaration carries the //picola:hot
 // annotation in its doc comment group.
 func isHotDecl(fd *ast.FuncDecl) bool {

@@ -278,9 +278,6 @@ func (d *Domain) Universe() Cube {
 // Clone returns a copy of c.
 func (c Cube) Clone() Cube { return append(Cube(nil), c...) }
 
-// CopyInto copies src into dst, which must have the same length.
-func CopyInto(dst, src Cube) { copy(dst, src) }
-
 // Equal reports whether a and b are bit-identical.
 func Equal(a, b Cube) bool {
 	for i := range a {

@@ -10,7 +10,7 @@ import (
 
 const (
 	// narrowMaxNV is the widest code length whose key is narrow: one
-	// word per bitset, the word path's bound.
+	// word per bitset.
 	narrowMaxNV = exact.WordsMaxInputs
 	// narrowKeyBytes is the canonical byte length of a narrow key: tag,
 	// nv and two words.

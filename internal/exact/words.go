@@ -1,14 +1,17 @@
 package exact
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// WordsMaxInputs bounds the word path: at nv ≤ 6 the 2^nv minterms of a
-// single-output function fit one uint64, so every implicant set, prime
-// set and cover is one machine word.
+// WordsMaxInputs bounds the one-word functions: at nv ≤ 6 the 2^nv
+// minterms of a single-output function fit one uint64, so every
+// implicant set is one machine word.
 const WordsMaxInputs = 6
 
-// wordsNodeBudget bounds the word path's covering search. An exhausted
-// search falls back to the tag-based count over the same function, so
+// wordsNodeBudget bounds the word search's branch and bound. An
+// exhausted search falls back to Minimize over the same function, so
 // the budget can cost time but never change a count.
 const wordsNodeBudget = 100_000
 
@@ -36,24 +39,11 @@ var subcube = func() (t [1 << WordsMaxInputs]uint64) {
 	return t
 }()
 
-// countWords is Count's word path, under an explicit node budget: primes
-// by shifting implicant words, then essential primes, a greedy
-// incumbent and a branch and bound over minterm masks. finished reports
-// whether the word search completed; when it did not, n is the tag
-// path's count of the same function.
-//
-//picola:hot
-func (ct *Counter) countWords(nv int, on, used []uint64, budget int) (n int, finished bool, err error) {
-	if n, finished = ct.searchWords(nv, on[0], used[0], budget); finished {
-		return n, true, nil
-	}
-	n, err = ct.countTags(nv, on, used)
-	return n, false, err
-}
-
-// searchWords counts the minimum cover of the word function. It reports
-// false when the branch and bound ran out of budget before proving its
-// incumbent minimal.
+// searchWords is the word search at nv ≤ WordsMaxInputs, where the
+// function is one word: primes by shifting implicant words, each kept as
+// a column over the ON minterms it covers. It reports false when the
+// branch and bound ran out of budget before proving its incumbent
+// minimal.
 //
 //picola:hot
 func (ct *Counter) searchWords(nv int, on, used uint64, budget int) (int, bool) {
@@ -83,7 +73,6 @@ func (ct *Counter) searchWords(nv int, on, used uint64, budget int) (int, bool) 
 	// each becomes a column mask; a prime covering no ON minterm is no
 	// column at all.
 	ct.wcols = ct.wcols[:0]
-	var once, twice uint64
 	for d := 0; d < nd; d++ {
 		p := imp[d]
 		if p == 0 {
@@ -98,15 +87,118 @@ func (ct *Counter) searchWords(nv int, on, used uint64, budget int) (int, bool) 
 		for sub := subcube[d]; p != 0; p &= p - 1 {
 			if c := sub << uint(bits.TrailingZeros64(p)) & on; c != 0 {
 				ct.wcols = append(ct.wcols, c)
-				twice |= once & c
-				once |= c
+			}
+		}
+	}
+	return ct.coverWords(on, budget)
+}
+
+// searchWide is the word search above WordsMaxInputs, where a bitset
+// spans 2^nv/64 words: the implicant sets are computed as at nv ≤ 6, a
+// shift by 2^i ≥ 64 moving whole words, and bit j of a column is the
+// ON minterm ct.ons[j]. It reports false when the function has more
+// than 64 ON minterms or the branch and bound ran out of budget.
+//
+//picola:hot
+func (ct *Counter) searchWide(nv int, on, used []uint64, budget int) (int, bool) {
+	nw := 1 << uint(nv-WordsMaxInputs)
+	k := 0
+	for w := 0; w < nw; w++ {
+		for b := on[w]; b != 0; b &= b - 1 {
+			if k == len(ct.ons) {
+				return 0, false
+			}
+			ct.ons[k] = uint16(w<<6 | bits.TrailingZeros64(b))
+			k++
+		}
+	}
+	if k == 0 {
+		return 0, true
+	}
+
+	// Words D·nw to D·nw+nw of imp are I_D. Only the bits of bases x
+	// with x&D == 0 are ever read, and they depend only on such bits of
+	// the row they derive from, so the other bits need no masking.
+	nd := 1 << uint(nv)
+	if cap(ct.wimp) < nd*nw {
+		ct.wimp = make([]uint64, nd*nw)
+	}
+	imp := ct.wimp[:nd*nw]
+	for w := 0; w < nw; w++ {
+		imp[w] = on[w] | ^used[w]
+	}
+	for d := 1; d < nd; d++ {
+		i := bits.TrailingZeros(uint(d))
+		p, q := imp[(d&^(1<<i))*nw:][:nw], imp[d*nw:][:nw]
+		for w := range q {
+			if i < WordsMaxInputs {
+				q[w] = p[w] & (p[w] >> (uint(1) << uint(i)))
+			} else {
+				q[w] = p[w] & p[w|1<<uint(i-WordsMaxInputs)]
 			}
 		}
 	}
 
+	// At each D the ON minterms fall into the cubes (ons[j] &^ D, D).
+	// Those whose cube is an implicant are grouped by base, and each
+	// group whose cube no one-larger implicant contains is a prime's
+	// column.
+	all := ^uint64(0) >> uint(64-k)
+	ct.wcols = ct.wcols[:0]
+	for d := 0; d < nd; d++ {
+		var live uint64
+		for r := all; r != 0; r &= r - 1 {
+			if j := bits.TrailingZeros64(r); bitAt(imp, d<<uint(nv)|int(ct.ons[j])&^d) {
+				live |= 1 << uint(j)
+			}
+		}
+		for live != 0 {
+			base := int(ct.ons[bits.TrailingZeros64(live)]) &^ d
+			var c uint64
+			for r := live; r != 0; r &= r - 1 {
+				if j := bits.TrailingZeros64(r); int(ct.ons[j])&^d == base {
+					c |= 1 << uint(j)
+				}
+			}
+			live &^= c
+			prime := true
+			for i := 0; i < nv && prime; i++ {
+				b := 1 << uint(i)
+				prime = d&b != 0 || !bitAt(imp, (d|b)<<uint(nv)|base&^b)
+			}
+			if prime {
+				ct.wcols = append(ct.wcols, c)
+			}
+		}
+	}
+	// Many primes share one ON mask here (most of a sparse function is
+	// don't-care); one copy of each serves the cover.
+	slices.Sort(ct.wcols)
+	ct.wcols = slices.Compact(ct.wcols)
+	return ct.coverWords(all, budget)
+}
+
+// bitAt reports bit x of the bitset s: for the wide implicant bitset,
+// whether the cube (x mod 2^nv, x >> nv) is an implicant.
+//
+//picola:hot
+func bitAt(s []uint64, x int) bool { return s[x>>6]>>(uint(x)&63)&1 == 1 }
+
+// coverWords returns the size of a minimum cover of the minterm mask u
+// by the columns in ct.wcols: essential columns, then a greedy
+// incumbent and a branch and bound over the rest. It reports false when
+// the branch and bound ran out of budget before proving its incumbent
+// minimal.
+//
+//picola:hot
+func (ct *Counter) coverWords(u uint64, budget int) (int, bool) {
 	// Essential primes: the only column over some ON minterm.
+	var once, twice uint64
+	for _, c := range ct.wcols {
+		twice |= once & c
+		once |= c
+	}
 	ess := once &^ twice
-	u := on
 	n := 0
 	for _, c := range ct.wcols {
 		if c&ess != 0 {

@@ -12,7 +12,6 @@ package face
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -344,25 +343,4 @@ func (e *Encoding) String() string {
 		fmt.Fprintf(&sb, "S%d %s\n", s, e.CodeString(s))
 	}
 	return sb.String()
-}
-
-// SortConstraintsBySize orders a problem's constraints by descending
-// member count (stable), keeping weights aligned; the order several
-// encoders prefer.
-func SortConstraintsBySize(p *Problem) {
-	idx := make([]int, len(p.Constraints))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return p.Constraints[idx[a]].Count() > p.Constraints[idx[b]].Count()
-	})
-	cons := make([]Constraint, len(idx))
-	weights := make([]int, len(idx))
-	for out, in := range idx {
-		cons[out] = p.Constraints[in]
-		weights[out] = p.Weight(in)
-	}
-	p.Constraints = cons
-	p.Weights = weights
 }

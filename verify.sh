@@ -98,9 +98,11 @@ rm -rf "$batch_dir"
 
 # Introspection-server smoke: run a sweep with -http on an ephemeral
 # port, scrape /healthz and /metrics while it serves, and check that the
-# Prometheus exposition carries the core counter family.
+# Prometheus exposition carries the core counter family and the encode
+# latency histogram's +Inf bucket.
 obs_bin=$(mktemp /tmp/picola-tables.XXXXXX)
 obs_log=$(mktemp /tmp/picola-http.XXXXXX.log)
+obs_metrics=$(mktemp /tmp/picola-metrics.XXXXXX)
 go build -o "$obs_bin" ./cmd/tables
 "$obs_bin" -table 1 -check -http 127.0.0.1:0 >/dev/null 2>"$obs_log" &
 obs_pid=$!
@@ -114,11 +116,13 @@ done
 # (plain grep, not -q: -q exits at the first match and the broken pipe
 # makes curl -f report a write error)
 curl -fsS "http://$obs_addr/healthz" | grep '^ok$' >/dev/null
-curl -fsS "http://$obs_addr/metrics" | grep '^picola_core_encodes ' >/dev/null
+curl -fsS "http://$obs_addr/metrics" >"$obs_metrics"
+grep '^picola_core_encodes ' "$obs_metrics" >/dev/null
+grep '^picola_core_encode_ns_bucket{le="+Inf"}' "$obs_metrics" >/dev/null
 curl -fsS "http://$obs_addr/metrics?format=json" | grep '"counters"' >/dev/null
 curl -fsS "http://$obs_addr/progress" | grep '"total"' >/dev/null
 wait "$obs_pid"
-rm -f "$obs_bin" "$obs_log"
+rm -f "$obs_bin" "$obs_log" "$obs_metrics"
 
 # The semantic verification oracle (internal/verify) must clear the
 # committed corpora plus a deterministic batch of random instances:
