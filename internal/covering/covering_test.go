@@ -18,9 +18,9 @@ func TestSolveKnownOptima(t *testing.T) {
 		{[][]int{{0, 1}, {0, 1}, {0, 1}}, 2, 1},
 	}
 	for i, tc := range cases {
-		got := Solve(tc.rows, tc.ncols)
-		if len(got) != tc.want {
-			t.Errorf("case %d: |cover| = %d, want %d (%v)", i, len(got), tc.want, got)
+		got, proven := Solve(tc.rows, tc.ncols)
+		if !proven || len(got) != tc.want {
+			t.Errorf("case %d: |cover| = %d (proven %v), want %d (%v)", i, len(got), proven, tc.want, got)
 		}
 		if !covers(tc.rows, got) {
 			t.Errorf("case %d: result %v does not cover", i, got)
@@ -89,10 +89,10 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 				rows[i] = append(rows[i], r.Intn(ncols))
 			}
 		}
-		got := Solve(rows, ncols)
+		got, proven := Solve(rows, ncols)
 		want := bruteMin(rows, ncols)
-		if len(got) != want {
-			t.Fatalf("solver %d, brute force %d for %v", len(got), want, rows)
+		if !proven || len(got) != want {
+			t.Fatalf("solver %d (proven %v), brute force %d for %v", len(got), proven, want, rows)
 		}
 		if !covers(rows, got) {
 			t.Fatalf("invalid cover %v for %v", got, rows)
@@ -105,8 +105,14 @@ func TestBudgetReturnsFeasible(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int{i, (i + 1) % 12, (i + 5) % 12}
 	}
-	got := Solve(rows, 12, Options{MaxNodes: 3})
+	got, proven := Solve(rows, 12, Options{MaxNodes: 3})
 	if !covers(rows, got) {
 		t.Fatal("budgeted solve must still return a valid cover")
+	}
+	if proven {
+		t.Fatal("a search cut off after 3 nodes must not report its cover proven")
+	}
+	if _, proven = Solve(rows, 12); !proven {
+		t.Fatal("the default budget must finish this search")
 	}
 }

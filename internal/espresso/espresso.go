@@ -557,7 +557,7 @@ func irredundant(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 			rowCols = append(rowCols, cols)
 		}
 	}
-	chosen := covering.Solve(rowCols, len(rp), covering.Options{MaxNodes: 200000})
+	chosen, _ := covering.Solve(rowCols, len(rp), covering.Options{MaxNodes: 200000})
 	out := ess.Clone()
 	for _, pi := range chosen {
 		out.Add(rp[pi])

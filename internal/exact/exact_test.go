@@ -14,14 +14,14 @@ func TestMinimizeKnownSingleOutput(t *testing.T) {
 	d := cube.Binary(3)
 	// f = m(0,1,3,5,7): optimum is 2 cubes (00- + --1).
 	f := &espresso.Function{D: d, On: cover.FromStrings(d, "000", "001", "011", "101", "111")}
-	min, err := Minimize(f, 3)
+	min, proven, err := Minimize(f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := espresso.Verify(min, f); err != nil {
 		t.Fatal(err)
 	}
-	if min.Len() != 2 {
+	if !proven || min.Len() != 2 {
 		t.Fatalf("exact minimum is 2 cubes, got %d:\n%s", min.Len(), min)
 	}
 }
@@ -34,12 +34,12 @@ func TestMinimizeWithDontCares(t *testing.T) {
 		On: cover.FromStrings(d, "0000", "0011"),
 		DC: cover.FromStrings(d, "0001", "0010"),
 	}
-	min, err := Minimize(f, 4)
+	min, proven, err := Minimize(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min.Len() != 1 {
-		t.Fatalf("want 1 cube, got:\n%s", min)
+	if !proven || min.Len() != 1 {
+		t.Fatalf("want 1 cube, proven, got (proven %v):\n%s", proven, min)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestMinimizeMultiOutputSharing(t *testing.T) {
 		"01[100]",
 		"11[010]",
 	)}
-	min, err := Minimize(f, 2)
+	min, _, err := Minimize(f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +66,19 @@ func TestMinimizeMultiOutputSharing(t *testing.T) {
 
 func TestMinimizeEmptyAndFull(t *testing.T) {
 	d := cube.Binary(3)
-	min, err := Minimize(&espresso.Function{D: d, On: cover.New(d)}, 3)
+	min, proven, err := Minimize(&espresso.Function{D: d, On: cover.New(d)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min.Len() != 0 {
+	if !proven || min.Len() != 0 {
 		t.Fatal("empty function must give an empty cover")
 	}
 	full := &espresso.Function{D: d, On: cover.FromStrings(d, "---")}
-	min, err = Minimize(full, 3)
+	min, proven, err = Minimize(full, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min.Len() != 1 {
+	if !proven || min.Len() != 1 {
 		t.Fatalf("tautology must be 1 cube, got:\n%s", min)
 	}
 }
@@ -86,15 +86,15 @@ func TestMinimizeEmptyAndFull(t *testing.T) {
 func TestMinimizeRejectsBadShapes(t *testing.T) {
 	d := cube.New(3, 2)
 	f := &espresso.Function{D: d, On: cover.New(d)}
-	if _, err := Minimize(f, 2); err == nil {
+	if _, _, err := Minimize(f, 2); err == nil {
 		t.Fatal("non-binary input variable must be rejected")
 	}
 	d2 := cube.New(2, 3, 3)
-	if _, err := Minimize(&espresso.Function{D: d2, On: cover.New(d2)}, 1); err == nil {
+	if _, _, err := Minimize(&espresso.Function{D: d2, On: cover.New(d2)}, 1); err == nil {
 		t.Fatal("two output variables must be rejected")
 	}
 	big := cube.Binary(MaxInputs + 1)
-	if _, err := Minimize(&espresso.Function{D: big, On: cover.New(big)}, MaxInputs+1); err == nil {
+	if _, _, err := Minimize(&espresso.Function{D: big, On: cover.New(big)}, MaxInputs+1); err == nil {
 		t.Fatal("oversized input count must be rejected")
 	}
 }
@@ -147,9 +147,12 @@ func TestExactNeverWorseThanEspresso(t *testing.T) {
 	for _, dom := range domains {
 		for trial := 0; trial < 25; trial++ {
 			f := randomFunc(r, dom.d, dom.inputs)
-			ex, err := Minimize(f, dom.inputs)
+			ex, proven, err := Minimize(f, dom.inputs)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !proven {
+				t.Fatalf("exact search ran out of budget on\n%s", f.On)
 			}
 			if err := espresso.Verify(ex, f); err != nil {
 				t.Fatalf("exact cover invalid: %v\nON:\n%s\nDC:\n%s\ngot:\n%s",
@@ -172,7 +175,7 @@ func TestExactCoversArePrimes(t *testing.T) {
 	d := cube.Binary(4)
 	for trial := 0; trial < 20; trial++ {
 		f := randomFunc(r, d, 4)
-		ex, err := Minimize(f, 4)
+		ex, _, err := Minimize(f, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,13 +208,13 @@ func TestSolveCoverOptimality(t *testing.T) {
 	// A small covering instance with a known optimum of 2:
 	// rows: {0,1} {1,2} {0,2} — any two of the three columns cover all.
 	rows := [][]int{{0, 1}, {1, 2}, {0, 2}}
-	got := covering.Solve(rows, 3)
+	got, _ := covering.Solve(rows, 3)
 	if len(got) != 2 {
 		t.Fatalf("cover size = %d, want 2", len(got))
 	}
 	// Essential column: row {3} forces column 3.
 	rows2 := [][]int{{0, 1, 2}, {3}}
-	got2 := covering.Solve(rows2, 4)
+	got2, _ := covering.Solve(rows2, 4)
 	has3 := false
 	for _, c := range got2 {
 		if c == 3 {

@@ -105,7 +105,7 @@ func Optimal(p *face.Problem) (*Result, error) {
 func exactCost(p *face.Problem, e *face.Encoding) (int, error) {
 	total := 0
 	for _, con := range p.Constraints {
-		min, err := exact.Minimize(eval.ConstraintFunction(e, con), e.NV)
+		min, _, err := exact.Minimize(eval.ConstraintFunction(e, con), e.NV)
 		if err != nil {
 			return 0, err
 		}

@@ -22,11 +22,13 @@ import (
 //     no OFF minterm (non-member code) — checked by elementary per-cube
 //     containment and again through a BDD built from the cover;
 //   - on code spaces within the exact minimizer's input limit, the exact
-//     cover must pass the same containment checks and its cardinality
-//     must not exceed espresso's (it is the minimum by construction, so
-//     a smaller espresso cover would convict one of the two);
+//     cover must pass the same containment checks and, when its covering
+//     search proved it minimum, its cardinality must not exceed
+//     espresso's (a smaller espresso cover would convict one of the two);
 //   - the pipeline count eval.ConstraintCubes must equal the oracle's
-//     recomputation, and a satisfied constraint must cost exactly 1.
+//     recomputation — or, where the exact search ran out of its node
+//     budget and its cover is only an upper bound, must not exceed it —
+//     and a satisfied constraint must cost exactly 1.
 //
 // cache may be nil; it only memoizes the pipeline-count recomputation.
 func CheckMinimization(p *face.Problem, e *face.Encoding, cache *eval.Cache) *Report {
@@ -53,28 +55,31 @@ func checkConstraintCover(rep *Report, e *face.Encoding, i int, c face.Constrain
 		return
 	}
 	checkContainment(rep, "espresso", e, i, c, esp)
-	want := esp.Len()
+	want, proven := esp.Len(), true
 	if e.NV <= exact.MaxInputs {
-		ex, err := exact.Minimize(eval.ConstraintFunction(e, c), e.NV)
+		ex, exProven, err := exact.Minimize(eval.ConstraintFunction(e, c), e.NV)
 		if err != nil {
 			rep.addf("exact", i, "minimize failed: %v", err)
 			return
 		}
 		checkContainment(rep, "exact", e, i, c, ex)
-		if ex.Len() > esp.Len() {
+		if exProven && ex.Len() > esp.Len() {
 			rep.addf("differential", i,
 				"exact cover has %d cubes, espresso %d — the exact minimum cannot be larger",
 				ex.Len(), esp.Len())
 		}
-		want = ex.Len()
+		want, proven = ex.Len(), exProven
 	}
 	k, err := cache.ConstraintCubes(e, c)
 	if err != nil {
 		rep.addf("pipeline", i, "ConstraintCubes failed: %v", err)
 		return
 	}
-	if k != want {
+	switch {
+	case proven && k != want:
 		rep.addf("pipeline", i, "eval.ConstraintCubes = %d, oracle recomputation %d", k, want)
+	case !proven && k > want:
+		rep.addf("pipeline", i, "eval.ConstraintCubes = %d exceeds the %d cubes of the exact search's unproven cover", k, want)
 	}
 	if k < 1 {
 		rep.addf("pipeline", i, "non-empty constraint costs %d cubes", k)

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"picola/internal/benchgen"
 	"picola/internal/consfile"
 	"picola/internal/core"
+	"picola/internal/eval"
+	"picola/internal/exact"
 	"picola/internal/face"
 	"picola/internal/optenc"
 	"picola/internal/symbolic"
@@ -232,6 +235,58 @@ func TestCheckEncodingStructural(t *testing.T) {
 	two := &face.Problem{Names: []string{"a", "b"}}
 	if verify.CheckEncoding(two, stray).Ok() {
 		t.Fatal("code with stray high bits accepted")
+	}
+}
+
+// TestCheckMinimizationUnprovenExact: at nv 8 exact.Minimize's covering
+// search can run out of its node budget, and its cover is then only an
+// upper bound. A pipeline count below it, which the word search proved,
+// must pass; one above it must still be caught. The constraint has
+// Table III's shape: 30 member codes, 32 non-member codes, the rest
+// unused.
+func TestCheckMinimizationUnprovenExact(t *testing.T) {
+	on := []uint64{0x20210200008, 0x285400002005012, 0x4101000002820002, 0x4000002014041011}
+	used := []uint64{0x40022061020109a, 0x428540402a087092, 0x5101000626c2004a, 0x422508a294041115}
+	var codes []uint64
+	for x := uint64(0); x < 256; x++ {
+		if used[x/64]>>(x%64)&1 == 1 {
+			codes = append(codes, x)
+		}
+	}
+	p := &face.Problem{Names: make([]string, len(codes))}
+	e := face.NewEncoding(len(codes), 8)
+	c := face.NewConstraint(len(codes))
+	for s, x := range codes {
+		p.Names[s] = fmt.Sprintf("s%d", s)
+		e.Codes[s] = x
+		if on[x/64]>>(x%64)&1 == 1 {
+			c.Add(s)
+		}
+	}
+	p.AddConstraint(c)
+
+	ex, proven, err := exact.Minimize(eval.ConstraintFunction(e, c), e.NV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := eval.ConstraintCubes(e, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proven || k >= ex.Len() {
+		t.Fatalf("want an unproven exact cover larger than the pipeline count: exact %d cubes (proven %v), pipeline %d",
+			ex.Len(), proven, k)
+	}
+	if err := verify.CheckMinimization(p, e, nil).Err(); err != nil {
+		t.Fatalf("pipeline count %d below the unproven exact cover's %d rejected: %v", k, ex.Len(), err)
+	}
+	cache := eval.NewCache()
+	st, err := cache.Import([]eval.CacheEntry{{NV: e.NV, Used: used, On: on, Cubes: ex.Len() + 1}})
+	if err != nil || st.Inserted != 1 {
+		t.Fatalf("seeding the cache: %v, %v", st, err)
+	}
+	if verify.CheckMinimization(p, e, cache).Ok() {
+		t.Fatalf("pipeline count %d above the exact cover's %d accepted", ex.Len()+1, ex.Len())
 	}
 }
 
