@@ -360,22 +360,10 @@ func BenchmarkCubeKernels(b *testing.B) {
 				benchSinkBool = dd.Intersect(dst, p[0], p[1])
 			}
 		})
-		b.Run("distance/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkInt = dd.Distance(p[0], p[1])
-			}
-		})
 		b.Run("cofactor/"+path.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
 				benchSinkBool = dd.Cofactor(dst, p[0], p[1])
-			}
-		})
-		b.Run("consensus/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkBool = dd.Consensus(dst, p[0], p[1])
 			}
 		})
 		b.Run("tautology/"+path.name, func(b *testing.B) {
@@ -413,22 +401,10 @@ func BenchmarkCubeKernelsMultiWord(b *testing.B) {
 					benchSinkBool = dd.Intersect(dst, p[0], p[1])
 				}
 			})
-			b.Run(tier.name+"/distance/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkInt = dd.Distance(p[0], p[1])
-				}
-			})
 			b.Run(tier.name+"/cofactor/"+path.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					p := pairs[i%len(pairs)]
 					benchSinkBool = dd.Cofactor(dst, p[0], p[1])
-				}
-			})
-			b.Run(tier.name+"/consensus/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkBool = dd.Consensus(dst, p[0], p[1])
 				}
 			})
 		}

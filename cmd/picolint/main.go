@@ -1,7 +1,8 @@
-// Command picolint runs the repo's static-analysis suite — the eleven
-// determinism / tracing / error-handling / concurrency invariants in
-// internal/analysis — over module packages, with the interprocedural
-// call-graph layer built once per run and shared by every analyzer.
+// Command picolint runs the repo's static-analysis suite — the twelve
+// determinism / tracing / error-handling / concurrency / dead-export
+// invariants in internal/analysis — over module packages, with the
+// interprocedural call-graph layer built once per run and shared by
+// every analyzer. deadexport judges only a whole-module (./...) run.
 //
 //	picolint ./...                          lint the whole module
 //	picolint ./internal/core ./internal/eval
@@ -20,7 +21,9 @@
 // on the flagged line or the line directly above it, or via the
 // checked-in baseline (default <module>/picolint.baseline), which
 // accepts findings wholesale but reports entries that stop matching —
-// the baseline only shrinks. See DESIGN.md §12.
+// the baseline only shrinks. A directive or baseline entry of an
+// analyzer that did not run is out of scope, not stale. See DESIGN.md
+// §12.
 package main
 
 import (
@@ -92,6 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// collected in input order by par.Map, so the flattened stream — and
 	// therefore every output format — is byte-identical at any -j.
 	prog := analysis.BuildProgram(pkgs)
+	prog.WholeModule = wholeModule(patterns)
 	perPkg, err := par.Map(len(pkgs), par.Workers(*workers), func(i int) ([]analysis.Diagnostic, error) {
 		return analysis.RunProgram(prog, analyzers, pkgs[i]), nil
 	})
@@ -124,8 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags = base.Filter(loader.ModuleDir, diags)
 	// Stale entries are only meaningful when everything was analyzed: on
 	// a partial run an unmatched entry is out of scope, not fixed.
-	if wholeModule(patterns) {
-		diags = append(diags, base.Stale()...)
+	if prog.WholeModule {
+		diags = append(diags, base.Stale(analyzers)...)
 	}
 
 	if *sarifPath != "" {
@@ -159,7 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // wholeModule reports whether the patterns cover the entire module
-// (the "./..." wildcard), making baseline staleness decidable.
+// (the "./..." wildcard), making baseline staleness and deadexport
+// decidable.
 func wholeModule(patterns []string) bool {
 	for _, p := range patterns {
 		if p == "./..." || p == "..." {

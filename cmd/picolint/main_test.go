@@ -16,6 +16,8 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{"clean package", []string{"internal/par"}, 0},
+		{"kept deadexport suppression", []string{"internal/cube"}, 0},
+		{"analyzer subset", []string{"-analyzers", "dettaint,lockcheck", "./..."}, 0},
 		{"list", []string{"-list"}, 0},
 		{"findings", []string{"-analyzers", "dettaint", "internal/analysis/testdata/src/dettaint"}, 1},
 		{"unknown analyzer", []string{"-analyzers", "nosuch", "internal/par"}, 2},

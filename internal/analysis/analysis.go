@@ -33,6 +33,10 @@ type Analyzer struct {
 	// Run inspects the package and returns raw diagnostics. Suppression
 	// is applied by the framework, not by the analyzer.
 	Run func(p *Pass) []Diagnostic
+	// WholeModule marks a check that only the whole module can decide:
+	// it runs on a whole-module Program and on the analyzer fixtures,
+	// and is skipped elsewhere.
+	WholeModule bool
 }
 
 // Pass is the per-package input handed to each analyzer.
@@ -63,7 +67,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrange, Seedrand, Spanend, Dropperr, Tracenil, Poolput, Metricname,
-		Dettaint, Lockcheck, Leakcheck, Hotalloc,
+		Dettaint, Lockcheck, Leakcheck, Hotalloc, Deadexport,
 	}
 }
 
@@ -96,17 +100,11 @@ type ignoreDirective struct {
 	used      bool
 }
 
-// Run applies the analyzers to pkg, filters suppressed findings, and
-// returns the rest position-sorted. The whole-program context is built
-// from the single package; use RunProgram for cross-package resolution.
-func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
-	return RunProgram(BuildProgram([]*Package{pkg}), analyzers, pkg)
-}
-
 // RunProgram applies the analyzers to one package of a pre-built
 // program, filters suppressed findings, and returns the rest
 // position-sorted. Malformed or unused lint:ignore directives are
-// reported as findings of the pseudo-analyzer "lint".
+// reported as findings of the pseudo-analyzer "lint"; an unused one
+// only when every analyzer it names ran on the package.
 func RunProgram(prog *Program, analyzers []*Analyzer, pkg *Package) []Diagnostic {
 	pass := &Pass{
 		Fset:       pkg.Fset,
@@ -118,7 +116,12 @@ func RunProgram(prog *Program, analyzers []*Analyzer, pkg *Package) []Diagnostic
 		Prog:       prog,
 	}
 	var raw []Diagnostic
+	ran := map[string]bool{}
 	for _, a := range analyzers {
+		if a.WholeModule && !prog.WholeModule && !isTestdataPkg(pkg.ImportPath) {
+			continue
+		}
+		ran[a.Name] = true
 		raw = append(raw, a.Run(pass)...)
 	}
 
@@ -151,7 +154,7 @@ func RunProgram(prog *Program, analyzers []*Analyzer, pkg *Package) []Diagnostic
 	}
 	out = append(out, bad...)
 	for _, dir := range directives {
-		if !dir.used {
+		if !dir.used && dir.judged(ran) {
 			out = append(out, Diagnostic{
 				Pos:      dir.pos,
 				Analyzer: "lint",
@@ -161,6 +164,19 @@ func RunProgram(prog *Program, analyzers []*Analyzer, pkg *Package) []Diagnostic
 	}
 	sortDiagnostics(out)
 	return out
+}
+
+// judged reports whether every registered analyzer the directive names
+// ran. Only then does an unused directive suppress nothing: on a subset
+// run it may cover a finding of an analyzer that did not run. A name no
+// analyzer has can never suppress anything.
+func (d *ignoreDirective) judged(ran map[string]bool) bool {
+	for _, a := range All() {
+		if d.analyzers[a.Name] && !ran[a.Name] {
+			return false
+		}
+	}
+	return true
 }
 
 // collectDirectives parses every lint:ignore comment in the package,

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,6 +26,13 @@ func loadFixture(t *testing.T, name string) *Package {
 		t.Fatalf("want 1 package, got %d", len(pkgs))
 	}
 	return pkgs[0]
+}
+
+// Run applies the analyzers to pkg, filters suppressed findings, and
+// returns the rest position-sorted. The whole-program context is built
+// from the single package.
+func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
+	return RunProgram(BuildProgram([]*Package{pkg}), analyzers, pkg)
 }
 
 var wantRE = regexp.MustCompile(`// want "([^"]+)"`)
@@ -91,6 +99,25 @@ func TestTracenilFixture(t *testing.T) { checkFixture(t, Tracenil) }
 func TestPoolputFixture(t *testing.T)  { checkFixture(t, Poolput) }
 
 func TestMetricnameFixture(t *testing.T) { checkFixture(t, Metricname) }
+func TestDeadexportFixture(t *testing.T) { checkFixture(t, Deadexport) }
+
+// TestDeadexportPublicAPI: only a non-main package outside every
+// internal/ directory is public API, exempt from deadexport.
+func TestDeadexportPublicAPI(t *testing.T) {
+	for _, tc := range []struct {
+		path, name string
+		want       bool
+	}{
+		{"picola", "picola", true},
+		{"picola/internal/cube", "cube", false},
+		{"picola/internal", "internal", false},
+		{"picola/cmd/tables", "main", false},
+	} {
+		if got := isPublicAPI(types.NewPackage(tc.path, tc.name)); got != tc.want {
+			t.Errorf("isPublicAPI(%s) = %v, want %v", tc.path, got, tc.want)
+		}
+	}
+}
 
 // TestDetrangeScope: map ranges outside the deterministic package set
 // are not detrange's business (blif writes files, never tables).
@@ -125,17 +152,29 @@ func TestWholeTreeClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
+	// detrange names its packages by string, so an entry can outlive
+	// its package.
+	loaded := map[string]bool{}
+	for _, pkg := range pkgs {
+		loaded[pkg.ImportPath] = true
+	}
+	for path := range DeterministicPackages {
+		if !loaded[path] {
+			t.Errorf("DeterministicPackages names %s, which is not a module package", path)
+		}
+	}
 	base, err := LoadBaseline(filepath.Join(l.ModuleDir, "picolint.baseline"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := BuildProgram(pkgs)
+	prog.WholeModule = true
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		all = append(all, RunProgram(prog, All(), pkg)...)
 	}
 	rest := base.Filter(l.ModuleDir, all)
-	for _, d := range append(rest, base.Stale()...) {
+	for _, d := range append(rest, base.Stale(All())...) {
 		t.Errorf("%s", d)
 	}
 }
@@ -169,6 +208,21 @@ func TestSuppression(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("want %d diagnostics, got %v", len(want), got)
+	}
+}
+
+// TestSuppressionSubset: on a run of some analyzers, a directive that
+// names only analyzers which did not run is out of scope, not stale.
+func TestSuppressionSubset(t *testing.T) {
+	pkg := loadFixture(t, "suppress")
+	var got []string
+	for _, d := range Run([]*Analyzer{Spanend}, pkg) {
+		got = append(got, fmt.Sprintf("%d:%s:%s", d.Pos.Line, d.Analyzer, shortMsg(d.Message)))
+	}
+	// Only the malformed directive is reported: the detrange and
+	// seedrand directives name analyzers that did not run.
+	if len(got) != 1 || got[0] != "10:lint:needs-reason" {
+		t.Errorf("want only the malformed directive, got %v", got)
 	}
 }
 

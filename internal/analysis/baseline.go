@@ -90,13 +90,19 @@ func (b *Baseline) Filter(moduleDir string, ds []Diagnostic) []Diagnostic {
 	return out
 }
 
-// Stale reports one pseudo-diagnostic per baseline entry no Filter call
+// Stale reports one pseudo-diagnostic per baseline entry of the given
+// analyzers (and of the "lint" pseudo-analyzer) that no Filter call
 // consumed: a stale baseline fails the same way a new finding does, so
-// the file can only shrink.
-func (b *Baseline) Stale() []Diagnostic {
+// the file can only shrink. An entry of an analyzer that did not run is
+// out of scope, not stale.
+func (b *Baseline) Stale(analyzers []*Analyzer) []Diagnostic {
+	ran := map[string]bool{"lint": true}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	var stale []string
 	for _, k := range b.lines {
-		if b.remaining[k] > 0 {
+		if b.remaining[k] > 0 && ran[k[:strings.IndexByte(k, '\t')]] {
 			b.remaining[k]--
 			stale = append(stale, k)
 		}

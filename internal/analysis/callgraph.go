@@ -107,6 +107,13 @@ type Program struct {
 	// namedTypes are the module's named (non-interface) types, the
 	// candidate set for bounded interface-call resolution.
 	namedTypes []*types.Named
+	// WholeModule reports that the packages are the whole module, so a
+	// WholeModule analyzer can judge them.
+	WholeModule bool
+	// referenced and ifaceByMethod are deadexport's indexes
+	// (deadexport.go).
+	referenced    map[*types.Func]bool
+	ifaceByMethod map[string][]*types.Interface
 }
 
 // BuildProgram indexes the packages, resolves the call graph and
@@ -169,6 +176,8 @@ func BuildProgram(pkgs []*Package) *Program {
 		prog.resolveCalls(fn)
 	}
 	computeSummaries(prog)
+	prog.indexReferences()
+	prog.indexInterfaces()
 	return prog
 }
 

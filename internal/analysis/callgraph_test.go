@@ -84,28 +84,28 @@ func TestCallGraphEdges(t *testing.T) {
 func TestSummaries(t *testing.T) {
 	prog, _ := progOf(t, "hotalloc")
 	// Direct allocation is summarized...
-	if s := funcNamed(t, prog, "allocHelper").Summary(); !s.Allocates {
+	if s := funcNamed(t, prog, "allocHelper").summary; !s.Allocates {
 		t.Error("allocHelper: want Allocates=true")
 	}
 	// ...and propagates one frame up through a static edge.
-	if s := funcNamed(t, prog, "midHelper").Summary(); !s.Allocates {
+	if s := funcNamed(t, prog, "midHelper").summary; !s.Allocates {
 		t.Error("midHelper: want Allocates=true via propagation")
 	}
 	// Hot functions never export the bit (their sites are reported at
 	// their own declaration instead of cascading to callers).
-	if s := funcNamed(t, prog, "BadMake").Summary(); s.Allocates {
+	if s := funcNamed(t, prog, "BadMake").summary; s.Allocates {
 		t.Error("BadMake: hot functions must not export Allocates")
 	}
 
 	tprog, _ := progOf(t, "dettaint")
 	// keysOf's order taint is visible in its result summary, which is
 	// how BadDeep's return gets flagged.
-	s := funcNamed(t, tprog, "keysOf").Summary()
+	s := funcNamed(t, tprog, "keysOf").summary
 	if len(s.Results) != 1 || s.Results[0].Kinds&TaintOrder == 0 {
 		t.Errorf("keysOf: want order-tainted result summary, got %+v", s.Results)
 	}
 	// GoodKeys sorts: the summary must be clean.
-	s = funcNamed(t, tprog, "GoodKeys").Summary()
+	s = funcNamed(t, tprog, "GoodKeys").summary
 	if len(s.Results) != 1 || s.Results[0].Kinds != 0 {
 		t.Errorf("GoodKeys: want clean result summary, got %+v", s.Results)
 	}
@@ -113,7 +113,7 @@ func TestSummaries(t *testing.T) {
 	lprog, _ := progOf(t, "lockcheck")
 	// Inc's transitive lock set names the mutex field, which is how
 	// BadDouble's re-entry is caught.
-	if s := funcNamed(t, lprog, "counter.Inc").Summary(); len(s.TransLocks) != 1 {
+	if s := funcNamed(t, lprog, "counter.Inc").summary; len(s.TransLocks) != 1 {
 		t.Errorf("counter.Inc: want one transitive lock, got %d", len(s.TransLocks))
 	}
 }

@@ -10,16 +10,15 @@ import (
 // set walks) silently changes cube counts between runs. detrange flags
 // every range-over-map in these packages.
 var DeterministicPackages = map[string]bool{
-	"picola/internal/core":      true,
-	"picola/internal/espresso":  true,
-	"picola/internal/eval":      true,
-	"picola/internal/dichotomy": true,
-	"picola/internal/cover":     true,
-	"picola/internal/exact":     true,
-	"picola/internal/stassign":  true,
-	"picola/internal/symbolic":  true,
-	"picola/internal/report":    true,
-	"picola/internal/face":      true,
+	"picola/internal/core":     true,
+	"picola/internal/espresso": true,
+	"picola/internal/eval":     true,
+	"picola/internal/cover":    true,
+	"picola/internal/exact":    true,
+	"picola/internal/stassign": true,
+	"picola/internal/symbolic": true,
+	"picola/internal/report":   true,
+	"picola/internal/face":     true,
 }
 
 // Detrange flags `for ... range m` over a map in a deterministic

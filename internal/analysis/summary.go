@@ -109,12 +109,6 @@ type Summary struct {
 	allocs []allocSite
 }
 
-// Summary returns the function's computed summary (never nil after
-// BuildProgram).
-func (f *Func) Summary() *Summary {
-	return f.summary
-}
-
 // computeSummaries runs the global fixpoint: local effects first, then
 // rounds of taint/alloc/lock propagation until nothing changes.
 func computeSummaries(prog *Program) {

@@ -9,7 +9,6 @@ package bdd
 
 import (
 	"fmt"
-	"math/big"
 
 	"picola/internal/cover"
 	"picola/internal/cube"
@@ -56,12 +55,6 @@ func New(nvars int) *Manager {
 	m.nodes = []node{{level: term}, {level: term}} // False, True
 	return m
 }
-
-// NumVars returns the variable count.
-func (m *Manager) NumVars() int { return m.nvars }
-
-// Size returns the number of live nodes (including terminals).
-func (m *Manager) Size() int { return len(m.nodes) }
 
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
@@ -140,17 +133,6 @@ func (m *Manager) And(f, g Ref) Ref { return m.Ite(f, g, False) }
 // Or returns f ∨ g.
 func (m *Manager) Or(f, g Ref) Ref { return m.Ite(f, True, g) }
 
-// Not returns ¬f.
-func (m *Manager) Not(f Ref) Ref { return m.Ite(f, False, True) }
-
-// Xor returns f ⊕ g.
-func (m *Manager) Xor(f, g Ref) Ref { return m.Ite(f, m.Not(g), g) }
-
-// Implies reports whether f → g is a tautology.
-func (m *Manager) Implies(f, g Ref) bool {
-	return m.Ite(f, g, True) == True
-}
-
 // Eval evaluates f under a complete assignment.
 func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	for f != True && f != False {
@@ -162,36 +144,6 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 		}
 	}
 	return f == True
-}
-
-// SatCount returns the number of satisfying assignments over all nvars
-// variables. Each node's count covers the variables from its level down;
-// skipped levels contribute a factor of two per variable.
-func (m *Manager) SatCount(f Ref) *big.Int {
-	memo := map[Ref]*big.Int{}
-	var count func(r Ref) *big.Int // assignments over variables ≥ level(r)
-	count = func(r Ref) *big.Int {
-		if v, ok := memo[r]; ok {
-			return v
-		}
-		if r == False {
-			v := big.NewInt(0)
-			memo[r] = v
-			return v
-		}
-		if r == True {
-			v := big.NewInt(1)
-			memo[r] = v
-			return v
-		}
-		n := m.nodes[r]
-		lo := new(big.Int).Lsh(count(n.lo), uint(m.level(n.lo)-n.level-1))
-		hi := new(big.Int).Lsh(count(n.hi), uint(m.level(n.hi)-n.level-1))
-		v := new(big.Int).Add(lo, hi)
-		memo[r] = v
-		return v
-	}
-	return new(big.Int).Lsh(count(f), uint(m.level(f)))
 }
 
 // FromCube converts one cube over a binary domain into a BDD.
@@ -222,6 +174,8 @@ func (m *Manager) FromCover(f *cover.Cover) Ref {
 // FromOutputCover converts one output of a multi-output cover (binary
 // inputs followed by one output variable): the input regions of the cubes
 // asserting output o.
+//
+//lint:ignore deadexport per-output oracle of TestEncodedMachineAgainstBDDOracle (integration_test.go)
 func (m *Manager) FromOutputCover(f *cover.Cover, inputs, o int) Ref {
 	d := f.D
 	out := False

@@ -1,13 +1,15 @@
 package bdd
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
 	"picola/internal/cover"
 	"picola/internal/cube"
 )
+
+// Not returns ¬f.
+func (m *Manager) Not(f Ref) Ref { return m.Ite(f, False, True) }
 
 func TestTerminalsAndVars(t *testing.T) {
 	m := New(3)
@@ -42,10 +44,6 @@ func TestCanonicalEquality(t *testing.T) {
 	if m.Not(m.And(a, b)) != m.Or(m.Not(a), m.Not(b)) {
 		t.Fatal("De Morgan violated")
 	}
-	// Xor definition.
-	if m.Xor(a, b) != m.Or(m.And(a, m.Not(b)), m.And(m.Not(a), b)) {
-		t.Fatal("xor mismatch")
-	}
 }
 
 func TestEvalAgainstTruthTable(t *testing.T) {
@@ -70,7 +68,7 @@ func TestEvalAgainstTruthTable(t *testing.T) {
 		case 1:
 			return m.Or(l, rr), func(a []bool) bool { return lf(a) || rf(a) }
 		default:
-			return m.Xor(l, rr), func(a []bool) bool { return lf(a) != rf(a) }
+			return m.Ite(l, m.Not(rr), rr), func(a []bool) bool { return lf(a) != rf(a) }
 		}
 	}
 	for trial := 0; trial < 50; trial++ {
@@ -84,25 +82,6 @@ func TestEvalAgainstTruthTable(t *testing.T) {
 				t.Fatalf("Eval mismatch at %05b", x)
 			}
 		}
-	}
-}
-
-func TestSatCount(t *testing.T) {
-	m := New(4)
-	if m.SatCount(True).Cmp(big.NewInt(16)) != 0 {
-		t.Fatalf("SatCount(True) = %v", m.SatCount(True))
-	}
-	if m.SatCount(False).Sign() != 0 {
-		t.Fatal("SatCount(False) must be 0")
-	}
-	x := m.Var(0)
-	if m.SatCount(x).Cmp(big.NewInt(8)) != 0 {
-		t.Fatalf("SatCount(x0) = %v", m.SatCount(x))
-	}
-	// x0 ∧ x3: 4 assignments.
-	f := m.And(m.Var(0), m.Var(3))
-	if m.SatCount(f).Cmp(big.NewInt(4)) != 0 {
-		t.Fatalf("SatCount(x0∧x3) = %v", m.SatCount(f))
 	}
 }
 
@@ -128,9 +107,16 @@ func TestFromCoverMatchesMinterms(t *testing.T) {
 			f.Add(c)
 		}
 		g := m.FromCover(f)
-		want := f.Minterms()
-		if got := m.SatCount(g); got.Cmp(new(big.Int).SetUint64(want)) != 0 {
-			t.Fatalf("SatCount=%v, cover minterms=%d\n%s", got, want, f)
+		for x := 0; x < 64; x++ {
+			a := make([]bool, 6)
+			mt := d.NewCube()
+			for v := range a {
+				a[v] = x>>uint(v)&1 == 1
+				d.Set(mt, v, x>>uint(v)&1)
+			}
+			if got, want := m.Eval(g, a), f.CoversCube(mt); got != want {
+				t.Fatalf("minterm %s: BDD %v, cover %v\n%s", d.String(mt), got, want, f)
+			}
 		}
 	}
 }
@@ -194,31 +180,33 @@ func TestFromOutputCover(t *testing.T) {
 	}
 }
 
+// TestImplies pins the implication test the BDD oracles use: f → g is
+// a tautology exactly when ite(f, g, 1) is.
 func TestImplies(t *testing.T) {
 	m := New(3)
 	a, b := m.Var(0), m.Var(1)
-	if !m.Implies(m.And(a, b), a) {
+	if m.Ite(m.And(a, b), a, True) != True {
 		t.Fatal("a∧b must imply a")
 	}
-	if m.Implies(a, m.And(a, b)) {
+	if m.Ite(a, m.And(a, b), True) == True {
 		t.Fatal("a must not imply a∧b")
 	}
 }
 
 func TestHashConsingShares(t *testing.T) {
 	m := New(8)
-	before := m.Size()
+	before := len(m.nodes)
 	f := m.And(m.Var(0), m.Var(1))
 	g := m.And(m.Var(0), m.Var(1))
 	if f != g {
 		t.Fatal("identical functions must share one node")
 	}
-	after := m.Size()
+	after := len(m.nodes)
 	h := m.And(m.Var(1), m.Var(0)) // commuted: same function
 	if h != f {
 		t.Fatal("commuted AND must be canonical")
 	}
-	if m.Size() != after {
+	if len(m.nodes) != after {
 		t.Fatal("no new nodes for an existing function")
 	}
 	_ = before

@@ -1,6 +1,6 @@
-// Package blif reads and writes the Berkeley Logic Interchange Format
-// subset the synthesis flow needs: .model/.inputs/.outputs/.latch/.names
-// sections with ON-set cover rows. The state-assignment result exports as
+// Package blif writes the Berkeley Logic Interchange Format subset the
+// synthesis flow needs: .model/.inputs/.outputs/.latch/.names sections
+// with ON-set cover rows; its tests read the text back. The state-assignment result exports as
 // a flat BLIF netlist (one .names block per next-state bit and primary
 // output, one .latch per state bit), the traditional hand-off point to
 // multi-level synthesis tools like SIS.
@@ -69,96 +69,6 @@ func (m *Model) String() string {
 	_ = m.Write(&sb)
 	return sb.String()
 }
-
-// Parse reads a BLIF model (the subset Write produces: single .model,
-// ON-set .names rows).
-func Parse(r io.Reader) (*Model, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	m := &Model{}
-	var cur *Names
-	line := 0
-	flush := func() {
-		if cur != nil {
-			m.Names = append(m.Names, *cur)
-			cur = nil
-		}
-	}
-	// BLIF continuation lines end with '\'.
-	var pending string
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = strings.TrimSpace(text[:i])
-		}
-		if strings.HasSuffix(text, "\\") {
-			pending += strings.TrimSuffix(text, "\\") + " "
-			continue
-		}
-		text = pending + text
-		pending = ""
-		if text == "" {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case ".model":
-			if len(fields) > 1 {
-				m.Name = fields[1]
-			}
-		case ".inputs":
-			m.Inputs = append(m.Inputs, fields[1:]...)
-		case ".outputs":
-			m.Outputs = append(m.Outputs, fields[1:]...)
-		case ".latch":
-			flush()
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("blif:%d: malformed .latch", line)
-			}
-			l := Latch{Input: fields[1], Output: fields[2]}
-			if len(fields) >= 4 && fields[len(fields)-1] == "1" {
-				l.Init = 1
-			}
-			m.Latches = append(m.Latches, l)
-		case ".names":
-			flush()
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("blif:%d: malformed .names", line)
-			}
-			cur = &Names{Inputs: fields[1 : len(fields)-1], Output: fields[len(fields)-1]}
-		case ".end":
-			flush()
-			goto done
-		default:
-			if strings.HasPrefix(fields[0], ".") {
-				continue // ignore unknown directives
-			}
-			if cur == nil {
-				return nil, fmt.Errorf("blif:%d: cover row outside .names", line)
-			}
-			if len(fields) != 2 || fields[1] != "1" {
-				return nil, fmt.Errorf("blif:%d: only ON-set rows are supported", line)
-			}
-			if len(fields[0]) != len(cur.Inputs) {
-				return nil, fmt.Errorf("blif:%d: row width %d, want %d", line, len(fields[0]), len(cur.Inputs))
-			}
-			cur.Rows = append(cur.Rows, fields[0])
-		}
-	}
-done:
-	flush()
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if m.Name == "" && len(m.Inputs) == 0 && len(m.Names) == 0 {
-		return nil, fmt.Errorf("blif: empty model")
-	}
-	return m, nil
-}
-
-// ParseString parses BLIF text.
-func ParseString(s string) (*Model, error) { return Parse(strings.NewReader(s)) }
 
 // FromEncoded builds the flat netlist of an encoded machine: inputs and
 // state bits feed one .names block per next-state bit and per primary

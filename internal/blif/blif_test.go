@@ -1,6 +1,9 @@
 package blif
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,8 +28,95 @@ const sampleBLIF = `
 .end
 `
 
+// Parse reads a BLIF model (the subset Write produces: single .model,
+// ON-set .names rows).
+func Parse(r io.Reader) (*Model, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	m := &Model{}
+	var cur *Names
+	line := 0
+	flush := func() {
+		if cur != nil {
+			m.Names = append(m.Names, *cur)
+			cur = nil
+		}
+	}
+	// BLIF continuation lines end with '\'.
+	var pending string
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if i := strings.IndexByte(text, '#'); i >= 0 {
+			text = strings.TrimSpace(text[:i])
+		}
+		if strings.HasSuffix(text, "\\") {
+			pending += strings.TrimSuffix(text, "\\") + " "
+			continue
+		}
+		text = pending + text
+		pending = ""
+		if text == "" {
+			continue
+		}
+		fields := strings.Fields(text)
+		switch fields[0] {
+		case ".model":
+			if len(fields) > 1 {
+				m.Name = fields[1]
+			}
+		case ".inputs":
+			m.Inputs = append(m.Inputs, fields[1:]...)
+		case ".outputs":
+			m.Outputs = append(m.Outputs, fields[1:]...)
+		case ".latch":
+			flush()
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("blif:%d: malformed .latch", line)
+			}
+			l := Latch{Input: fields[1], Output: fields[2]}
+			if len(fields) >= 4 && fields[len(fields)-1] == "1" {
+				l.Init = 1
+			}
+			m.Latches = append(m.Latches, l)
+		case ".names":
+			flush()
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("blif:%d: malformed .names", line)
+			}
+			cur = &Names{Inputs: fields[1 : len(fields)-1], Output: fields[len(fields)-1]}
+		case ".end":
+			flush()
+			goto done
+		default:
+			if strings.HasPrefix(fields[0], ".") {
+				continue // ignore unknown directives
+			}
+			if cur == nil {
+				return nil, fmt.Errorf("blif:%d: cover row outside .names", line)
+			}
+			if len(fields) != 2 || fields[1] != "1" {
+				return nil, fmt.Errorf("blif:%d: only ON-set rows are supported", line)
+			}
+			if len(fields[0]) != len(cur.Inputs) {
+				return nil, fmt.Errorf("blif:%d: row width %d, want %d", line, len(fields[0]), len(cur.Inputs))
+			}
+			cur.Rows = append(cur.Rows, fields[0])
+		}
+	}
+done:
+	flush()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if m.Name == "" && len(m.Inputs) == 0 && len(m.Names) == 0 {
+		return nil, fmt.Errorf("blif: empty model")
+	}
+	return m, nil
+}
+
 func TestParse(t *testing.T) {
-	m, err := ParseString(sampleBLIF)
+	m, err := Parse(strings.NewReader(sampleBLIF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +140,18 @@ func TestParseErrors(t *testing.T) {
 		".model x\n.latch q\n",            // malformed latch
 	}
 	for _, s := range cases {
-		if _, err := ParseString(s); err == nil {
+		if _, err := Parse(strings.NewReader(s)); err == nil {
 			t.Errorf("expected error for %q", s)
 		}
 	}
 }
 
 func TestRoundTrip(t *testing.T) {
-	m, err := ParseString(sampleBLIF)
+	m, err := Parse(strings.NewReader(sampleBLIF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ParseString(m.String())
+	m2, err := Parse(strings.NewReader(m.String()))
 	if err != nil {
 		t.Fatalf("%v in:\n%s", err, m.String())
 	}
@@ -71,7 +161,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestEval(t *testing.T) {
-	m, err := ParseString(sampleBLIF)
+	m, err := Parse(strings.NewReader(sampleBLIF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +181,7 @@ func TestEval(t *testing.T) {
 }
 
 func TestStepSequential(t *testing.T) {
-	m, err := ParseString(sampleBLIF)
+	m, err := Parse(strings.NewReader(sampleBLIF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +216,7 @@ func TestEncodedNetlistMatchesMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := FromEncoded(m, rep.Encoding, d, min)
-	reparsed, err := ParseString(mod.String())
+	reparsed, err := Parse(strings.NewReader(mod.String()))
 	if err != nil {
 		t.Fatalf("%v in:\n%s", err, mod.String())
 	}

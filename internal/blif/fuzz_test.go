@@ -1,16 +1,19 @@
 package blif
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func FuzzParse(f *testing.F) {
 	f.Add(sampleBLIF)
 	f.Add(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n")
 	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ParseString(s)
+		m, err := Parse(strings.NewReader(s))
 		if err != nil {
 			return
 		}
-		m2, err := ParseString(m.String())
+		m2, err := Parse(strings.NewReader(m.String()))
 		if err != nil {
 			t.Fatalf("round trip rejected: %v\n%s", err, m.String())
 		}

@@ -57,12 +57,12 @@ func TestPolishCarryLemma(t *testing.T) {
 					if !carryHolds(aMem, sup, old, nw) {
 						continue
 					}
-					before, err := eval.ConstraintCubes(enc, c)
+					before, err := (*eval.Cache)(nil).ConstraintCubes(enc, c)
 					if err != nil {
 						t.Fatal(err)
 					}
 					enc.Codes[a] = nw
-					after, err := eval.ConstraintCubes(enc, c)
+					after, err := (*eval.Cache)(nil).ConstraintCubes(enc, c)
 					enc.Codes[a] = old
 					if err != nil {
 						t.Fatal(err)

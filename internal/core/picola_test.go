@@ -6,7 +6,6 @@ import (
 
 	"picola/internal/cover"
 	"picola/internal/cube"
-	"picola/internal/dichotomy"
 	"picola/internal/eval"
 	"picola/internal/face"
 )
@@ -68,6 +67,34 @@ func TestEncodePaperProblemQuality(t *testing.T) {
 	}
 }
 
+// seedsSatisfied is the seed-dichotomy view of constraint con under e
+// (paper §2): for every non-member s, the seed dichotomy (con : s) is
+// satisfied by some code column in which all members share one bit and s
+// has the other.
+func seedsSatisfied(con face.Constraint, e *face.Encoding) bool {
+	members := con.Members()
+	for s := 0; s < con.N(); s++ {
+		if con.Has(s) {
+			continue
+		}
+		satisfied := false
+		for col := 0; col < e.NV && !satisfied; col++ {
+			bit := e.Bit(members[0], col)
+			satisfied = e.Bit(s, col) != bit
+			for _, m := range members[1:] {
+				satisfied = satisfied && e.Bit(m, col) == bit
+			}
+		}
+		if !satisfied {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSatisfiedIffAllSeedsSatisfied: a constraint is satisfied (its
+// member supercube holds no intruder) exactly when all of its seed
+// dichotomies are, on the paper's encoding and on random ones.
 func TestSatisfiedIffAllSeedsSatisfied(t *testing.T) {
 	p := paperProblem()
 	r, err := Encode(p)
@@ -75,18 +102,32 @@ func TestSatisfiedIffAllSeedsSatisfied(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, con := range p.Constraints {
-		allSeeds := true
-		for _, d := range dichotomy.SeedsOf(con) {
-			if !dichotomy.SatisfiedByEncoding(d, r.Encoding) {
-				allSeeds = false
-				break
-			}
-		}
-		if allSeeds != r.Encoding.Satisfied(con) {
-			t.Fatalf("constraint %d: seed view %v, supercube view %v", i, allSeeds, r.Encoding.Satisfied(con))
+		if seeds := seedsSatisfied(con, r.Encoding); seeds != r.Encoding.Satisfied(con) {
+			t.Fatalf("constraint %d: seed view %v, supercube view %v", i, seeds, r.Encoding.Satisfied(con))
 		}
 		if r.Satisfied[i] != r.Encoding.Satisfied(con) {
 			t.Fatalf("constraint %d: reported %v, actual %v", i, r.Satisfied[i], r.Encoding.Satisfied(con))
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(10)
+		nv := 2 + rng.Intn(4)
+		e := face.NewEncoding(n, nv)
+		for s := 0; s < n; s++ {
+			e.Codes[s] = uint64(rng.Intn(1 << uint(nv)))
+		}
+		c := face.NewConstraint(n)
+		for s := 0; s < n; s++ {
+			if rng.Intn(3) == 0 {
+				c.Add(s)
+			}
+		}
+		if c.Count() == 0 || c.Count() == n {
+			continue
+		}
+		if seeds := seedsSatisfied(c, e); seeds != e.Satisfied(c) {
+			t.Fatalf("seed view %v, supercube view %v (n=%d nv=%d)", seeds, e.Satisfied(c), n, nv)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 var (
 	mTautologyNodes = obs.Default.Counter("cover.tautology_nodes")
 	mComplements    = obs.Default.Counter("cover.complements")
-	mSharps         = obs.Default.Counter("cover.sharps")
 )
 
 // Cover is a set of cubes over a common domain. The cube slice is owned by
@@ -35,6 +34,8 @@ func New(d *cube.Domain) *Cover { return &Cover{D: d} }
 
 // FromStrings builds a cover by parsing each string in the domain's cube
 // syntax. It panics on parse errors; intended for tests and fixtures.
+//
+//lint:ignore deadexport fixture builder of the bdd, core, espresso and exact tests
 func FromStrings(d *cube.Domain, rows ...string) *Cover {
 	c := New(d)
 	for _, r := range rows {
@@ -272,33 +273,6 @@ func sharpUniverse(d *cube.Domain, c cube.Cube) *Cover {
 	return out
 }
 
-// Sharp returns a cover of a minus b: the minterms of cube a not in cube b.
-func Sharp(d *cube.Domain, a, b cube.Cube) *Cover {
-	mSharps.Inc()
-	out := New(d)
-	if !d.Intersects(a, b) {
-		out.Cubes = append(out.Cubes, a.Clone())
-		return out
-	}
-	for v := 0; v < d.NumVars(); v++ {
-		// Field v of the result: values of a not in b; other fields of a.
-		r := a.Clone()
-		any := false
-		for val := 0; val < d.Size(v); val++ {
-			if d.Has(b, v, val) {
-				d.ClearVal(r, v, val)
-			} else if d.Has(a, v, val) {
-				any = true
-			}
-		}
-		if any && !d.IsEmpty(r) {
-			out.Cubes = append(out.Cubes, r)
-		}
-	}
-	out.SCC()
-	return out
-}
-
 // CoversCube reports whether the cover covers every minterm of cube c.
 func (f *Cover) CoversCube(c cube.Cube) bool {
 	if f.D.SingleWord() {
@@ -321,6 +295,8 @@ func (f *Cover) Covers(g *Cover) bool {
 }
 
 // Equivalent reports whether f and g cover exactly the same minterms.
+//
+//lint:ignore deadexport URP equivalence oracle of TestBDDOracleAgainstCoverAlgebra, TestTheoremIOnPaperEncoding and the pla round-trip tests
 func Equivalent(f, g *Cover) bool {
 	return f.Covers(g) && g.Covers(f)
 }
@@ -335,6 +311,8 @@ func Union(f, g *Cover) *Cover {
 
 // Without returns a fresh cover with all cubes of f except the one at
 // index i. The cubes are shared, not copied.
+//
+//lint:ignore deadexport cube-dropping probe of TestMinimizeIrredundant (espresso) and TestVerifyCatchesCorruption (sim)
 func (f *Cover) Without(i int) *Cover {
 	out := New(f.D)
 	out.Cubes = append(out.Cubes, f.Cubes[:i]...)
@@ -372,33 +350,4 @@ func DisjointSharp(d *cube.Domain, a, b cube.Cube) []cube.Cube {
 		}
 	}
 	return out
-}
-
-// Minterms returns the exact number of distinct minterms covered,
-// saturating at the maximum uint64. It materializes disjoint shards, so it
-// is intended for modest covers (tests and the constraint evaluator).
-func (f *Cover) Minterms() uint64 {
-	d := f.D
-	var total uint64
-	for i, c := range f.Cubes {
-		if d.IsEmpty(c) {
-			continue
-		}
-		shards := []cube.Cube{c.Clone()}
-		for j := 0; j < i && len(shards) > 0; j++ {
-			var next []cube.Cube
-			for _, s := range shards {
-				next = append(next, DisjointSharp(d, s, f.Cubes[j])...)
-			}
-			shards = next
-		}
-		for _, s := range shards {
-			m := d.Minterms(s)
-			if total+m < total {
-				return ^uint64(0)
-			}
-			total += m
-		}
-	}
-	return total
 }

@@ -134,13 +134,9 @@ func TestSharpAgainstBruteForce(t *testing.T) {
 		fa := randomCover(d, r, 1)
 		fb := randomCover(d, r, 1)
 		a, b := fa.Cubes[0], fb.Cubes[0]
-		s := Sharp(d, a, b)
 		ds := DisjointSharp(d, a, b)
 		for _, m := range ms {
 			want := d.Contains(a, m) && !d.Contains(b, m)
-			if got := coversMintermBrute(s, m); got != want {
-				t.Fatalf("Sharp wrong at %s", d.String(m))
-			}
 			inDS := 0
 			for _, p := range ds {
 				if d.Contains(p, m) {
@@ -191,39 +187,6 @@ func TestCoversAndEquivalent(t *testing.T) {
 	}
 	if h.Covers(f) {
 		t.Fatal("h does not cover f")
-	}
-}
-
-func TestMintermsExact(t *testing.T) {
-	d := cube.Binary(4)
-	f := FromStrings(d, "00--", "0---") // overlapping: union is 0--- = 8
-	if n := f.Minterms(); n != 8 {
-		t.Fatalf("Minterms = %d", n)
-	}
-	g := FromStrings(d, "00--", "11--")
-	if n := g.Minterms(); n != 8 {
-		t.Fatalf("Minterms disjoint = %d", n)
-	}
-	if n := New(d).Minterms(); n != 0 {
-		t.Fatalf("Minterms empty = %d", n)
-	}
-}
-
-func TestMintermsAgainstBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	d := cube.New(2, 3, 2, 2)
-	ms := enumerateMinterms(d)
-	for trial := 0; trial < 100; trial++ {
-		f := randomCover(d, r, r.Intn(6))
-		var want uint64
-		for _, m := range ms {
-			if coversMintermBrute(f, m) {
-				want++
-			}
-		}
-		if got := f.Minterms(); got != want {
-			t.Fatalf("Minterms = %d, want %d for\n%s", got, want, f)
-		}
 	}
 }
 

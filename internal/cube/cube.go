@@ -154,6 +154,8 @@ func (d *Domain) SingleWord() bool { return d.w1 }
 // KernelWords reports which word-level kernel tier the domain selected:
 // 1, 2 or 3 for the fixed-width fast paths, 0 when every operation takes
 // the generic span-loop path (domains beyond 192 bits, or Generic views).
+//
+//lint:ignore deadexport tier check of TestKernelTierSelection and BenchmarkCubeKernelsMultiWord (bench_test.go)
 func (d *Domain) KernelWords() int {
 	switch {
 	case d.w1:
@@ -179,6 +181,8 @@ func (d *Domain) VarMasks() []uint64 { return d.vmask }
 // tiers) disabled, so every operation takes the span-loop reference path.
 // It exists for tests and benchmarks: the generic path is the oracle the
 // kernels are checked against.
+//
+//lint:ignore deadexport kernel oracle of the cube kernel tests, TestTautologyKernelMatchesGeneric (cover) and the bench_test.go kernel benchmarks
 func (d *Domain) Generic() *Domain {
 	g := *d
 	g.w1 = false
@@ -277,16 +281,6 @@ func (d *Domain) Universe() Cube {
 
 // Clone returns a copy of c.
 func (c Cube) Clone() Cube { return append(Cube(nil), c...) }
-
-// Equal reports whether a and b are bit-identical.
-func Equal(a, b Cube) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Has reports whether value val of variable v is allowed in c.
 func (d *Domain) Has(c Cube, v, val int) bool {
@@ -415,17 +409,6 @@ func (d *Domain) PartCount(c Cube, v int) int {
 		n += bits.OnesCount64(c[s.word] & s.mask)
 	}
 	return n
-}
-
-// PartValues returns the allowed values of variable v in c, ascending.
-func (d *Domain) PartValues(c Cube, v int) []int {
-	var out []int
-	for val := 0; val < d.sizes[v]; val++ {
-		if d.Has(c, v, val) {
-			out = append(out, val)
-		}
-	}
-	return out
 }
 
 // BinLit returns the literal of binary variable v in c. It panics if the
@@ -576,43 +559,6 @@ func (d *Domain) Contains(a, b Cube) bool {
 	return true
 }
 
-// Distance returns the number of variables in which a and b share no value.
-// Distance 0 means the cubes intersect.
-//
-//picola:hot
-func (d *Domain) Distance(a, b Cube) int {
-	if d.w1 {
-		w := a[0] & b[0]
-		n := 0
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				n++
-			}
-		}
-		return n
-	}
-	if d.w2 {
-		return d.distance2(a, b)
-	}
-	if d.w3 {
-		return d.distance3(a, b)
-	}
-	n := 0
-	for v := range d.sizes {
-		empty := true
-		for _, s := range d.spans[v] {
-			if a[s.word]&b[s.word]&s.mask != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			n++
-		}
-	}
-	return n
-}
-
 // Cofactor stores into dst the cofactor of c with respect to p (the Shannon
 // cofactor generalized to cubes): for every variable the field becomes
 // c ∪ ¬p. It reports false, leaving dst unspecified, when c and p do not
@@ -645,72 +591,6 @@ func (d *Domain) Cofactor(dst, c, p Cube) bool {
 		}
 	}
 	return true
-}
-
-// Consensus stores into dst the consensus (star product) of a and b and
-// reports whether it exists. The consensus is defined for cubes at distance
-// exactly 1: the single conflicting variable's field becomes a ∪ b and
-// every other field a ∩ b. At any other distance there is no consensus and
-// false is returned with dst unspecified. dst must not alias a or b.
-//
-//picola:hot
-func (d *Domain) Consensus(dst, a, b Cube) bool {
-	if d.w1 {
-		w := a[0] & b[0]
-		conflict := -1
-		for v, m := range d.vmask {
-			if w&m == 0 {
-				if conflict >= 0 {
-					return false
-				}
-				conflict = v
-			}
-		}
-		if conflict < 0 {
-			return false
-		}
-		cm := d.vmask[conflict]
-		r := w&^cm | (a[0]|b[0])&cm
-		dst[0] = r
-		for _, m := range d.vmask {
-			if r&m == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if d.w2 {
-		return d.consensus2(dst, a, b)
-	}
-	if d.w3 {
-		return d.consensus3(dst, a, b)
-	}
-	conflict := -1
-	for v := range d.sizes {
-		empty := true
-		for _, s := range d.spans[v] {
-			if a[s.word]&b[s.word]&s.mask != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			if conflict >= 0 {
-				return false
-			}
-			conflict = v
-		}
-	}
-	if conflict < 0 {
-		return false
-	}
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-	for _, s := range d.spans[conflict] {
-		dst[s.word] = dst[s.word]&^s.mask | (a[s.word]|b[s.word])&s.mask
-	}
-	return !d.IsEmpty(dst)
 }
 
 // FullParts returns the number of variables whose field is full. For a cube
@@ -755,24 +635,6 @@ func SetBits(c Cube) int {
 	n := 0
 	for _, w := range c {
 		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Minterms returns the number of minterms in c, saturating at
-// math.MaxUint64. An empty cube has zero minterms.
-func (d *Domain) Minterms(c Cube) uint64 {
-	n := uint64(1)
-	for v := range d.sizes {
-		k := uint64(d.PartCount(c, v))
-		if k == 0 {
-			return 0
-		}
-		hi, lo := bits.Mul64(n, k)
-		if hi != 0 {
-			return ^uint64(0)
-		}
-		n = lo
 	}
 	return n
 }

@@ -50,18 +50,6 @@ func (d *Domain) intersects2(a, b Cube) bool {
 }
 
 //picola:hot
-func (d *Domain) distance2(a, b Cube) int {
-	x0, x1 := a[0]&b[0], a[1]&b[1]
-	n := 0
-	for _, m := range d.vmask2 {
-		if x0&m[0]|x1&m[1] == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-//picola:hot
 func (d *Domain) cofactor2(dst, c, p Cube) bool {
 	x0, x1 := c[0]&p[0], c[1]&p[1]
 	for _, m := range d.vmask2 {
@@ -73,33 +61,6 @@ func (d *Domain) cofactor2(dst, c, p Cube) bool {
 	r1 := (c[1] | ^p[1]) & d.full2[1]
 	dst[0] = dst[0]&^d.full2[0] | r0
 	dst[1] = dst[1]&^d.full2[1] | r1
-	return true
-}
-
-//picola:hot
-func (d *Domain) consensus2(dst, a, b Cube) bool {
-	x0, x1 := a[0]&b[0], a[1]&b[1]
-	conflict := -1
-	for v, m := range d.vmask2 {
-		if x0&m[0]|x1&m[1] == 0 {
-			if conflict >= 0 {
-				return false
-			}
-			conflict = v
-		}
-	}
-	if conflict < 0 {
-		return false
-	}
-	cm := d.vmask2[conflict]
-	r0 := x0&^cm[0] | (a[0]|b[0])&cm[0]
-	r1 := x1&^cm[1] | (a[1]|b[1])&cm[1]
-	dst[0], dst[1] = r0, r1
-	for _, m := range d.vmask2 {
-		if r0&m[0]|r1&m[1] == 0 {
-			return false
-		}
-	}
 	return true
 }
 
@@ -170,18 +131,6 @@ func (d *Domain) intersects3(a, b Cube) bool {
 }
 
 //picola:hot
-func (d *Domain) distance3(a, b Cube) int {
-	x0, x1, x2 := a[0]&b[0], a[1]&b[1], a[2]&b[2]
-	n := 0
-	for _, m := range d.vmask3 {
-		if x0&m[0]|x1&m[1]|x2&m[2] == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-//picola:hot
 func (d *Domain) cofactor3(dst, c, p Cube) bool {
 	x0, x1, x2 := c[0]&p[0], c[1]&p[1], c[2]&p[2]
 	for _, m := range d.vmask3 {
@@ -195,34 +144,6 @@ func (d *Domain) cofactor3(dst, c, p Cube) bool {
 	dst[0] = dst[0]&^d.full3[0] | r0
 	dst[1] = dst[1]&^d.full3[1] | r1
 	dst[2] = dst[2]&^d.full3[2] | r2
-	return true
-}
-
-//picola:hot
-func (d *Domain) consensus3(dst, a, b Cube) bool {
-	x0, x1, x2 := a[0]&b[0], a[1]&b[1], a[2]&b[2]
-	conflict := -1
-	for v, m := range d.vmask3 {
-		if x0&m[0]|x1&m[1]|x2&m[2] == 0 {
-			if conflict >= 0 {
-				return false
-			}
-			conflict = v
-		}
-	}
-	if conflict < 0 {
-		return false
-	}
-	cm := d.vmask3[conflict]
-	r0 := x0&^cm[0] | (a[0]|b[0])&cm[0]
-	r1 := x1&^cm[1] | (a[1]|b[1])&cm[1]
-	r2 := x2&^cm[2] | (a[2]|b[2])&cm[2]
-	dst[0], dst[1], dst[2] = r0, r1, r2
-	for _, m := range d.vmask3 {
-		if r0&m[0]|r1&m[1]|r2&m[2] == 0 {
-			return false
-		}
-	}
 	return true
 }
 

@@ -333,16 +333,6 @@ func makeSparse(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	return out
 }
 
-// MustMinimize is Minimize that panics on inconsistent input; intended for
-// internal flows where ON/OFF are constructed disjoint by design.
-func MustMinimize(f *Function, opts ...Options) *cover.Cover {
-	m, err := Minimize(f, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // expand turns every cube of F into a prime implicant by greedily raising
 // value bits while remaining disjoint from the OFF-set, then drops cubes
 // covered by the expanded primes.

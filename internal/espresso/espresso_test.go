@@ -149,6 +149,16 @@ func TestMinimizeMVInput(t *testing.T) {
 	}
 }
 
+// MustMinimize is Minimize that panics on inconsistent input, for tests
+// whose ON and DC sets are disjoint by construction.
+func MustMinimize(f *Function, opts ...Options) *cover.Cover {
+	m, err := Minimize(f, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func randomOnDC(d *cube.Domain, r *rand.Rand) (on, dc *cover.Cover) {
 	on = cover.New(d)
 	dc = cover.New(d)

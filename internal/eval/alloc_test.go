@@ -53,7 +53,7 @@ func TestAllocsExactScoring(t *testing.T) {
 	}
 	score := func() {
 		for _, c := range cons {
-			if _, err := ConstraintCubes(e, c); err != nil {
+			if _, err := uncached.ConstraintCubes(e, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func TestAllocsExactScoring(t *testing.T) {
 func assertScoringAllocFree(t *testing.T, e *face.Encoding, c face.Constraint) {
 	t.Helper()
 	score := func() {
-		if _, err := ConstraintCubes(e, c); err != nil {
+		if _, err := uncached.ConstraintCubes(e, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestPooledScoringUnderContention(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				for i, c := range cons {
-					got, err := ConstraintCubes(e, c)
+					got, err := uncached.ConstraintCubes(e, c)
 					if err != nil {
 						errs[w] = err
 						return

@@ -57,7 +57,7 @@ func TestCacheEvictionFIFO(t *testing.T) {
 			c := NewCacheBytes(cacheShards * tc.perShard)
 			var live []CacheEntry
 			var liveBytes int64
-			size := func(ent CacheEntry) int64 { return int64(len(ent.Key())) + entryBytesOverhead }
+			size := func(ent CacheEntry) int64 { return int64(len(ent.AppendKey(nil))) + entryBytesOverhead }
 			for i, ent := range tc.ents {
 				wantEvicted := 0
 				for liveBytes+size(ent) > tc.perShard {
@@ -80,10 +80,10 @@ func TestCacheEvictionFIFO(t *testing.T) {
 				}
 				got := map[string]bool{}
 				for _, ent := range c.Export() {
-					got[string(ent.Key())] = true
+					got[string(ent.AppendKey(nil))] = true
 				}
 				for _, ent := range live {
-					if !got[string(ent.Key())] {
+					if !got[string(ent.AppendKey(nil))] {
 						t.Fatalf("insert %d: entry nv=%d used=%#x evicted out of insertion order",
 							i, ent.NV, ent.Used[0])
 					}
@@ -189,7 +189,7 @@ func TestCacheExportWhileEncoding(t *testing.T) {
 	var insts []inst
 	for i := 0; i < 30; i++ {
 		e, c := randomInstance(r)
-		want, err := ConstraintCubes(e, c)
+		want, err := uncached.ConstraintCubes(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}

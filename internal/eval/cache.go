@@ -279,8 +279,11 @@ func (sh *cacheShard) insertLocked(kb *keyBuf, cubes int, budget int64) (inserte
 	return sh.insert(kb, cubes, budget)
 }
 
-// ConstraintCubes is the memoized ConstraintCubes: exact minimization
-// when the code space allows it, the espresso heuristic beyond.
+// ConstraintCubes returns the number of product terms a minimized
+// sum-of-products implementation of the constraint needs under the
+// encoding: the exact minimum up to exact.MaxInputs code bits, the
+// espresso heuristic beyond. A satisfied constraint costs exactly one
+// cube. A nil cache computes every count without memoizing it.
 func (c *Cache) ConstraintCubes(e *face.Encoding, con face.Constraint) (int, error) {
 	return c.constraintCubes(context.Background(), e, con, false)
 }
@@ -292,8 +295,11 @@ func (c *Cache) ConstraintCubesContext(ctx context.Context, e *face.Encoding, co
 	return c.constraintCubes(ctx, e, con, false)
 }
 
-// ConstraintCubesHeuristic is the memoized ConstraintCubesHeuristic
-// (espresso regardless of size — the ENC baseline's evaluator).
+// ConstraintCubesHeuristic is ConstraintCubes evaluated with the
+// espresso heuristic regardless of size. The ENC baseline uses it: the
+// published ENC is slow precisely because it runs full logic
+// minimization inside its search loop, and that property is part of
+// what Table I reproduces.
 func (c *Cache) ConstraintCubesHeuristic(e *face.Encoding, con face.Constraint) (int, error) {
 	return c.constraintCubes(context.Background(), e, con, true)
 }

@@ -25,7 +25,7 @@ func TestCacheBypassOverWidth(t *testing.T) {
 	if _, ok := cacheKey(e, c, false); ok {
 		t.Fatalf("nv=%d key must not be canonicalizable (cacheMaxNV=%d)", e.NV, cacheMaxNV)
 	}
-	want, err := ConstraintCubes(e, c)
+	want, err := uncached.ConstraintCubes(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCacheBypassConflictMetrics(t *testing.T) {
 	c := face.FromMembers(4, 0, 1) // non-member 2 shares code 00 with member 0
 	cache := NewCache()
 	bypass0, miss0, hit0 := mCacheBypass.Value(), mCacheMisses.Value(), mCacheHits.Value()
-	want, wantErr := ConstraintCubes(e, c)
+	want, wantErr := uncached.ConstraintCubes(e, c)
 	got, gotErr := cache.ConstraintCubes(e, c)
 	if (gotErr == nil) != (wantErr == nil) || got != want {
 		t.Fatalf("bypassed lookup: (%d, %v), direct: (%d, %v)", got, gotErr, want, wantErr)
@@ -85,7 +85,7 @@ func TestCacheMissHitMetrics(t *testing.T) {
 	c := face.FromMembers(4, 1, 2)
 	cache := NewCache()
 	miss0, hit0 := mCacheMisses.Value(), mCacheHits.Value()
-	want, err := ConstraintCubes(e, c)
+	want, err := uncached.ConstraintCubes(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}

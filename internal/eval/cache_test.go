@@ -59,7 +59,7 @@ func TestCacheMatchesUncached(t *testing.T) {
 	cache := NewCache()
 	for trial := 0; trial < 120; trial++ {
 		e, c := randomInstance(r)
-		want, err := ConstraintCubes(e, c)
+		want, err := uncached.ConstraintCubes(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestCacheMatchesUncached(t *testing.T) {
 				t.Fatalf("trial %d round %d: cached %d, uncached %d", trial, round, got, want)
 			}
 		}
-		wantH, err := ConstraintCubesHeuristic(e, c)
+		wantH, err := uncached.ConstraintCubesHeuristic(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestCacheNilReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ConstraintCubes(e, c)
+	want, err := uncached.ConstraintCubes(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCacheBypassOnConflict(t *testing.T) {
 	// The minimizer itself rejects the contradictory ON/OFF input; the
 	// cached path must propagate the same outcome and memoize nothing.
 	cache := NewCache()
-	want, wantErr := ConstraintCubes(e, c)
+	want, wantErr := uncached.ConstraintCubes(e, c)
 	if wantErr == nil {
 		t.Fatal("a code both ON and OFF must be an error")
 	}
@@ -217,7 +217,7 @@ func TestCacheConcurrent(t *testing.T) {
 	var insts []inst
 	for i := 0; i < 40; i++ {
 		e, c := randomInstance(r)
-		want, err := ConstraintCubes(e, c)
+		want, err := uncached.ConstraintCubes(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,16 +287,16 @@ func TestEntryKeyOrderAndHash(t *testing.T) {
 		a := &ents[i]
 		for j := range ents {
 			b := &ents[j]
-			if got, want := CompareEntries(a, b), bytes.Compare(a.Key(), b.Key()); got != want {
+			if got, want := CompareEntries(a, b), bytes.Compare(a.AppendKey(nil), b.AppendKey(nil)); got != want {
 				t.Fatalf("CompareEntries(%+v, %+v) = %d, canonical bytes compare %d", *a, *b, got, want)
 			}
 		}
 		h := fnv.New64a()
-		h.Write(a.Key())
+		h.Write(a.AppendKey(nil))
 		if a.ShardHash() != h.Sum64() {
 			t.Fatalf("ShardHash(%+v) = %#x, FNV-1a of the key %#x", *a, a.ShardHash(), h.Sum64())
 		}
-		k := string(a.Key())
+		k := string(a.AppendKey(nil))
 		if added := set.Add(a); added == distinct[k] {
 			t.Fatalf("KeySet.Add(%+v) = %v, key seen before: %v", *a, added, distinct[k])
 		}

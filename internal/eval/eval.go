@@ -62,24 +62,6 @@ func ConstraintFunction(e *face.Encoding, c face.Constraint) *espresso.Function 
 	return &espresso.Function{D: d, On: on, Off: off}
 }
 
-// ConstraintCubes returns the number of product terms a minimized
-// sum-of-products implementation of the constraint needs under the
-// encoding. Minimum-length code spaces are tiny, so the count is the
-// exact minimum (Quine–McCluskey with branch-and-bound covering); code
-// spaces beyond the exact minimizer's input limit fall back to the
-// espresso heuristic. A satisfied constraint costs exactly one cube.
-func ConstraintCubes(e *face.Encoding, c face.Constraint) (int, error) {
-	return minimize(context.Background(), e, c, false, nil, nil)
-}
-
-// ConstraintCubesHeuristic is ConstraintCubes evaluated with the espresso
-// heuristic regardless of size. The ENC baseline uses it: the published
-// ENC is slow precisely because it runs full logic minimization inside
-// its search loop, and that property is part of what Table I reproduces.
-func ConstraintCubesHeuristic(e *face.Encoding, c face.Constraint) (int, error) {
-	return minimize(context.Background(), e, c, true, nil, nil)
-}
-
 // minimizer names the minimizer that scores one request.
 type minimizer uint8
 
@@ -103,14 +85,14 @@ func minimizerFor(heuristic bool, nv int) minimizer {
 	return byExact
 }
 
-// minimize runs the actual minimization behind ConstraintCubes
-// (heuristic = false: exact within the input limit, espresso beyond) and
-// ConstraintCubesHeuristic (heuristic = true: espresso always), with the
-// minimizer minimizerFor picks. It is the single compute path Cache
-// memoizes: the uncached, bypassed and missed requests all run here. The
-// exact path counts from the ON and used bitsets: on a cache miss kb
-// holds the request's key and its words, otherwise codeWords builds the
-// same words in the pooled scorer. Espresso reads the pooled scorer's
+// minimize runs the actual minimization behind Cache.ConstraintCubes
+// (heuristic = false: exact within the input limit, espresso beyond)
+// and Cache.ConstraintCubesHeuristic (heuristic = true: espresso
+// always), with the minimizer minimizerFor picks. It is the single
+// compute path Cache memoizes: the uncached, bypassed and missed
+// requests all run here. The exact path counts from the ON and used
+// bitsets: on a cache miss kb holds the request's key and its words,
+// otherwise codeWords builds the same words in the pooled scorer. Espresso reads the pooled scorer's
 // ON/OFF covers, which hold the same cubes in the same symbol order as
 // ConstraintFunction's; on a cache miss it starts from dcm's memoized
 // don't-care cover of the used-code signature, and with kb nil it
@@ -126,8 +108,10 @@ func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristi
 	s := scorerPool.Get().(*scorer)
 	defer scorerPool.Put(s)
 	if minimizerFor(heuristic, e.NV) == byExact {
-		// Exact path: the count exact.Minimize returns, with no cubes
-		// built at all.
+		// Exact path: exact.Counter's count, with no cubes built at
+		// all. It equals exact.Minimize's wherever Minimize's covering
+		// search finishes, and is lower where that search runs out
+		// (DESIGN §10).
 		mExact.Inc()
 		var on, used []uint64
 		if kb != nil {

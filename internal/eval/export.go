@@ -149,12 +149,6 @@ func (ent CacheEntry) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Key returns the canonical signature bytes of the entry in a fresh
-// slice (see AppendKey).
-func (ent CacheEntry) Key() []byte {
-	return ent.AppendKey(make([]byte, 0, 2+8*(len(ent.Used)+len(ent.On))))
-}
-
 // ImportStats breaks one Import down by outcome class, so a store load
 // that drops entries is debuggable instead of one lumped error: every
 // entry lands in exactly one of Inserted, Duplicate, Oversize, BadNV,
@@ -183,6 +177,8 @@ type ImportStats struct {
 }
 
 // Skipped is the total of entries not inserted, across every class.
+//
+//lint:ignore deadexport import-outcome check of TestImportStatsClasses and the evalstore and ir store tests
 func (s ImportStats) Skipped() int {
 	return s.Duplicate + s.Oversize + s.BadNV + s.BadShape + s.BadCubes
 }

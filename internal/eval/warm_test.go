@@ -58,7 +58,7 @@ func TestSatisfiedCertificate(t *testing.T) {
 				t.Fatalf("trial %d: satisfied constraint scored %d cubes, want 1", trial, got)
 			}
 		}
-		direct, err := ConstraintCubes(e, c)
+		direct, err := uncached.ConstraintCubes(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestWarmDCMemoSharing(t *testing.T) {
 	cache := NewCache()
 	hits0, fall0 := mWarmDCHits.Value(), mWarmFallbacks.Value()
 	for _, c := range cons {
-		want, err := ConstraintCubesHeuristic(e, c)
+		want, err := uncached.ConstraintCubesHeuristic(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestWarmNonInjectiveFallback(t *testing.T) {
 		if kb.injective {
 			t.Fatalf("constraint %s: key marked injective on a shared code", c)
 		}
-		want, err := ConstraintCubesHeuristic(e, c)
+		want, err := uncached.ConstraintCubesHeuristic(e, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,9 +105,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, known: eval.NewKeySet(0)}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the WAL handle (if any append opened it).
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -210,8 +207,8 @@ func readWAL(path string) (input, error) {
 	return in, nil
 }
 
-// readAll is the single disk-read path shared by Load, Entries, and
-// Compact: every distinct entry on disk (first wins, shard order then
+// readAll is the single disk-read path shared by Load, Compact and the
+// tests' Entries: every distinct entry on disk (first wins, shard order then
 // WAL order), plus the skip accounting, with no in-memory cache bound
 // applied. The shard files and the WAL are read and decoded
 // concurrently; the merge then walks them in the fixed shard-then-WAL
@@ -492,16 +489,4 @@ func (s *Store) truncateWAL(walPath string) error {
 		s.walScanned, s.walSize, s.walClean = true, 0, 0
 	}
 	return err
-}
-
-// Entries returns every distinct entry on disk in canonical key order
-// (the inventory view; unreadable inputs skipped as in Load, and no
-// in-memory cache bound applied — the full store is always returned).
-func (s *Store) Entries() ([]eval.CacheEntry, error) {
-	entries, _, err := s.readAll()
-	if err != nil {
-		return nil, err
-	}
-	eval.SortEntries(entries)
-	return entries, nil
 }

@@ -35,6 +35,18 @@ func testEntries(n int) []eval.CacheEntry {
 	return out
 }
 
+// Entries returns every distinct entry on disk in canonical key order
+// (the inventory view; unreadable inputs skipped as in Load, and no
+// in-memory cache bound applied — the full store is always returned).
+func (s *Store) Entries() ([]eval.CacheEntry, error) {
+	entries, _, err := s.readAll()
+	if err != nil {
+		return nil, err
+	}
+	eval.SortEntries(entries)
+	return entries, nil
+}
+
 // loadAll reopens dir and returns its canonical entry inventory.
 func loadAll(t *testing.T, dir string) []eval.CacheEntry {
 	t.Helper()
@@ -448,7 +460,7 @@ func TestStoreEntriesCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(got); i++ {
-		if bytes.Compare(got[i-1].Key(), got[i].Key()) >= 0 {
+		if bytes.Compare(got[i-1].AppendKey(nil), got[i].AppendKey(nil)) >= 0 {
 			t.Fatalf("inventory out of canonical order at %d", i)
 		}
 	}
@@ -747,7 +759,7 @@ func sequentialRead(t *testing.T, dir string) ([]eval.CacheEntry, LoadStats) {
 	seen := map[string]bool{}
 	add := func(batch []eval.CacheEntry) {
 		for _, ent := range batch {
-			if k := string(ent.Key()); !seen[k] {
+			if k := string(ent.AppendKey(nil)); !seen[k] {
 				seen[k] = true
 				out = append(out, ent)
 			}
@@ -888,9 +900,9 @@ func TestStoreLoadMatchesSequential(t *testing.T) {
 		t.Fatal("loaded cache differs from the sequential reference")
 	}
 	for _, win := range []eval.CacheEntry{shardWin, walLose} {
-		k := string(win.Key())
+		k := string(win.AppendKey(nil))
 		for _, ent := range got {
-			if string(ent.Key()) == k && ent.Cubes != win.Cubes {
+			if string(ent.AppendKey(nil)) == k && ent.Cubes != win.Cubes {
 				t.Errorf("key won by count %d, want the first on disk, %d", ent.Cubes, win.Cubes)
 			}
 		}
@@ -992,7 +1004,7 @@ func layoutEntries() []eval.CacheEntry {
 					}
 					ent.On[i] = ent.Used[i] & r.Uint64()
 				}
-				if k := string(ent.Key()); !seen[k] {
+				if k := string(ent.AppendKey(nil)); !seen[k] {
 					seen[k] = true
 					out = append(out, ent)
 				}

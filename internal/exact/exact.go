@@ -16,7 +16,6 @@ package exact
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"picola/internal/cover"
 	"picola/internal/covering"
@@ -32,7 +31,6 @@ import (
 var (
 	mMinimize = obs.Default.Counter("espresso.exact_minimize")
 	tMinimize = obs.Default.Timer("espresso.exact_minimize.time")
-	hMinimize = obs.Default.LatencyHistogram("espresso.exact_minimize_ns")
 )
 
 // MaxInputs bounds the accepted input count (3^n cubes are enumerated).
@@ -69,12 +67,7 @@ func MinimizeContext(ctx context.Context, f *espresso.Function, inputs int) (c *
 		return nil, false, err
 	}
 	mMinimize.Inc()
-	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0)
-		tMinimize.Observe(d)
-		hMinimize.Observe(int64(d))
-	}()
+	defer tMinimize.Start()()
 	return minimize(f, inputs)
 }
 

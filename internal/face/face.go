@@ -91,16 +91,6 @@ func (c Constraint) Equal(o Constraint) bool {
 	return true
 }
 
-// ContainsAll reports whether every member of o is a member of c.
-func (c Constraint) ContainsAll(o Constraint) bool {
-	for i := range c.words {
-		if o.words[i]&^c.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // IntersectCount returns |c ∩ o|.
 func (c Constraint) IntersectCount(o Constraint) int {
 	n := 0
@@ -108,24 +98,6 @@ func (c Constraint) IntersectCount(o Constraint) int {
 		n += bits.OnesCount64(c.words[i] & o.words[i])
 	}
 	return n
-}
-
-// Intersection returns c ∩ o.
-func (c Constraint) Intersection(o Constraint) Constraint {
-	out := NewConstraint(c.n)
-	for i := range c.words {
-		out.words[i] = c.words[i] & o.words[i]
-	}
-	return out
-}
-
-// Union returns c ∪ o.
-func (c Constraint) Union(o Constraint) Constraint {
-	out := NewConstraint(c.n)
-	for i := range c.words {
-		out.words[i] = c.words[i] | o.words[i]
-	}
-	return out
 }
 
 // Complement returns the symbols not in c.
@@ -151,9 +123,6 @@ func (c Constraint) String() string {
 	}
 	return sb.String()
 }
-
-// Key returns a canonical comparable key for deduplication.
-func (c Constraint) Key() string { return c.String() }
 
 // Problem is an instance of the face-constrained encoding problem.
 // Weights[i] is the multiplicity of Constraints[i]: how many symbolic

@@ -4,157 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
-
-// OverlapError describes two transitions of one state whose input cubes
-// intersect while disagreeing on behavior — a nondeterministic (or
-// conflicting) specification.
-type OverlapError struct {
-	State  string
-	A, B   Transition
-	Reason string
-}
-
-func (e *OverlapError) Error() string {
-	return fmt.Sprintf("kiss: state %s: rows %q and %q overlap (%s)",
-		e.State, e.A.Input, e.B.Input, e.Reason)
-}
-
-// CheckDeterministic verifies that overlapping input cubes of every state
-// agree: same next state (or one unspecified) and compatible outputs (no
-// 0-vs-1 clash). It returns nil or the first conflict.
-func (m *FSM) CheckDeterministic() error {
-	for _, st := range m.States {
-		rows := m.TransitionsFrom(st)
-		for i := 0; i < len(rows); i++ {
-			for j := i + 1; j < len(rows); j++ {
-				a, b := rows[i], rows[j]
-				if !cubesIntersect(a.Input, b.Input) {
-					continue
-				}
-				if a.To != "*" && b.To != "*" && a.To != b.To {
-					return &OverlapError{State: st, A: a, B: b, Reason: "different next states"}
-				}
-				for k := 0; k < m.NumOutputs; k++ {
-					x, y := a.Output[k], b.Output[k]
-					if (x == '0' && y == '1') || (x == '1' && y == '0') {
-						return &OverlapError{State: st, A: a, B: b,
-							Reason: fmt.Sprintf("output %d conflicts", k)}
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func cubesIntersect(a, b string) bool {
-	for i := range a {
-		if a[i] != '-' && b[i] != '-' && a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Coverage returns, per state, the fraction of the input space its rows
-// cover (assuming the per-state rows are disjoint, which
-// CheckDeterministic establishes for well-formed machines).
-func (m *FSM) Coverage() map[string]float64 {
-	total := 1.0
-	for i := 0; i < m.NumInputs; i++ {
-		total *= 2
-	}
-	out := make(map[string]float64, len(m.States))
-	for _, st := range m.States {
-		covered := 0.0
-		for _, t := range m.TransitionsFrom(st) {
-			w := 1.0
-			for _, c := range t.Input {
-				if c == '-' {
-					w *= 2
-				}
-			}
-			covered += w
-		}
-		out[st] = covered / total
-	}
-	return out
-}
-
-// Complete returns a copy of the machine where every state covers the
-// whole input space: uncovered regions get explicit rows with unspecified
-// next state and all-don't-care outputs. Completion makes the implicit
-// "assert nothing" semantics explicit don't-cares, which usually helps
-// minimization.
-func (m *FSM) Complete() *FSM {
-	out := &FSM{
-		Name:       m.Name,
-		NumInputs:  m.NumInputs,
-		NumOutputs: m.NumOutputs,
-		Reset:      m.Reset,
-		States:     append([]string(nil), m.States...),
-	}
-	out.Transitions = append(out.Transitions, m.Transitions...)
-	dashes := strings.Repeat("-", m.NumOutputs)
-	for _, st := range m.States {
-		for _, cube := range uncoveredCubes(m.NumInputs, m.TransitionsFrom(st)) {
-			out.Transitions = append(out.Transitions, Transition{
-				Input: cube, From: st, To: "*", Output: dashes,
-			})
-		}
-	}
-	return out
-}
-
-// uncoveredCubes returns cubes covering the input space no row touches,
-// by recursive splitting.
-func uncoveredCubes(ni int, rows []Transition) []string {
-	var out []string
-	var rec func(prefix []byte, pos int, candidates []string)
-	rec = func(prefix []byte, pos int, candidates []string) {
-		if len(candidates) == 0 {
-			cube := string(prefix) + strings.Repeat("-", ni-pos)
-			out = append(out, cube)
-			return
-		}
-		// If some candidate covers the whole region, it is covered... only
-		// exactly when a candidate has '-' in every remaining position and
-		// matches the prefix (prefix consistency is maintained below).
-		for _, c := range candidates {
-			full := true
-			for k := pos; k < ni; k++ {
-				if c[k] != '-' {
-					full = false
-					break
-				}
-			}
-			if full {
-				return
-			}
-		}
-		if pos == ni {
-			// Non-empty candidates at a full assignment: covered.
-			return
-		}
-		for _, bit := range []byte{'0', '1'} {
-			var next []string
-			for _, c := range candidates {
-				if c[pos] == '-' || c[pos] == bit {
-					next = append(next, c)
-				}
-			}
-			rec(append(prefix, bit), pos+1, next)
-		}
-	}
-	inputs := make([]string, len(rows))
-	for i, t := range rows {
-		inputs[i] = t.Input
-	}
-	rec(make([]byte, 0, ni), 0, inputs)
-	return out
-}
 
 // WriteDOT renders the machine as a Graphviz digraph: one edge per
 // transition labeled input/output, the reset state double-circled.

@@ -5,108 +5,6 @@ import (
 	"testing"
 )
 
-func TestCheckDeterministicClean(t *testing.T) {
-	m, err := ParseString(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckDeterministicConflicts(t *testing.T) {
-	// Overlapping rows with different next states.
-	m, err := ParseString(".i 1\n.o 1\n- a b 0\n0 a c 0\n0 b a 0\n1 b a 0\n0 c a 0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = m.CheckDeterministic()
-	if err == nil {
-		t.Fatal("conflicting next states must be detected")
-	}
-	var oe *OverlapError
-	if !as(err, &oe) || oe.State != "a" {
-		t.Fatalf("error = %v", err)
-	}
-	// Overlapping rows with clashing outputs.
-	m2, err := ParseString(".i 1\n.o 1\n- a a 0\n0 a a 1\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.CheckDeterministic() == nil {
-		t.Fatal("output clash must be detected")
-	}
-	// Overlap agreeing on behavior is fine.
-	m3, err := ParseString(".i 1\n.o 1\n- a a 0\n0 a a -\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m3.CheckDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func as(err error, target **OverlapError) bool {
-	oe, ok := err.(*OverlapError)
-	if ok {
-		*target = oe
-	}
-	return ok
-}
-
-func TestCoverage(t *testing.T) {
-	m, err := ParseString(".i 2\n.o 1\n0- a a 0\n11 a a 1\n-- b a 0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := m.Coverage()
-	if cov["a"] != 0.75 || cov["b"] != 1.0 {
-		t.Fatalf("coverage = %v", cov)
-	}
-}
-
-func TestComplete(t *testing.T) {
-	m, err := ParseString(".i 2\n.o 1\n0- a a 0\n11 a a 1\n-- b a 0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.Complete()
-	cov := c.Coverage()
-	for st, f := range cov {
-		if f != 1.0 {
-			t.Fatalf("state %s coverage %v after completion", st, f)
-		}
-	}
-	// The added row must be the uncovered 10 region, unspecified.
-	found := false
-	for _, tr := range c.TransitionsFrom("a") {
-		if tr.Input == "10" && tr.To == "*" && tr.Output == "-" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("completion rows wrong:\n%s", c)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The original machine is untouched.
-	if len(m.TransitionsFrom("a")) != 2 {
-		t.Fatal("Complete mutated the receiver")
-	}
-}
-
-func TestUncoveredCubesFull(t *testing.T) {
-	rows := []Transition{{Input: "--"}}
-	if got := uncoveredCubes(2, rows); len(got) != 0 {
-		t.Fatalf("universe row leaves %v uncovered", got)
-	}
-	if got := uncoveredCubes(2, nil); len(got) != 1 || got[0] != "--" {
-		t.Fatalf("empty rows: %v", got)
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	m, err := ParseString(sample)
 	if err != nil {

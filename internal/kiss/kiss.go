@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -253,12 +252,4 @@ func (m *FSM) NextStateFanIn() map[string]int {
 		}
 	}
 	return fan
-}
-
-// SortedStates returns the state names sorted lexicographically (useful
-// for deterministic reports; the natural order is discovery order).
-func (m *FSM) SortedStates() []string {
-	out := append([]string(nil), m.States...)
-	sort.Strings(out)
-	return out
 }

@@ -29,7 +29,7 @@ type Config struct {
 
 // RegisterFlags installs -trace, -traceformat, -metrics, -ledger, -http,
 // -cpuprofile and -memprofile on fs. The -http server itself is started
-// by the command via obshttp.Start (obs stays free of net/http).
+// by the command via obshttp.StartContext (obs stays free of net/http).
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.TracePath, "trace", "", "write structured trace events to `FILE` (\"-\" for stdout)")
 	fs.StringVar(&c.TraceFormat, "traceformat", "jsonl", "trace format: jsonl or text")

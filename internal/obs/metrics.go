@@ -124,19 +124,10 @@ func (t *Timer) Stat() (count int64, total time.Duration) {
 	}
 }
 
-// Count returns the number of observations; Total their summed duration.
-func (t *Timer) Count() int64 { n, _ := t.Stat(); return n }
+// Total returns the observations' summed duration.
 func (t *Timer) Total() time.Duration {
 	_, d := t.Stat()
 	return d
-}
-
-// reset zeroes the pair under the write lock.
-func (t *Timer) reset() {
-	t.lock()
-	t.n.Store(0)
-	t.ns.Store(0)
-	t.unlock()
 }
 
 // Histogram counts observations into fixed buckets: bucket i counts values
@@ -234,30 +225,6 @@ func (m *Metrics) Histogram(name string, bounds ...int64) *Histogram {
 // the shared log-bucketed LatencyBounds layout, recording nanoseconds.
 func (m *Metrics) LatencyHistogram(name string) *Histogram {
 	return m.Histogram(name, LatencyBounds...)
-}
-
-// Reset zeroes every registered metric. Registrations (and cached
-// pointers) stay valid.
-func (m *Metrics) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.counters {
-		c.v.Store(0)
-	}
-	for _, g := range m.gauges {
-		g.v.Store(0)
-	}
-	for _, t := range m.timers {
-		t.reset()
-	}
-	for _, h := range m.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
 }
 
 // TimerStat is a timer's exported form.

@@ -26,8 +26,8 @@ func TestCounterGaugeTimerHistogram(t *testing.T) {
 	tm := m.Timer("t")
 	tm.Observe(2 * time.Millisecond)
 	tm.Observe(4 * time.Millisecond)
-	if tm.Count() != 2 || tm.Total() != 6*time.Millisecond {
-		t.Errorf("timer count=%d total=%v", tm.Count(), tm.Total())
+	if n, total := tm.Stat(); n != 2 || total != 6*time.Millisecond {
+		t.Errorf("timer count=%d total=%v", n, total)
 	}
 	h := m.Histogram("h", 1, 10, 100)
 	for _, v := range []int64{0, 1, 5, 50, 500} {
@@ -89,22 +89,5 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 	if got := m.Histogram("hist").count.Load(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := NewMetrics()
-	c := m.Counter("c")
-	c.Add(9)
-	tm := m.Timer("t")
-	tm.Observe(time.Second)
-	m.Reset()
-	if c.Value() != 0 || tm.Count() != 0 || tm.Total() != 0 {
-		t.Fatalf("reset left values: c=%d t=%d/%v", c.Value(), tm.Count(), tm.Total())
-	}
-	// Cached pointers stay registered.
-	c.Inc()
-	if m.Snapshot().Counters["c"] != 1 {
-		t.Fatal("cached counter detached from registry after Reset")
 	}
 }

@@ -107,18 +107,14 @@ type Server struct {
 	done      chan struct{} // closed by Close; releases the ctx watcher
 }
 
-// Start serves the introspection surface on addr. An empty addr returns
-// a nil server (every method on a nil *Server is a safe no-op), so the
-// commands can call Start/Close unconditionally. Pass host:0 to bind an
-// ephemeral port; Addr reports the bound address.
-func Start(addr string, o Options) (*Server, error) {
-	return StartContext(context.Background(), addr, o)
-}
-
-// StartContext is Start bound to a context: cancelling ctx shuts the
-// server down (equivalent to Close), so a -timeout run's introspection
-// server dies with the run instead of outliving it. Close remains safe
-// to call as well; whichever comes first wins.
+// StartContext serves the introspection surface on addr. An empty addr
+// returns a nil server (every method on a nil *Server is a safe no-op),
+// so the commands can call StartContext/Close unconditionally. Pass
+// host:0 to bind an ephemeral port; Addr reports the bound address.
+// Cancelling ctx shuts the server down (equivalent to Close), so a
+// -timeout run's introspection server dies with the run instead of
+// outliving it. Close remains safe to call as well; whichever comes
+// first wins.
 func StartContext(ctx context.Context, addr string, o Options) (*Server, error) {
 	if addr == "" {
 		return nil, nil

@@ -18,7 +18,7 @@ func startTestServer(t *testing.T) (string, *obs.Metrics, *obs.RunRing) {
 	t.Helper()
 	m := obs.NewMetrics()
 	runs := obs.NewRunRing(8)
-	s, err := Start("127.0.0.1:0", Options{Metrics: m, Runs: runs})
+	s, err := StartContext(context.Background(), "127.0.0.1:0", Options{Metrics: m, Runs: runs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,9 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestStartEmptyAddrIsNoop(t *testing.T) {
-	s, err := Start("", Options{})
+	s, err := StartContext(context.Background(), "", Options{})
 	if err != nil || s != nil {
-		t.Fatalf("Start(\"\") = %v, %v; want nil, nil", s, err)
+		t.Fatalf("StartContext(ctx, \"\") = %v, %v; want nil, nil", s, err)
 	}
 	// Every method on the nil server is a safe no-op.
 	if s.Addr() != "" || s.Close() != nil {
@@ -144,7 +144,7 @@ func TestPprofIndex(t *testing.T) {
 
 func TestCloseReleasesPort(t *testing.T) {
 	m := obs.NewMetrics()
-	s, err := Start("127.0.0.1:0", Options{Metrics: m})
+	s, err := StartContext(context.Background(), "127.0.0.1:0", Options{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCloseReleasesPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same address must be bindable again immediately.
-	s2, err := Start(addr, Options{Metrics: m})
+	s2, err := StartContext(context.Background(), addr, Options{Metrics: m})
 	if err != nil {
 		t.Fatalf("rebind after Close: %v", err)
 	}

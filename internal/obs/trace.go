@@ -127,26 +127,6 @@ func (s *JSONL) Flush() error {
 	return s.w.Flush()
 }
 
-// ReadEvents parses a JSONL trace stream back into events (blank lines are
-// skipped). It is the inverse of the JSONL sink, for tests and tooling.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("obs: bad trace line %q: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}
-
 // Text is a Tracer writing human-oriented lines, one per event.
 type Text struct {
 	mu    sync.Mutex
@@ -215,6 +195,8 @@ func (r *Recorder) Emit(e Event) {
 }
 
 // ByStage returns the recorded events of one stage, in emission order.
+//
+//lint:ignore deadexport event filter of core's TestTracedRun* and obs's trace and ledger tests
 func (r *Recorder) ByStage(stage string) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,11 +1,35 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// ReadEvents parses a JSONL trace stream back into events (blank lines are
+// skipped): the inverse of the JSONL sink.
+func ReadEvents(r io.Reader) ([]Event, error) {
+	var out []Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			return nil, fmt.Errorf("obs: bad trace line %q: %w", line, err)
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
+}
 
 // The nil-tracer path is the default for every encoder run; it must cost
 // nothing.

@@ -113,9 +113,3 @@ func exactCost(p *face.Problem, e *face.Encoding) (int, error) {
 	}
 	return total, nil
 }
-
-// ExactCost exposes the exact Table-I metric for one encoding (the same
-// evaluation Optimal uses), for gap reporting.
-func ExactCost(p *face.Problem, e *face.Encoding) (int, error) {
-	return exactCost(p, e)
-}

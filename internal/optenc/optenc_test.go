@@ -99,7 +99,7 @@ func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		picCost, err := ExactCost(p, pic.Encoding)
+		picCost, err := exactCost(p, pic.Encoding)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		novCost, err := ExactCost(p, nov)
+		novCost, err := exactCost(p, nov)
 		if err != nil {
 			t.Fatal(err)
 		}

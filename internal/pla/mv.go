@@ -117,9 +117,6 @@ done:
 	return p, nil
 }
 
-// ParseMVString parses an MV cover file from a string.
-func ParseMVString(s string) (*MV, error) { return ParseMV(strings.NewReader(s)) }
-
 func parseMVRow(d *cube.Domain, text string) (cube.Cube, error) {
 	fields := strings.Split(strings.ReplaceAll(text, " ", ""), "|")
 	c := d.NewCube()

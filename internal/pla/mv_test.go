@@ -1,6 +1,7 @@
 package pla
 
 import (
+	"strings"
 	"testing"
 
 	"picola/internal/cover"
@@ -22,7 +23,7 @@ const sampleMV = `
 `
 
 func TestParseMV(t *testing.T) {
-	p, err := ParseMVString(sampleMV)
+	p, err := ParseMV(strings.NewReader(sampleMV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,24 +55,24 @@ func TestParseMVErrors(t *testing.T) {
 		".mv 1 0 x\n",            // bad size
 	}
 	for _, s := range cases[3:] {
-		if _, err := ParseMVString(s); err == nil {
+		if _, err := ParseMV(strings.NewReader(s)); err == nil {
 			t.Errorf("expected error for %q", s)
 		}
 	}
-	if _, err := ParseMVString(cases[0]); err == nil {
+	if _, err := ParseMV(strings.NewReader(cases[0])); err == nil {
 		t.Error("cube before header must fail")
 	}
-	if _, err := ParseMVString(cases[1]); err == nil {
+	if _, err := ParseMV(strings.NewReader(cases[1])); err == nil {
 		t.Error("missing sizes must fail")
 	}
 }
 
 func TestMVRoundTrip(t *testing.T) {
-	p, err := ParseMVString(sampleMV)
+	p, err := ParseMV(strings.NewReader(sampleMV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ParseMVString(p.String())
+	q, err := ParseMV(strings.NewReader(p.String()))
 	if err != nil {
 		t.Fatalf("%v in:\n%s", err, p.String())
 	}
@@ -84,7 +85,7 @@ func TestMVNoBinaryVars(t *testing.T) {
 	p := NewMV(cube.New(4, 3))
 	c := p.D.Universe()
 	p.On.Add(c)
-	q, err := ParseMVString(p.String())
+	q, err := ParseMV(strings.NewReader(p.String()))
 	if err != nil {
 		t.Fatalf("%v in:\n%s", err, p.String())
 	}
@@ -106,7 +107,7 @@ func TestMVFromSymbolicCover(t *testing.T) {
 	mv.On = sc.On
 	mv.DC = sc.DC
 	mv.Off = sc.Off
-	back, err := ParseMVString(mv.String())
+	back, err := ParseMV(strings.NewReader(mv.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,9 +153,6 @@ done:
 	return p, nil
 }
 
-// ParseString parses a PLA from a string.
-func ParseString(s string) (*PLA, error) { return Parse(strings.NewReader(s)) }
-
 func (p *PLA) addRow(text string, line int) error {
 	fields := strings.Fields(text)
 	joined := strings.Join(fields, "")

@@ -24,7 +24,7 @@ const sampleFD = `
 `
 
 func TestParseFD(t *testing.T) {
-	p, err := ParseString(sampleFD)
+	p, err := Parse(strings.NewReader(sampleFD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestParseFD(t *testing.T) {
 }
 
 func TestParseFR(t *testing.T) {
-	p, err := ParseString(".i 2\n.o 2\n.type fr\n01 10\n10 01\n11 00\n")
+	p, err := Parse(strings.NewReader(".i 2\n.o 2\n.type fr\n01 10\n10 01\n11 00\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestParseFR(t *testing.T) {
 }
 
 func TestParseTypeF(t *testing.T) {
-	p, err := ParseString(".i 2\n.o 1\n.type f\n01 1\n1- 1\n")
+	p, err := Parse(strings.NewReader(".i 2\n.o 1\n.type f\n01 1\n1- 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +84,19 @@ func TestParseErrors(t *testing.T) {
 		".i 2\n.o 1\n.type z\n01 1\n", // bad type
 	}
 	for _, s := range cases {
-		if _, err := ParseString(s); err == nil {
+		if _, err := Parse(strings.NewReader(s)); err == nil {
 			t.Errorf("expected error for %q", s)
 		}
 	}
 }
 
 func TestWriteParseRoundTrip(t *testing.T) {
-	p, err := ParseString(sampleFD)
+	p, err := Parse(strings.NewReader(sampleFD))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := p.String()
-	q, err := ParseString(text)
+	q, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("%v in:\n%s", err, text)
 	}
@@ -106,11 +106,11 @@ func TestWriteParseRoundTrip(t *testing.T) {
 }
 
 func TestWriteParseRoundTripFR(t *testing.T) {
-	p, err := ParseString(".i 2\n.o 2\n.type fr\n01 10\n10 01\n11 00\n0- 01\n")
+	p, err := Parse(strings.NewReader(".i 2\n.o 2\n.type fr\n01 10\n10 01\n11 00\n0- 01\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ParseString(p.String())
+	q, err := Parse(strings.NewReader(p.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWriteParseRoundTripFR(t *testing.T) {
 
 func TestMinimizeParsedPLA(t *testing.T) {
 	// End-to-end: parse, minimize, verify.
-	p, err := ParseString(".i 3\n.o 1\n000 1\n001 1\n010 1\n011 1\n100 1\n")
+	p, err := Parse(strings.NewReader(".i 3\n.o 1\n000 1\n001 1\n010 1\n011 1\n100 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMinimizeParsedPLA(t *testing.T) {
 }
 
 func TestEmptyPLA(t *testing.T) {
-	p, err := ParseString(".i 4\n.o 2\n.e\n")
+	p, err := Parse(strings.NewReader(".i 4\n.o 2\n.e\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEmptyPLA(t *testing.T) {
 }
 
 func TestWhitespaceTolerance(t *testing.T) {
-	p, err := ParseString(".i 3\n.o 1\n 0 0 0   1 \n")
+	p, err := Parse(strings.NewReader(".i 3\n.o 1\n 0 0 0   1 \n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,25 +122,6 @@ func (mod *Model) Activity(e *face.Encoding) float64 {
 	return total
 }
 
-// EdgeWeights returns the per-pair transition mass P(i)·(P(i→j)+P(j→i)),
-// the quantity a low-power encoder wants on short Hamming distances.
-func (mod *Model) EdgeWeights() map[[2]int]float64 {
-	out := map[[2]int]float64{}
-	for i, row := range mod.Trans {
-		for j, p := range row {
-			if i == j || p == 0 {
-				continue
-			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			out[[2]int{a, b}] += mod.Steady[i] * p
-		}
-	}
-	return out
-}
-
 // Options tune the low-power encoder.
 type Options struct {
 	Seed   int64

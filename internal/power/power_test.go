@@ -99,24 +99,6 @@ func TestEncodeReducesActivity(t *testing.T) {
 	}
 }
 
-func TestEdgeWeightsSymmetric(t *testing.T) {
-	m, err := kiss.ParseString(pingpong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := Build(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mod.EdgeWeights()
-	if len(w) != 1 {
-		t.Fatalf("weights = %v", w)
-	}
-	if math.Abs(w[[2]int{0, 1}]-1) > 1e-9 {
-		t.Fatalf("edge mass = %v", w)
-	}
-}
-
 // TestPowerAreaTradeoff documents the expected tension: the low-power
 // codes cost at most a bounded factor in product terms while cutting the
 // switching activity versus the area-driven PICOLA codes.

@@ -214,10 +214,3 @@ func (t *Table) renderCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// String renders to a string in the given format.
-func (t *Table) String(f Format) string {
-	var sb strings.Builder
-	_ = t.Render(&sb, f)
-	return sb.String()
-}

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// String renders to a string in the given format.
+func (t *Table) String(f Format) string {
+	var sb strings.Builder
+	_ = t.Render(&sb, f)
+	return sb.String()
+}
+
 func sampleTable() *Table {
 	t := &Table{
 		Title:  "Demo",

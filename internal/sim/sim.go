@@ -1,19 +1,10 @@
-// Package sim simulates KISS2 machines and their encoded two-level
-// implementations side by side, providing end-to-end functional
-// verification of the state-assignment flow: beyond the cover-level
-// espresso.Verify, it drives actual input sequences from the reset state
-// and compares the outputs and next-state codes cycle by cycle.
+// Package sim simulates KISS2 machines cycle by cycle from the reset
+// state. Its tests co-simulate the encoded two-level implementation
+// alongside, an end-to-end functional check of the state-assignment flow
+// beyond the cover-level espresso.Verify.
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-
-	"picola/internal/cover"
-	"picola/internal/cube"
-	"picola/internal/face"
-	"picola/internal/kiss"
-)
+import "picola/internal/kiss"
 
 // Machine simulates the symbolic KISS2 machine.
 type Machine struct {
@@ -54,118 +45,4 @@ func (s *Machine) Step(input string) (output, next string, matched bool) {
 		dashes[i] = '-'
 	}
 	return string(dashes), "*", false
-}
-
-// Encoded simulates the encoded two-level implementation: a multi-output
-// cover over inputs ++ state bits -> next-state bits ++ outputs.
-type Encoded struct {
-	D     *cube.Domain
-	Cover *cover.Cover
-	E     *face.Encoding
-	NI    int
-	Code  uint64 // current state code
-}
-
-// NewEncoded starts the encoded simulation at the code of the machine's
-// reset state.
-func NewEncoded(m *kiss.FSM, e *face.Encoding, d *cube.Domain, cov *cover.Cover) *Encoded {
-	return &Encoded{
-		D: d, Cover: cov, E: e, NI: m.NumInputs,
-		Code: e.Codes[m.StateIndex(m.ResetState())],
-	}
-}
-
-// Step applies one input vector and returns the asserted output bits
-// (nv next-state bits followed by the primary outputs) while advancing
-// the state register.
-func (s *Encoded) Step(input string) []bool {
-	d := s.D
-	nv := s.E.NV
-	ov := s.NI + nv
-	point := d.NewCube()
-	for v := 0; v < s.NI; v++ {
-		if input[v] == '1' {
-			d.Set(point, v, 1)
-		} else {
-			d.Set(point, v, 0)
-		}
-	}
-	for b := 0; b < nv; b++ {
-		d.Set(point, s.NI+b, int(s.Code>>uint(b))&1)
-	}
-	for j := 0; j < d.Size(ov); j++ {
-		d.Set(point, ov, j)
-	}
-	out := make([]bool, d.Size(ov))
-	for _, c := range s.Cover.Cubes {
-		if !d.Intersects(c, point) {
-			continue
-		}
-		for j := 0; j < d.Size(ov); j++ {
-			if d.Has(c, ov, j) {
-				out[j] = true
-			}
-		}
-	}
-	var next uint64
-	for b := 0; b < nv; b++ {
-		if out[b] {
-			next |= 1 << uint(b)
-		}
-	}
-	s.Code = next
-	return out
-}
-
-// VerifyEquivalence drives both simulations with random input sequences
-// from reset and checks that, wherever the machine specifies behavior,
-// the implementation agrees: specified output bits match, and when the
-// next state is a named state the implementation's next code is that
-// state's code. On unspecified steps (no matching row, '*' target, or
-// '-' output bits only) both models resynchronize at reset. It returns
-// nil when all cycles agree.
-func VerifyEquivalence(m *kiss.FSM, e *face.Encoding, d *cube.Domain, cov *cover.Cover, sequences, steps int, seed int64) error {
-	r := rand.New(rand.NewSource(seed))
-	nv := e.NV
-	for seq := 0; seq < sequences; seq++ {
-		ms := NewMachine(m)
-		es := NewEncoded(m, e, d, cov)
-		for st := 0; st < steps; st++ {
-			in := make([]byte, m.NumInputs)
-			for i := range in {
-				in[i] = byte('0' + r.Intn(2))
-			}
-			input := string(in)
-			wantOut, next, matched := ms.Step(input)
-			got := es.Step(input)
-			if matched {
-				for j := 0; j < m.NumOutputs; j++ {
-					switch wantOut[j] {
-					case '1':
-						if !got[nv+j] {
-							return fmt.Errorf("sim: seq %d step %d input %s: output %d low, want high",
-								seq, st, input, j)
-						}
-					case '0':
-						if got[nv+j] {
-							return fmt.Errorf("sim: seq %d step %d input %s: output %d high, want low",
-								seq, st, input, j)
-						}
-					}
-				}
-			}
-			if matched && next != "*" {
-				wantCode := e.Codes[m.StateIndex(next)]
-				if es.Code != wantCode {
-					return fmt.Errorf("sim: seq %d step %d input %s: next code %0*b, want %0*b (state %s)",
-						seq, st, input, nv, es.Code, nv, wantCode, next)
-				}
-			} else {
-				// Unspecified step: resynchronize both models.
-				ms.State = m.ResetState()
-				es.Code = e.Codes[m.StateIndex(m.ResetState())]
-			}
-		}
-	}
-	return nil
 }

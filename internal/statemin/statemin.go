@@ -1,15 +1,12 @@
 // Package statemin implements state reduction for KISS2 machines: the
 // classical pair-chart analysis (compatible / incompatible state pairs via
-// iterated implication marking, at input-cube granularity) and two
-// reduction transforms built on it:
-//
-//   - Equivalent: exact equivalence-based reduction of completely
-//     specified machines (identical outputs everywhere and equivalent
-//     next states), the textbook partition argument run as a pair chart;
-//   - ReduceCompatible: a conservative merge of compatible states for
-//     incompletely specified machines, restricted to states with aligned
-//     input-cube structure so the merged transition table stays a valid
-//     deterministic KISS2 machine.
+// iterated implication marking, at input-cube granularity) and
+// ReduceCompatible, a conservative merge of compatible states for
+// incompletely specified machines, restricted to states with aligned
+// input-cube structure so the merged transition table stays a valid
+// deterministic KISS2 machine. The tests also run the chart under the
+// equality predicate: the textbook equivalence reduction of completely
+// specified machines.
 //
 // State reduction precedes state assignment in the classical flow; the
 // stassign tool accepts reduced machines directly.
@@ -110,79 +107,6 @@ func outputsConflict(a, b string) bool {
 		}
 	}
 	return false
-}
-
-// outputsDiffer reports any difference (equality predicate).
-func outputsDiffer(a, b string) bool { return a != b }
-
-// CompatiblePairs returns the state pairs that can share a code class in
-// an incompletely specified machine, sorted lexicographically.
-func CompatiblePairs(m *kiss.FSM) ([][2]string, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	ch := buildChart(m, outputsConflict)
-	var out [][2]string
-	for i := 0; i < ch.n; i++ {
-		for j := i + 1; j < ch.n; j++ {
-			if !ch.incompatible[pairIndex(i, j, ch.n)] {
-				out = append(out, [2]string{m.States[i], m.States[j]})
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out, nil
-}
-
-// IsCompletelySpecified reports whether every state covers the whole
-// input space with fully specified outputs and next states.
-func IsCompletelySpecified(m *kiss.FSM) bool {
-	for _, st := range m.States {
-		rows := m.TransitionsFrom(st)
-		// The rows must cover the input space; check by counting minterms
-		// of disjoint rows (benchmarks keep per-state rows disjoint).
-		total := uint64(0)
-		for _, t := range rows {
-			if t.To == "*" {
-				return false
-			}
-			for _, c := range t.Output {
-				if c == '-' {
-					return false
-				}
-			}
-			m := uint64(1)
-			for _, c := range t.Input {
-				if c == '-' {
-					m *= 2
-				}
-			}
-			total += m
-		}
-		if total != uint64(1)<<uint(m.NumInputs) {
-			return false
-		}
-	}
-	return true
-}
-
-// Equivalent reduces a completely specified machine by merging equivalent
-// states. It returns the reduced machine and the representative map
-// (state name → class representative name).
-func Equivalent(m *kiss.FSM) (*kiss.FSM, map[string]string, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if !IsCompletelySpecified(m) {
-		return nil, nil, fmt.Errorf("statemin: machine is not completely specified; use ReduceCompatible")
-	}
-	ch := buildChart(m, outputsDiffer)
-	return mergeByChart(m, ch, nil)
 }
 
 // ReduceCompatible reduces an incompletely specified machine by greedily

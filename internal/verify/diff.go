@@ -25,7 +25,7 @@ import (
 //     cover must pass the same containment checks and, when its covering
 //     search proved it minimum, its cardinality must not exceed
 //     espresso's (a smaller espresso cover would convict one of the two);
-//   - the pipeline count eval.ConstraintCubes must equal the oracle's
+//   - the pipeline count Cache.ConstraintCubes must equal the oracle's
 //     recomputation — or, where the exact search ran out of its node
 //     budget and its cover is only an upper bound, must not exceed it —
 //     and a satisfied constraint must cost exactly 1.
@@ -77,9 +77,9 @@ func checkConstraintCover(rep *Report, e *face.Encoding, i int, c face.Constrain
 	}
 	switch {
 	case proven && k != want:
-		rep.addf("pipeline", i, "eval.ConstraintCubes = %d, oracle recomputation %d", k, want)
+		rep.addf("pipeline", i, "Cache.ConstraintCubes = %d, oracle recomputation %d", k, want)
 	case !proven && k > want:
-		rep.addf("pipeline", i, "eval.ConstraintCubes = %d exceeds the %d cubes of the exact search's unproven cover", k, want)
+		rep.addf("pipeline", i, "Cache.ConstraintCubes = %d exceeds the %d cubes of the exact search's unproven cover", k, want)
 	}
 	if k < 1 {
 		rep.addf("pipeline", i, "non-empty constraint costs %d cubes", k)
@@ -144,8 +144,8 @@ func Audit(p *face.Problem, e *face.Encoding, cache *eval.Cache, opts Options) *
 // CheckCost validates the batch evaluator against an independent
 // re-summation: eval.Evaluate's per-constraint counts, totals and
 // satisfied count must match per-constraint recomputation through
-// eval.ConstraintCubes (which, unlike Evaluate, never takes the
-// satisfied-constraint shortcut).
+// cache.ConstraintCubes (which, unlike Evaluate, never takes the
+// satisfied-constraint shortcut; a nil cache computes every count).
 func CheckCost(p *face.Problem, e *face.Encoding, cache *eval.Cache) *Report {
 	mChecks.Inc()
 	rep := &Report{}

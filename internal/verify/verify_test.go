@@ -269,7 +269,7 @@ func TestCheckMinimizationUnprovenExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := eval.ConstraintCubes(e, c)
+	k, err := (*eval.Cache)(nil).ConstraintCubes(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}

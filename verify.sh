@@ -8,14 +8,22 @@ set -eux
 go vet ./...
 go build ./...
 
-# picolint must exit clean on the tree and must still catch each seeded
-# fixture violation (one positive fixture per analyzer) — a lint suite
-# that stops firing is worse than none.
-go run ./cmd/picolint ./...
-for a in detrange seedrand spanend dropperr tracenil poolput metricname \
-         dettaint lockcheck leakcheck hotalloc; do
-  if go run ./cmd/picolint "./internal/analysis/testdata/src/$a" >/dev/null 2>&1; then
-    echo "picolint no longer flags the $a fixture" >&2
+# picolint must exit clean on the tree and each analyzer must still
+# catch its seeded fixture violation (one positive fixture per analyzer)
+# — a lint suite that stops firing is worse than none. Each fixture runs
+# under its own analyzer alone and must exit exactly 1: another
+# analyzer's finding cannot stand in for it, and a fixture that no
+# longer loads (exit 2) fails the gate.
+lint_bin=$(mktemp /tmp/picolint.XXXXXX)
+go build -o "$lint_bin" ./cmd/picolint
+"$lint_bin" ./...
+analyzers=$("$lint_bin" -list | awk '{print $1}')
+[ -n "$analyzers" ] || { echo "picolint -list named no analyzers" >&2; exit 1; }
+for a in $analyzers; do
+  rc=0
+  "$lint_bin" -analyzers "$a" "./internal/analysis/testdata/src/$a" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "picolint -analyzers $a exits $rc on its fixture, want 1" >&2
     exit 1
   fi
 done
@@ -25,12 +33,12 @@ done
 # that also fixes (or justifies) the finding, and new findings must be
 # fixed rather than silently accumulated.
 base_tmp=$(mktemp /tmp/picola-baseline.XXXXXX)
-go run ./cmd/picolint -baseline "$base_tmp" -write-baseline ./... 2>/dev/null
+"$lint_bin" -baseline "$base_tmp" -write-baseline ./... 2>/dev/null
 cmp picolint.baseline "$base_tmp" || {
   echo "picolint.baseline is out of date; run: go run ./cmd/picolint -write-baseline ./..." >&2
   exit 1
 }
-rm -f "$base_tmp"
+rm -f "$base_tmp" "$lint_bin"
 
 go test ./...
 go test -race ./...
