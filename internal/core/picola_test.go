@@ -92,9 +92,9 @@ func seedsSatisfied(con face.Constraint, e *face.Encoding) bool {
 	return true
 }
 
-// TestSatisfiedIffAllSeedsSatisfied: a constraint is satisfied (its
-// member supercube holds no intruder) exactly when all of its seed
-// dichotomies are, on the paper's encoding and on random ones.
+// TestSatisfiedIffAllSeedsSatisfied: on the paper's encoding, a
+// constraint is satisfied (its member supercube holds no intruder)
+// exactly when all of its seed dichotomies are, and Encode reports it so.
 func TestSatisfiedIffAllSeedsSatisfied(t *testing.T) {
 	p := paperProblem()
 	r, err := Encode(p)
@@ -109,6 +109,11 @@ func TestSatisfiedIffAllSeedsSatisfied(t *testing.T) {
 			t.Fatalf("constraint %d: reported %v, actual %v", i, r.Satisfied[i], r.Encoding.Satisfied(con))
 		}
 	}
+}
+
+// TestSatisfiedByEncodingMatchesIntruders: the seed view and the
+// supercube view agree on random encodings and constraints.
+func TestSatisfiedByEncodingMatchesIntruders(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		n := 3 + rng.Intn(10)
