@@ -8,6 +8,19 @@ import (
 	"picola/internal/face"
 )
 
+// estimateCubes is the espresso-free cost surrogate the polish pass
+// minimizes, for one constraint: 1 for a satisfied constraint, and
+// otherwise the better of the Theorem I count (when the intruders span a
+// cube disjoint from the members) and a recursive-split upper bound:
+// split the members on a disagreeing code column chosen to isolate
+// intruders, and sum the halves.
+func estimateCubes(enc *face.Encoding, c face.Constraint) int {
+	cm := newCostModel(enc, []face.Constraint{c})
+	k := cm.estimate(0)
+	cm.flush()
+	return k
+}
+
 // TestEstimateBounds: the estimate is an achievable cover size, so it is
 // at least 1 and never exceeds the member count (the split recursion
 // bottoms out at one cube per member).

@@ -8,18 +8,6 @@ import (
 	"picola/internal/face"
 )
 
-// estimateCubes is the espresso-free cost surrogate the polish pass
-// minimizes: 1 for a satisfied constraint, and otherwise the better of the
-// Theorem I count (when the intruders span a cube disjoint from the
-// members) and a recursive-split upper bound: split the members on a
-// disagreeing code column chosen to isolate intruders, and sum the halves.
-func estimateCubes(enc *face.Encoding, c face.Constraint) int {
-	cm := newCostModel(enc, []face.Constraint{c})
-	k := cm.estimate(0)
-	cm.flush()
-	return k
-}
-
 // costModel evaluates the cube estimate without allocation: per-constraint
 // member/non-member index lists are cached, and the split recursion
 // partitions shared scratch arrays in place.
@@ -65,7 +53,11 @@ func newCostModel(enc *face.Encoding, cons []face.Constraint) *costModel {
 }
 
 // estimate returns the cube estimate of constraint i under the current
-// codes.
+// codes, the espresso-free cost surrogate the polish pass minimizes: 1
+// for a satisfied constraint, and otherwise the better of the Theorem I
+// count (when the intruders span a cube disjoint from the members) and a
+// recursive split: split the members on a disagreeing code column chosen
+// to isolate intruders, and sum the halves.
 func (cm *costModel) estimate(i int) int {
 	cm.evals++
 	members := cm.members[i]

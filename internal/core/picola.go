@@ -216,7 +216,7 @@ func EncodeContext(ctx context.Context, p *face.Problem, opts ...Options) (*Resu
 	}
 	// Only the winning variant gets the full refinement.
 	if !o.DisablePolish && affordsPolish(n, nv) {
-		if err := best.polish(20); err != nil {
+		if err := best.polish("full", 20); err != nil {
 			return nil, err
 		}
 	}
@@ -237,8 +237,9 @@ func EncodeContext(ctx context.Context, p *face.Problem, opts ...Options) (*Resu
 // encodings by the exact minimized cube count: the portfolio's variant
 // selection and the final exact-cost swap polish both use it. The bound
 // (≤ 40 symbols at ≤ 7 columns, with a positive evaluation budget) keeps
-// the Quine–McCluskey evaluator's cost negligible next to column
-// generation; anything larger falls back to the espresso-free estimate.
+// the exact count's cost — exact.Counter's word search, memoized at
+// nv ≤ 6 — negligible next to column generation; anything larger falls
+// back to the espresso-free estimate.
 func (o Options) affordsExactCost(n, nv int) bool {
 	return n <= 40 && nv <= 7 && o.ExactPolishBudget > 0
 }
@@ -366,7 +367,7 @@ func encodeOnce(ctx context.Context, p *face.Problem, o Options, nv int, gw floa
 		}
 	}
 	if !o.DisablePolish && affordsPolish(n, nv) {
-		if err := e.polish(4); err != nil {
+		if err := e.polish("light", 4); err != nil {
 			return nil, err
 		}
 	}

@@ -375,8 +375,10 @@ func (ps *polishState) kick() error {
 // estimate of a constraint depends only on its member codes and the
 // multiset of non-member codes, so a swap of two symbols can only change
 // constraints having one of them as a member — the evaluation is
-// incremental and never calls espresso.
-func (e *encoder) polish(maxPasses int) error {
+// incremental and never calls espresso. name labels the trace span:
+// "light" for a variant's polish inside its restart, "full" for the
+// winning variant's after the portfolio.
+func (e *encoder) polish(name string, maxPasses int) error {
 	defer tPolish.Start()()
 	if err := ctxutil.Check(e.runCtx(), "core.polish"); err != nil {
 		return err
@@ -535,7 +537,7 @@ func (e *encoder) polish(maxPasses int) error {
 	}
 	if e.tr != nil {
 		after := weightedEst()
-		obs.Emit(e.tr, obs.Event{Kind: obs.KindSpan, Stage: "polish",
+		obs.Emit(e.tr, obs.Event{Kind: obs.KindSpan, Stage: "polish", Name: name,
 			DurMS: obs.MS(time.Since(t0)),
 			Attrs: map[string]float64{
 				"variant": float64(e.variant),

@@ -72,6 +72,13 @@ func TestTracedRunCoversPipelineStages(t *testing.T) {
 	if len(rec.ByStage("polish")) == 0 {
 		t.Error("no polish spans")
 	}
+	// The run ledger nests a variant's light polish in its restart span
+	// and the winner's full polish in none, by the span name.
+	for _, e := range rec.ByStage("polish") {
+		if e.Name != "light" && e.Name != "full" {
+			t.Errorf("polish span named %q, want light or full", e.Name)
+		}
+	}
 	if len(rec.ByStage("exact-polish")) == 0 {
 		t.Error("no exact-polish span")
 	}

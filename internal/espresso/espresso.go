@@ -106,15 +106,13 @@ type Function struct {
 	Off *cover.Cover
 }
 
+// maxIterations bounds the reduce/expand/irredundant improvement loop:
+// a generous bound, since the loop exits as soon as the cost stops
+// improving.
+const maxIterations = 100
+
 // Options tune the minimizer.
 type Options struct {
-	// MaxIterations bounds the reduce/expand/irredundant improvement loop.
-	// Zero means the default (a generous bound; the loop exits as soon as
-	// the cost stops improving).
-	MaxIterations int
-	// SkipEssentials disables essential-prime extraction (mainly for tests
-	// exercising the main loop in isolation).
-	SkipEssentials bool
 	// SkipLastGasp disables the post-convergence LAST_GASP attempt.
 	SkipLastGasp bool
 	// SkipMakeSparse disables the final output-lowering pass.
@@ -158,9 +156,6 @@ func MinimizeContext(ctx context.Context, f *Function, opts ...Options) (*cover.
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 100
-	}
 	mMinimize.Inc()
 	hOnSize.Observe(int64(f.On.Len()))
 	t0 := time.Now()
@@ -203,19 +198,14 @@ func MinimizeContext(ctx context.Context, f *Function, opts ...Options) (*cover.
 	F = expand(F, off, sc)
 	F = irredundant(F, dc, sc)
 
-	var essentials *cover.Cover
+	essentials, F := extractEssentials(F, dc, sc)
 	workDC := dc
-	if !o.SkipEssentials {
-		essentials, F = extractEssentials(F, dc, sc)
-		if essentials.Len() > 0 {
-			workDC = cover.Union(dc, essentials)
-		}
-	} else {
-		essentials = cover.New(d)
+	if essentials.Len() > 0 {
+		workDC = cover.Union(dc, essentials)
 	}
 
 	best := coverCost(F)
-	for iter := 0; iter < o.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if err := ctxutil.Check(ctx, "espresso.iterate"); err != nil {
 			return nil, err
 		}

@@ -118,58 +118,46 @@ func TestAllocsCounterPath(t *testing.T) {
 	assertScoringAllocFree(t, testEncoding(70, 7), face.FromMembers(70, 0, 5, 9, 33, 64, 69))
 }
 
-// TestAllocsImport: importing narrow entries (nv ≤ 6) allocates
-// nothing per entry — the key is three words, stored in the shard map
-// as is — beyond the amortized growth of the 64 shard maps. A wide
-// entry allocates its interned key string. Re-importing entries the
-// cache already holds allocates nothing per entry at either width.
+// TestAllocsImport: importing entries allocates nothing per entry — the
+// key is three words, stored in the shard map as is — beyond the
+// amortized growth of the 64 shard maps. Re-importing entries the cache
+// already holds allocates nothing per entry.
 func TestAllocsImport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
 	}
 	const n = 10000
-	for _, tc := range []struct {
-		nv       int
-		perEntry float64
-	}{
-		{5, 0.1},
-		{8, 1.25},
-	} {
-		r := rand.New(rand.NewSource(3))
-		ents := make([]CacheEntry, n)
-		for i := range ents {
-			w := entryWords(tc.nv)
-			ent := CacheEntry{NV: tc.nv, Used: make([]uint64, w), On: make([]uint64, w), Cubes: 1 + i%7}
-			ent.Used[0] = r.Uint64()&0xffffffff | 1<<uint(i%32)
-			ent.On[0] = ent.Used[0] & r.Uint64()
-			ents[i] = ent
-		}
-		const runs = 3
-		caches := make([]*Cache, runs+1) // AllocsPerRun adds one warm-up run
-		for i := range caches {
-			caches[i] = NewCacheBytes(256 << 20)
-		}
-		next := 0
-		var st ImportStats
-		perImport := testing.AllocsPerRun(runs, func() {
-			st, _ = caches[next].Import(ents)
-			next++
-		})
-		if st.Inserted < n-n/100 {
-			t.Fatalf("nv=%d: only %d of %d entries inserted", tc.nv, st.Inserted, n)
-		}
-		per := perImport / float64(st.Inserted)
-		t.Logf("nv=%d: %.3f allocations per inserted entry", tc.nv, per)
-		if per > tc.perEntry {
-			t.Fatalf("nv=%d: Import allocates %.3f objects per inserted entry, want <= %.2f", tc.nv, per, tc.perEntry)
-		}
-		dup := testing.AllocsPerRun(runs, func() {
-			st, _ = caches[0].Import(ents)
-		})
-		if st.Inserted != 0 || dup > 2 {
-			t.Fatalf("nv=%d: re-import of %d held entries: %d inserted, %.1f allocations, want 0 and O(1)",
-				tc.nv, n, st.Inserted, dup)
-		}
+	r := rand.New(rand.NewSource(3))
+	ents := make([]CacheEntry, n)
+	for i := range ents {
+		used := r.Uint64()&0xffffffff | 1<<uint(i%32)
+		ents[i] = CacheEntry{NV: 5, Used: []uint64{used}, On: []uint64{used & r.Uint64()}, Cubes: 1 + i%7}
+	}
+	const runs = 3
+	caches := make([]*Cache, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range caches {
+		caches[i] = NewCacheBytes(256 << 20)
+	}
+	next := 0
+	var st ImportStats
+	perImport := testing.AllocsPerRun(runs, func() {
+		st, _ = caches[next].Import(ents)
+		next++
+	})
+	if st.Inserted < n-n/100 {
+		t.Fatalf("only %d of %d entries inserted", st.Inserted, n)
+	}
+	per := perImport / float64(st.Inserted)
+	t.Logf("%.3f allocations per inserted entry", per)
+	if per > 0.1 {
+		t.Fatalf("Import allocates %.3f objects per inserted entry, want <= 0.1", per)
+	}
+	dup := testing.AllocsPerRun(runs, func() {
+		st, _ = caches[0].Import(ents)
+	})
+	if st.Inserted != 0 || dup > 2 {
+		t.Fatalf("re-import of %d held entries: %d inserted, %.1f allocations, want 0 and O(1)",
+			n, st.Inserted, dup)
 	}
 }
 

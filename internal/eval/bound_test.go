@@ -7,28 +7,16 @@ import (
 	"sync"
 	"testing"
 
-	"picola/internal/exact"
 	"picola/internal/face"
 )
 
-// entrySizeNV4 is the accounted size of one nv=4 entry: 2 header bytes
-// plus two 1-word bitsets, plus the fixed overhead.
-const entrySizeNV4 = int64(2+16) + entryBytesOverhead
-
-// sameShardEntries builds k distinct entries whose canonical keys all
-// hash to one shard, so eviction order is observable. Their code
-// lengths cycle through nvs (nv = 4 when none is given).
-func sameShardEntries(k int, nvs ...int) []CacheEntry {
-	if len(nvs) == 0 {
-		nvs = []int{4}
-	}
+// sameShardEntries builds k distinct nv = 4 entries whose keys all hash
+// to one shard, so eviction order is observable.
+func sameShardEntries(k int) []CacheEntry {
 	var ents []CacheEntry
 	shard := uint64(0)
 	for v := uint64(1); len(ents) < k; v++ {
-		nv := nvs[len(ents)%len(nvs)]
-		w := entryWords(nv)
-		ent := CacheEntry{NV: nv, Used: make([]uint64, w), On: make([]uint64, w), Cubes: int(v)}
-		ent.Used[0], ent.On[0] = v, v&1
+		ent := CacheEntry{NV: 4, Used: []uint64{v}, On: []uint64{v & 1}, Cubes: int(v)}
 		s := ent.ShardHash() % cacheShards
 		if len(ents) == 0 {
 			shard = s
@@ -41,59 +29,46 @@ func sameShardEntries(k int, nvs ...int) []CacheEntry {
 }
 
 // TestCacheEvictionFIFO: a full shard evicts its oldest entries first,
-// in insertion order across both key widths, and the accounting tracks
-// it exactly. A FIFO queue over the same budget is the reference.
+// in insertion order, and the accounting tracks it exactly. A FIFO
+// queue over the same budget is the reference.
 func TestCacheEvictionFIFO(t *testing.T) {
-	const entrySizeNV8 = int64(2+16*4) + entryBytesOverhead
-	for _, tc := range []struct {
-		name     string
-		ents     []CacheEntry
-		perShard int64
-	}{
-		{"nv4", sameShardEntries(5), 3 * entrySizeNV4},
-		{"nv4+nv8", sameShardEntries(9, 4, 8), 2*entrySizeNV4 + entrySizeNV8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewCacheBytes(cacheShards * tc.perShard)
-			var live []CacheEntry
-			var liveBytes int64
-			size := func(ent CacheEntry) int64 { return int64(len(ent.AppendKey(nil))) + entryBytesOverhead }
-			for i, ent := range tc.ents {
-				wantEvicted := 0
-				for liveBytes+size(ent) > tc.perShard {
-					liveBytes -= size(live[0])
-					live = live[1:]
-					wantEvicted++
-				}
-				live = append(live, ent)
-				liveBytes += size(ent)
-				st, err := c.Import([]CacheEntry{ent})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Inserted != 1 || st.Evicted != wantEvicted {
-					t.Fatalf("insert %d: stats %v, want 1 inserted, %d evicted", i, st, wantEvicted)
-				}
-				if c.Len() != len(live) || c.Bytes() != liveBytes {
-					t.Fatalf("insert %d: cache holds %d entries / %d bytes, want %d / %d",
-						i, c.Len(), c.Bytes(), len(live), liveBytes)
-				}
-				got := map[string]bool{}
-				for _, ent := range c.Export() {
-					got[string(ent.AppendKey(nil))] = true
-				}
-				for _, ent := range live {
-					if !got[string(ent.AppendKey(nil))] {
-						t.Fatalf("insert %d: entry nv=%d used=%#x evicted out of insertion order",
-							i, ent.NV, ent.Used[0])
-					}
+	t.Run("nv4", func(t *testing.T) {
+		const perShard = 3 * entryBytes
+		c := NewCacheBytes(cacheShards * perShard)
+		ents := sameShardEntries(5)
+		var live []CacheEntry
+		for i, ent := range ents {
+			wantEvicted := 0
+			if int64(len(live)+1)*entryBytes > perShard {
+				live = live[1:]
+				wantEvicted++
+			}
+			live = append(live, ent)
+			st, err := c.Import([]CacheEntry{ent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Inserted != 1 || st.Evicted != wantEvicted {
+				t.Fatalf("insert %d: stats %v, want 1 inserted, %d evicted", i, st, wantEvicted)
+			}
+			if c.Len() != len(live) || c.Bytes() != int64(len(live))*entryBytes {
+				t.Fatalf("insert %d: cache holds %d entries / %d bytes, want %d / %d",
+					i, c.Len(), c.Bytes(), len(live), int64(len(live))*entryBytes)
+			}
+			got := map[string]bool{}
+			for _, ent := range c.Export() {
+				got[string(appendKey(nil, &ent))] = true
+			}
+			for _, ent := range live {
+				if !got[string(appendKey(nil, &ent))] {
+					t.Fatalf("insert %d: entry used=%#x evicted out of insertion order", i, ent.Used[0])
 				}
 			}
-			if len(live) == len(tc.ents) {
-				t.Fatal("the sequence never filled the shard")
-			}
-		})
-	}
+		}
+		if len(live) == len(ents) {
+			t.Fatal("the sequence never filled the shard")
+		}
+	})
 }
 
 // TestCacheEvictionDeterministic: the same insertion sequence against
@@ -106,7 +81,7 @@ func TestCacheEvictionDeterministic(t *testing.T) {
 		seq = append(seq, CacheEntry{NV: 4, Used: []uint64{r.Uint64()}, On: []uint64{r.Uint64()}, Cubes: i})
 	}
 	run := func() []CacheEntry {
-		c := NewCacheBytes(cacheShards * 2 * entrySizeNV4)
+		c := NewCacheBytes(cacheShards * 2 * entryBytes)
 		if _, err := c.Import(seq); err != nil {
 			t.Fatal(err)
 		}
@@ -135,19 +110,17 @@ func TestCacheOversizeEntry(t *testing.T) {
 
 // TestImportStatsClasses: duplicates and invalid entries land in their
 // own counters and never abort the batch. A count too large for the
-// cache's int32 storage is refused, never truncated, and so is an
-// exact-tagged entry above exact.MaxInputs, where espresso computes the
-// exact requests and their keys carry its tag.
+// cache's int32 storage is refused, never truncated, and so is a
+// well-formed entry above memoMaxNV, a count the cache never holds.
 func TestImportStatsClasses(t *testing.T) {
 	c := NewCache()
 	ents := sameShardEntries(2)
-	over := entryWords(exact.MaxInputs + 1)
 	batch := []CacheEntry{
 		ents[0],
 		ents[0], // duplicate within the batch
 		{NV: 0},
 		{NV: cacheMaxNV + 1, Used: []uint64{1}, On: []uint64{1}},
-		{NV: exact.MaxInputs + 1, Used: make([]uint64, over), On: make([]uint64, over), Cubes: 3},
+		{NV: memoMaxNV + 1, Used: []uint64{3, 1}, On: []uint64{1, 1}, Cubes: 2},
 		{NV: 4, Used: []uint64{1}, On: []uint64{1, 9}},
 		{NV: 4, Used: []uint64{2}, On: []uint64{2}, Cubes: -7},
 		{NV: 4, Used: []uint64{3}, On: []uint64{3}, Cubes: math.MaxInt32 + 1},

@@ -14,15 +14,16 @@ import (
 	"picola/internal/obs"
 )
 
-// Cache metrics: lookups that hit, lookups that computed, and lookups
-// that bypassed the cache (code space too wide, or a non-injective
-// encoding whose function a bitset key cannot canonicalize). The
-// hit-rate gauge is exported in whole percent for -metrics snapshots.
-// The lookup histogram records the caller-visible latency of requests
-// the map could not answer — certificate checks plus any minimization
-// they had to run. Map hits are deliberately untimed: the hot path runs
-// millions of times per corpus sweep and two wall-clock reads per hit
-// would cost more than the lookup itself.
+// Cache metrics: lookups that hit, lookups that computed and memoized,
+// and lookups that bypassed the memo (a code space above memoMaxNV, or a
+// non-injective encoding whose function a bitset key cannot
+// canonicalize). The hit-rate gauge is exported in whole percent for
+// -metrics snapshots. The lookup histogram records the caller-visible
+// latency of the memoizable requests the map could not answer —
+// certificate checks plus any minimization they had to run. Map hits are
+// deliberately untimed: the hot path runs millions of times per corpus
+// sweep and two wall-clock reads per hit would cost more than the lookup
+// itself.
 var (
 	mCacheHits   = obs.Default.Counter("eval.cache.hits")
 	mCacheMisses = obs.Default.Counter("eval.cache.misses")
@@ -35,9 +36,11 @@ var (
 )
 
 const (
-	// cacheMaxNV bounds the code length the cache accepts: the key holds
-	// two 2^nv-bit bitsets, 1 KiB at nv = 12. Wider spaces only arise far
-	// beyond minimum-length problems and bypass the cache.
+	// cacheMaxNV bounds the code length of a request the cache serves:
+	// up to memoMaxNV it memoizes the count; up to cacheMaxNV it builds
+	// the request's bitsets once, for the exact count and the don't-care
+	// memo (two 2^nv-bit bitsets, 1 KiB at nv = 12). Wider spaces only
+	// arise far beyond minimum-length problems and bypass the cache.
 	cacheMaxNV = 12
 	// cacheShards spreads the key space over independently locked maps so
 	// concurrent minimizations rarely contend.
@@ -47,12 +50,11 @@ const (
 	// 1 MiB), small enough that a long-running daemon or corpus run can
 	// never grow without limit.
 	DefaultCacheBytes = 64 << 20
-	// entryBytesOverhead approximates the per-entry bookkeeping cost
-	// beyond the canonical key bytes themselves: the map slot, the
-	// eviction-ring slot once a shard has one, and a wide key's string
-	// header. The accounting only has to be honest about scale, not
-	// exact.
-	entryBytesOverhead = 64
+	// entryBytes is the accounted size of one entry: the canonical key
+	// bytes plus a fixed bookkeeping overhead (the map slot, and the
+	// eviction-ring slot once a shard has one). The accounting only has
+	// to be honest about scale, not exact.
+	entryBytes = memoKeyBytes + 64
 	// dcMemoCap bounds the don't-care memo; a full memo recomputes
 	// fresh covers instead of storing, affecting speed only.
 	dcMemoCap = 256
@@ -66,21 +68,21 @@ const (
 // pure function of the key and caching can never change an answer. A nil
 // *Cache is valid and simply computes every request.
 //
-// Keys come in two widths. At nv ≤ 6 — one word per bitset, the
-// minimum code length of up to 64 symbols — the key is narrow: three
-// words, hashed, compared and stored without building a string.
-// Wider code spaces (nv 7–12) keep their canonical bytes as a string.
-// A map value packs the count as an int32 beside the shard's insertion
-// number.
+// The cache memoizes counts at nv ≤ memoMaxNV, the minimum code length
+// of up to 64 symbols, where the key is three words (memoKey), hashed,
+// compared and stored without building a string. A request above it is
+// computed on every call, still through the satisfied certificate and
+// the don't-care memo. A map value packs the count as an int32 beside
+// the shard's insertion number.
 //
-// Memory is bounded: every entry is charged its canonical key bytes plus
-// a fixed bookkeeping overhead against the cache's byte budget, and a
-// full shard evicts its oldest entries first (FIFO in insertion order —
-// the deterministic policy: given the same insertion sequence, the same
-// entries are evicted). A shard builds its eviction ring from the
-// insertion numbers when it first overflows, so a cache that never fills
-// keeps no ring. Because a memoized value is a pure function of its key,
-// eviction can only cost recomputation time, never change a result.
+// Memory is bounded: every entry is charged entryBytes against the
+// cache's byte budget, and a full shard evicts its oldest entries first
+// (FIFO in insertion order — the deterministic policy: given the same
+// insertion sequence, the same entries are evicted). A shard builds its
+// eviction ring from the insertion numbers when it first overflows, so a
+// cache that never fills keeps no ring. Because a memoized value is a
+// pure function of its key, eviction can only cost recomputation time,
+// never change a result.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	// shardBudget is the per-shard byte budget (the cache-wide budget
@@ -97,9 +99,8 @@ type Cache struct {
 }
 
 type cacheShard struct {
-	mu     sync.RWMutex
-	narrow map[narrowKey]slot
-	wide   map[string]slot
+	mu sync.RWMutex
+	m  map[memoKey]slot
 	// seq numbers the shard's insertions; the ring is built before it
 	// could wrap.
 	seq uint32
@@ -107,7 +108,7 @@ type cacheShard struct {
 	// its budget: then it holds the live keys in insertion order;
 	// order[head:] are live, order[:head] already evicted (the prefix is
 	// compacted away once it outgrows the live tail).
-	order []ringKey
+	order []memoKey
 	head  int
 	bytes int64
 }
@@ -117,13 +118,6 @@ type cacheShard struct {
 type slot struct {
 	cubes int32
 	seq   uint32
-}
-
-// ringKey is one key of the eviction ring: narrow, or wide when wide is
-// non-empty.
-type ringKey struct {
-	narrow narrowKey
-	wide   string
 }
 
 // NewCache returns an empty cache with the default memory bound.
@@ -141,8 +135,7 @@ func NewCacheBytes(maxBytes int64) *Cache {
 		dcm:         make(map[string]*cover.Cover),
 	}
 	for i := range c.shards {
-		c.shards[i].narrow = make(map[narrowKey]slot)
-		c.shards[i].wide = make(map[string]slot)
+		c.shards[i].m = make(map[memoKey]slot)
 	}
 	return c
 }
@@ -155,7 +148,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
 		c.shards[i].mu.RLock()
-		n += len(c.shards[i].narrow) + len(c.shards[i].wide)
+		n += len(c.shards[i].m)
 		c.shards[i].mu.RUnlock()
 	}
 	return n
@@ -175,53 +168,34 @@ func (c *Cache) Bytes() int64 {
 	return n
 }
 
-// get returns the memoized count of kb's key. The caller holds the lock.
-func (sh *cacheShard) get(kb *keyBuf) (slot, bool) {
-	if kb.wide() {
-		v, ok := sh.wide[string(kb.key)]
-		return v, ok
-	}
-	v, ok := sh.narrow[kb.nk]
+// getLocked returns the memoized count of k under the shard's read
+// lock.
+func (sh *cacheShard) getLocked(k memoKey) (slot, bool) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	v, ok := sh.m[k]
 	return v, ok
 }
 
-// getLocked is get under the shard's read lock.
-func (sh *cacheShard) getLocked(kb *keyBuf) (slot, bool) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.get(kb)
-}
-
-// insert memoizes kb's key → cubes under the shard's byte budget,
-// evicting the oldest entries first until the new one fits. It reports
-// whether the key was inserted (false: already present, or the entry
-// alone exceeds the whole budget), how many entries were evicted to make
-// room, and the accounted bytes those evictions freed. Metrics are the
-// caller's job — this runs inside the shard lock.
-func (sh *cacheShard) insert(kb *keyBuf, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
-	size := kb.size()
-	if size > budget {
-		return false, 0, 0
+// insert memoizes k → cubes under the shard's byte budget, evicting the
+// oldest entries first until the new one fits. It reports whether the
+// key was inserted (false: already present, or one entry alone exceeds
+// the whole budget) and how many entries were evicted to make room.
+// Metrics are the caller's job — this runs inside the shard lock.
+func (sh *cacheShard) insert(k memoKey, cubes int, budget int64) (inserted bool, evicted int) {
+	if entryBytes > budget {
+		return false, 0
 	}
-	if _, exists := sh.get(kb); exists {
-		return false, 0, 0
+	if _, exists := sh.m[k]; exists {
+		return false, 0
 	}
-	if sh.order == nil && (sh.bytes+size > budget || sh.seq == math.MaxUint32) {
+	if sh.order == nil && (sh.bytes+entryBytes > budget || sh.seq == math.MaxUint32) {
 		sh.buildRing()
 	}
-	for sh.bytes+size > budget && sh.head < len(sh.order) {
-		old := sh.order[sh.head]
-		sh.order[sh.head] = ringKey{}
+	for sh.bytes+entryBytes > budget && sh.head < len(sh.order) {
+		delete(sh.m, sh.order[sh.head])
 		sh.head++
-		n := int64(narrowKeyBytes)
-		if old.wide != "" {
-			delete(sh.wide, old.wide)
-			n = int64(len(old.wide))
-		} else {
-			delete(sh.narrow, old.narrow)
-		}
-		sh.bytes -= n + entryBytesOverhead
-		freed += n + entryBytesOverhead
+		sh.bytes -= entryBytes
 		evicted++
 	}
 	// Compact the evicted prefix once it dominates the slice so the ring
@@ -230,21 +204,13 @@ func (sh *cacheShard) insert(kb *keyBuf, cubes int, budget int64) (inserted bool
 		sh.order = append(sh.order[:0], sh.order[sh.head:]...)
 		sh.head = 0
 	}
-	v := slot{cubes: int32(cubes), seq: sh.seq}
+	sh.m[k] = slot{cubes: int32(cubes), seq: sh.seq}
 	sh.seq++
-	var rk ringKey
-	if kb.wide() {
-		rk.wide = string(kb.key)
-		sh.wide[rk.wide] = v
-	} else {
-		rk.narrow = kb.nk
-		sh.narrow[kb.nk] = v
-	}
 	if sh.order != nil {
-		sh.order = append(sh.order, rk)
+		sh.order = append(sh.order, k)
 	}
-	sh.bytes += size
-	return true, evicted, freed
+	sh.bytes += entryBytes
+	return true, evicted
 }
 
 // buildRing lays the shard's live keys out in insertion order, the
@@ -253,19 +219,15 @@ func (sh *cacheShard) insert(kb *keyBuf, cubes int, budget int64) (inserted bool
 func (sh *cacheShard) buildRing() {
 	type numbered struct {
 		seq uint32
-		key ringKey
+		key memoKey
 	}
-	all := make([]numbered, 0, len(sh.narrow)+len(sh.wide))
+	all := make([]numbered, 0, len(sh.m))
 	//lint:ignore detrange collected keys are sorted by insertion number below
-	for k, v := range sh.narrow {
-		all = append(all, numbered{v.seq, ringKey{narrow: k}})
-	}
-	//lint:ignore detrange collected keys are sorted by insertion number below
-	for k, v := range sh.wide {
-		all = append(all, numbered{v.seq, ringKey{wide: k}})
+	for k, v := range sh.m {
+		all = append(all, numbered{v.seq, k})
 	}
 	slices.SortFunc(all, func(a, b numbered) int { return cmp.Compare(a.seq, b.seq) })
-	sh.order = make([]ringKey, len(all), len(all)+1)
+	sh.order = make([]memoKey, len(all), len(all)+1)
 	for i, n := range all {
 		sh.order[i] = n.key
 	}
@@ -273,10 +235,10 @@ func (sh *cacheShard) buildRing() {
 }
 
 // insertLocked is insert under the shard lock.
-func (sh *cacheShard) insertLocked(kb *keyBuf, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
+func (sh *cacheShard) insertLocked(k memoKey, cubes int, budget int64) (inserted bool, evicted int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.insert(kb, cubes, budget)
+	return sh.insert(k, cubes, budget)
 }
 
 // ConstraintCubes returns the number of product terms a minimized
@@ -313,16 +275,23 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 	}
 	kb := keyPool.Get().(*keyBuf)
 	defer keyPool.Put(kb)
-	if !kb.cacheKey(e, con, heuristic) {
+	keyed := kb.cacheKey(e, con, heuristic)
+	if !keyed || e.NV > memoMaxNV {
+		// Computed on every call, never inserted.
 		if satisfiedOne(e, con) {
 			mWarmHits.Inc()
 			return 1, nil
 		}
 		mCacheBypass.Inc()
-		return minimize(ctx, e, con, heuristic, nil, nil)
+		if !keyed {
+			// From scratch: the exact path reports a code both ON and
+			// OFF as an error.
+			return minimize(ctx, e, con, heuristic, nil, nil)
+		}
+		return minimize(ctx, e, con, heuristic, c, kb)
 	}
 	sh := &c.shards[kb.hash%cacheShards]
-	v, hit := sh.getLocked(kb)
+	v, hit := sh.getLocked(kb.key)
 	if hit {
 		// Hot path: corpus re-runs take this branch millions of times per
 		// sweep, so it pays for nothing but the lookup — no wall clocks,
@@ -351,21 +320,19 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 	}
 	mCacheMisses.Inc()
 	updateRate()
-	inserted, evicted, freed := sh.insertLocked(kb, k, c.shardBudget)
-	if inserted {
-		noteInsert(kb.size(), evicted, freed)
+	if inserted, evicted := sh.insertLocked(kb.key, k, c.shardBudget); inserted {
+		noteInsert(evicted)
 	}
 	return k, nil
 }
 
 // noteInsert updates the size gauges and eviction counter after one
-// successful shard insert of added accounted bytes that displaced
-// evicted older entries freeing freed bytes. The gauges are diagnostic;
-// approximate interleaving under contention is fine (the per-shard
-// accounting itself is exact).
-func noteInsert(added int64, evicted int, freed int64) {
+// successful shard insert that displaced evicted older entries. The
+// gauges are diagnostic; approximate interleaving under contention is
+// fine (the per-shard accounting itself is exact).
+func noteInsert(evicted int) {
 	gCacheLen.Add(int64(1 - evicted))
-	gCacheBytes.Add(added - freed)
+	gCacheBytes.Add(int64(1-evicted) * entryBytes)
 	if evicted > 0 {
 		mCacheEvict.Add(int64(evicted))
 	}

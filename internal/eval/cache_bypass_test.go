@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	"picola/internal/exact"
 	"picola/internal/face"
 )
 
@@ -106,5 +107,56 @@ func TestCacheMissHitMetrics(t *testing.T) {
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", cache.Len())
+	}
+}
+
+// TestCacheComputesAboveMemoNV: above memoMaxNV the cache computes every
+// request and inserts nothing. A repeated heuristic request at nv 7
+// builds its don't-care cover once and then hits the don't-care memo,
+// and counts as a bypass each time; an exact request counts as the
+// uncached one. At nv 12, beyond exact.MaxInputs, espresso serves the
+// exact policy too, so both policies count alike.
+func TestCacheComputesAboveMemoNV(t *testing.T) {
+	for _, nv := range []int{memoMaxNV + 1, cacheMaxNV} {
+		e := face.NewEncoding(4, nv)
+		e.Codes[0], e.Codes[1], e.Codes[2], e.Codes[3] = 0b000, 0b011, 0b001, 0b110
+		c := face.FromMembers(4, 0, 1) // the members' supercube holds code 001
+		want, err := uncached.ConstraintCubesHeuristic(e, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewCache()
+		bypass0, dcHits0, fall0 := mCacheBypass.Value(), mWarmDCHits.Value(), mWarmFallbacks.Value()
+		for round := 0; round < 2; round++ {
+			got, err := cache.ConstraintCubesHeuristic(e, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("nv=%d round %d: cached %d, uncached %d", nv, round, got, want)
+			}
+		}
+		if d := mWarmFallbacks.Value() - fall0; d != 1 {
+			t.Fatalf("nv=%d: %d don't-care builds, want 1", nv, d)
+		}
+		if d := mWarmDCHits.Value() - dcHits0; d != 1 {
+			t.Fatalf("nv=%d: %d don't-care memo hits, want 1", nv, d)
+		}
+		if d := mCacheBypass.Value() - bypass0; d != 2 {
+			t.Fatalf("nv=%d: bypass metric rose by %d, want 2", nv, d)
+		}
+		wantExact, err := uncached.ConstraintCubes(e, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, err := cache.ConstraintCubes(e, c); err != nil || k != wantExact {
+			t.Fatalf("nv=%d: cached exact request (%d, %v), uncached %d", nv, k, err, wantExact)
+		}
+		if nv > exact.MaxInputs && wantExact != want {
+			t.Fatalf("nv=%d: exact request %d cubes, heuristic %d: both run espresso", nv, wantExact, want)
+		}
+		if cache.Len() != 0 {
+			t.Fatalf("nv=%d: cache holds %d entries, want none", nv, cache.Len())
+		}
 	}
 }

@@ -2,14 +2,15 @@ package eval
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"picola/internal/espresso"
-	"picola/internal/exact"
 	"picola/internal/face"
 	"picola/internal/par"
 )
@@ -21,7 +22,22 @@ func cacheKey(e *face.Encoding, c face.Constraint, heuristic bool) (string, bool
 	if !kb.cacheKey(e, c, heuristic) {
 		return "", false
 	}
-	return fmt.Sprint(kb.nk, kb.key), true
+	return fmt.Sprint(kb.key), true
+}
+
+// appendKey appends the entry's canonical key bytes to dst: tag, nv,
+// then the used and ON words little-endian — the order CompareEntries
+// and ShardHash are defined by.
+func appendKey(dst []byte, ent *CacheEntry) []byte {
+	tag := byte(0)
+	if ent.Heuristic {
+		tag = 1
+	}
+	dst = append(dst, tag, byte(ent.NV))
+	for _, w := range append(slices.Clone(ent.Used), ent.On...) {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
 }
 
 // randomInstance builds a deterministic pseudo-random injective encoding
@@ -145,62 +161,34 @@ func TestCacheKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestCacheKeyNamesMinimizer: beyond exact.MaxInputs espresso serves the
-// exact policy too, so at nv = 12 an exact and a heuristic request share
-// one entry, and Export marks it Heuristic — the count it holds is
-// espresso's.
-func TestCacheKeyNamesMinimizer(t *testing.T) {
-	const nv = 12
-	if nv <= exact.MaxInputs || nv > cacheMaxNV {
-		t.Fatalf("nv = %d must be cacheable and beyond the exact limit %d", nv, exact.MaxInputs)
-	}
-	e := face.NewEncoding(4, nv)
-	e.Codes[0], e.Codes[1], e.Codes[2], e.Codes[3] = 0b000, 0b011, 0b001, 0b110
-	c := face.FromMembers(4, 0, 1) // the members' supercube holds code 001
-	cache := NewCache()
-	k, err := cache.ConstraintCubes(e, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kh, err := cache.ConstraintCubesHeuristic(e, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != kh {
-		t.Fatalf("exact request %d cubes, heuristic %d: both run espresso", k, kh)
-	}
-	ents := cache.Export()
-	if len(ents) != 1 {
-		t.Fatalf("cache holds %d entries, want the one espresso entry", len(ents))
-	}
-	if !ents[0].Heuristic || ents[0].NV != nv || ents[0].Cubes != k {
-		t.Fatalf("entry %+v, want Heuristic at nv %d with %d cubes", ents[0], nv, k)
-	}
-}
-
 // TestCacheBypassOnConflict: a member and a non-member sharing a code
 // (non-injective encoding) cannot be expressed as disjoint ON/OFF
-// bitsets; the cache must bypass, not mis-memoize.
+// bitsets; the cache must bypass, not mis-memoize, both where it
+// memoizes (nv 2) and where it computes every request (nv 7).
 func TestCacheBypassOnConflict(t *testing.T) {
-	e := face.NewEncoding(4, 2)
-	e.Codes[0], e.Codes[1], e.Codes[2], e.Codes[3] = 0b00, 0b01, 0b00, 0b11
-	c := face.FromMembers(4, 0, 1) // symbol 2 (non-member) shares code 00 with member 0
-	if _, ok := cacheKey(e, c, false); ok {
-		t.Fatal("conflicting ON/OFF code must not be canonicalized")
-	}
-	// The minimizer itself rejects the contradictory ON/OFF input; the
-	// cached path must propagate the same outcome and memoize nothing.
-	cache := NewCache()
-	want, wantErr := uncached.ConstraintCubes(e, c)
-	if wantErr == nil {
-		t.Fatal("a code both ON and OFF must be an error")
-	}
-	got, gotErr := cache.ConstraintCubes(e, c)
-	if (gotErr == nil) != (wantErr == nil) || got != want {
-		t.Fatalf("bypassed lookup: (%d, %v), direct: (%d, %v)", got, gotErr, want, wantErr)
-	}
-	if cache.Len() != 0 {
-		t.Fatalf("bypass inserted %d entries", cache.Len())
+	e2 := face.NewEncoding(4, 2)
+	e2.Codes[0], e2.Codes[1], e2.Codes[2], e2.Codes[3] = 0b00, 0b01, 0b00, 0b11
+	e7 := face.NewEncoding(4, 7)
+	e7.Codes[0], e7.Codes[1], e7.Codes[2], e7.Codes[3] = 0b1000000, 0b0100001, 0b1000000, 0b0010011
+	c := face.FromMembers(4, 0, 1) // symbol 2 (non-member) shares its code with member 0
+	for _, e := range []*face.Encoding{e2, e7} {
+		if _, ok := cacheKey(e, c, false); ok {
+			t.Fatalf("nv=%d: conflicting ON/OFF code must not be canonicalized", e.NV)
+		}
+		// The minimizer itself rejects the contradictory ON/OFF input; the
+		// cached path must propagate the same outcome and memoize nothing.
+		cache := NewCache()
+		want, wantErr := uncached.ConstraintCubes(e, c)
+		if wantErr == nil {
+			t.Fatalf("nv=%d: a code both ON and OFF must be an error", e.NV)
+		}
+		got, gotErr := cache.ConstraintCubes(e, c)
+		if (gotErr == nil) != (wantErr == nil) || got != want {
+			t.Fatalf("nv=%d: bypassed lookup: (%d, %v), direct: (%d, %v)", e.NV, got, gotErr, want, wantErr)
+		}
+		if cache.Len() != 0 {
+			t.Fatalf("nv=%d: bypass inserted %d entries", e.NV, cache.Len())
+		}
 	}
 }
 
@@ -248,9 +236,7 @@ func TestCacheConcurrent(t *testing.T) {
 // can never write into its neighbour's words.
 func TestExportedEntriesIsolated(t *testing.T) {
 	c := NewCache()
-	ents := sameShardEntries(3)
-	ents = append(ents, CacheEntry{NV: 7, Used: []uint64{^uint64(0), 0xff}, On: []uint64{0x5, 0x1}, Cubes: 4})
-	if _, err := c.Import(ents); err != nil {
+	if _, err := c.Import(sameShardEntries(4)); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Export()
@@ -264,39 +250,39 @@ func TestExportedEntriesIsolated(t *testing.T) {
 	}
 }
 
-// TestEntryKeyOrderAndHash: at both key widths, CompareEntries orders
-// entries as their canonical key bytes do, ShardHash is the FNV-1a hash
-// of those bytes, and a KeySet tells keys apart exactly as the bytes do.
-// The bitset words come from a small set so that ties reach every word.
+// TestEntryKeyOrderAndHash: at every memoized code length,
+// CompareEntries orders entries as their canonical key bytes do,
+// ShardHash is the FNV-1a hash of those bytes, and a KeySet tells keys
+// apart exactly as the bytes do. The bitset words come from a small set
+// so that ties reach every word.
 func TestEntryKeyOrderAndHash(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	vals := []uint64{0, 1, 0x100, 0xff << 56, ^uint64(0)}
 	var ents []CacheEntry
 	for i := 0; i < 300; i++ {
-		nv := 4 + r.Intn(5) // narrow at nv 4–6, wide at 7–8
-		w := entryWords(nv)
-		ent := CacheEntry{Heuristic: r.Intn(2) == 0, NV: nv, Used: make([]uint64, w), On: make([]uint64, w)}
-		for j := range ent.Used {
-			ent.Used[j], ent.On[j] = vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]
-		}
-		ents = append(ents, ent)
+		ents = append(ents, CacheEntry{
+			Heuristic: r.Intn(2) == 0,
+			NV:        1 + r.Intn(memoMaxNV),
+			Used:      []uint64{vals[r.Intn(len(vals))]},
+			On:        []uint64{vals[r.Intn(len(vals))]},
+		})
 	}
-	set := NewKeySet(0)
+	set := KeySet{}
 	distinct := map[string]bool{}
 	for i := range ents {
 		a := &ents[i]
 		for j := range ents {
 			b := &ents[j]
-			if got, want := CompareEntries(a, b), bytes.Compare(a.AppendKey(nil), b.AppendKey(nil)); got != want {
+			if got, want := CompareEntries(a, b), bytes.Compare(appendKey(nil, a), appendKey(nil, b)); got != want {
 				t.Fatalf("CompareEntries(%+v, %+v) = %d, canonical bytes compare %d", *a, *b, got, want)
 			}
 		}
 		h := fnv.New64a()
-		h.Write(a.AppendKey(nil))
+		h.Write(appendKey(nil, a))
 		if a.ShardHash() != h.Sum64() {
 			t.Fatalf("ShardHash(%+v) = %#x, FNV-1a of the key %#x", *a, a.ShardHash(), h.Sum64())
 		}
-		k := string(a.AppendKey(nil))
+		k := string(appendKey(nil, a))
 		if added := set.Add(a); added == distinct[k] {
 			t.Fatalf("KeySet.Add(%+v) = %v, key seen before: %v", *a, added, distinct[k])
 		}
@@ -305,7 +291,7 @@ func TestEntryKeyOrderAndHash(t *testing.T) {
 			t.Fatalf("KeySet lost %+v", *a)
 		}
 	}
-	if set.Len() != len(distinct) {
-		t.Fatalf("KeySet holds %d keys, want %d", set.Len(), len(distinct))
+	if len(set) != len(distinct) {
+		t.Fatalf("KeySet holds %d keys, want %d", len(set), len(distinct))
 	}
 }

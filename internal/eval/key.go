@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -9,35 +8,22 @@ import (
 )
 
 const (
-	// narrowMaxNV is the widest code length whose key is narrow: one
-	// word per bitset.
-	narrowMaxNV = exact.WordsMaxInputs
-	// narrowKeyBytes is the canonical byte length of a narrow key: tag,
-	// nv and two words.
-	narrowKeyBytes = 2 + 16
+	// memoMaxNV is the widest code length the cache memoizes: one word
+	// per bitset, the minimum code length of up to 64 symbols. A request
+	// above it is computed on every call.
+	memoMaxNV = exact.WordsMaxInputs
+	// memoKeyBytes is the length of a key's canonical bytes: tag, nv and
+	// two words.
+	memoKeyBytes = 2 + 16
 )
 
-// narrowKey is the fixed-width form of a canonical key at nv ≤
-// narrowMaxNV: {tag<<8 | nv, bswap(used), bswap(on)}. The byte swaps put
-// the first canonical byte of each bitset in its word's top byte, so
-// comparing the words in order compares AppendKey's bytes, and a narrow
-// key sorts before every wider key of its tag (the nv byte decides). The
-// first word is also the header of a wide key, whose bitsets stay in its
+// memoKey is the key of one memoized count: {tag<<8 | nv, bswap(used),
+// bswap(on)}. The canonical bytes of the key are tag, nv, then the used
+// and ON words little-endian — an entry's picola-ir/v1 header and
+// bitsets. The byte swaps put the first canonical byte of each bitset in
+// its word's top byte, so comparing the words in order compares the
 // canonical bytes.
-type narrowKey [3]uint64
-
-// compare orders narrow keys: word by word, as unsigned integers.
-func (k *narrowKey) compare(o *narrowKey) int {
-	for i := range k {
-		switch {
-		case k[i] < o[i]:
-			return -1
-		case k[i] > o[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type memoKey [3]uint64
 
 // header returns the entry's key header word, tag<<8 | nv: the first
 // two canonical key bytes.
@@ -49,22 +35,22 @@ func (ent *CacheEntry) header() uint64 {
 	return hdr
 }
 
-// narrow reports whether the entry has a narrow key: nv in [1,
-// narrowMaxNV] and one-word bitsets. A malformed entry keys by its
-// bytes instead, so keying it never fails.
-func (ent *CacheEntry) narrow() bool {
-	return ent.NV >= 1 && ent.NV <= narrowMaxNV && len(ent.Used) == 1 && len(ent.On) == 1
+// Memoizable reports whether the cache can hold the entry: nv in [1,
+// memoMaxNV] and one-word bitsets. KeySet and CompareEntries take only
+// such entries.
+func (ent *CacheEntry) Memoizable() bool {
+	return ent.NV >= 1 && ent.NV <= memoMaxNV && len(ent.Used) == 1 && len(ent.On) == 1
 }
 
-// narrowKeyOf returns the narrow key of an entry for which narrow holds.
-func narrowKeyOf(ent *CacheEntry) narrowKey {
-	return narrowKey{ent.header(), bits.ReverseBytes64(ent.Used[0]), bits.ReverseBytes64(ent.On[0])}
+// keyOf returns the key of a memoizable entry.
+func keyOf(ent *CacheEntry) memoKey {
+	return memoKey{ent.header(), bits.ReverseBytes64(ent.Used[0]), bits.ReverseBytes64(ent.On[0])}
 }
 
 // keyHash is the 64-bit FNV-1a hash of the canonical key bytes with
-// header hdr and the given bitsets — the bytes AppendKey writes, hashed
-// from the words without building them. The in-memory cache and the
-// on-disk store both shard by it.
+// header hdr and the given bitsets, hashed from the words without
+// building the bytes. The in-memory cache and the on-disk store both
+// shard by it.
 func keyHash(hdr uint64, used, on []uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -85,84 +71,43 @@ func keyHash(hdr uint64, used, on []uint64) uint64 {
 }
 
 // ShardHash returns the 64-bit FNV-1a hash of the entry's canonical key
-// (AppendKey's bytes), computed from its words. It is part of the
-// on-disk store's layout: the store assigns entries to shard files by
-// it.
+// bytes (tag, nv, used and ON words little-endian), computed from its
+// words. It is part of the on-disk store's layout: the store assigns
+// entries to shard files by it.
 func (ent CacheEntry) ShardHash() uint64 {
 	return keyHash(ent.header(), ent.Used, ent.On)
 }
 
-// CompareEntries orders two entries by their canonical keys, the byte
-// order of AppendKey, without building the bytes: the header (tag,
-// then nv) first, then the used and ON bitsets word by word, each word
-// compared in its little-endian byte order.
+// CompareEntries orders two memoizable entries by their canonical key
+// bytes, without building them: the header (tag, then nv) first, then
+// the used and the ON word, each compared in its little-endian byte
+// order.
 func CompareEntries(a, b *CacheEntry) int {
-	if c := cmp.Compare(a.header(), b.header()); c != 0 {
-		return c
-	}
-	if c := compareWords(a.Used, b.Used); c != 0 {
-		return c
-	}
-	return compareWords(a.On, b.On)
+	ka, kb := keyOf(a), keyOf(b)
+	return slices.Compare(ka[:], kb[:])
 }
 
-// compareWords compares two bitsets in canonical byte order. Equal
-// headers give well-formed entries equally long bitsets; a malformed
-// pair compares by the common words, then by length.
-func compareWords(a, b []uint64) int {
-	for i := range min(len(a), len(b)) {
-		if c := cmp.Compare(bits.ReverseBytes64(a[i]), bits.ReverseBytes64(b[i])); c != 0 {
-			return c
-		}
-	}
-	return cmp.Compare(len(a), len(b))
-}
-
-// SortEntries sorts entries into canonical key order (CompareEntries).
+// SortEntries sorts memoizable entries into canonical key order
+// (CompareEntries).
 func SortEntries(ents []CacheEntry) {
 	slices.SortFunc(ents, func(a, b CacheEntry) int { return CompareEntries(&a, &b) })
 }
 
-// KeySet is a set of canonical entry keys: narrow keys (nv ≤ 6) as
-// their three words, wider keys as their canonical bytes. Probing it
-// builds no string; adding a wide key interns one. A KeySet is not safe
-// for concurrent use.
-type KeySet struct {
-	narrow map[narrowKey]struct{}
-	wide   map[string]struct{}
-	buf    []byte
-}
+// KeySet is a set of entry keys. It holds memoizable entries only
+// (CacheEntry.Memoizable), each as its three key words, so probing or
+// adding builds no string. A KeySet is not safe for concurrent use.
+type KeySet map[memoKey]struct{}
 
-// NewKeySet returns an empty set sized for about hint narrow keys.
-func NewKeySet(hint int) *KeySet {
-	return &KeySet{narrow: make(map[narrowKey]struct{}, hint), wide: make(map[string]struct{})}
-}
-
-// Len returns the number of keys in the set.
-func (s *KeySet) Len() int { return len(s.narrow) + len(s.wide) }
-
-// Has reports whether the entry's key is in the set.
-func (s *KeySet) Has(ent *CacheEntry) bool {
-	if ent.narrow() {
-		_, ok := s.narrow[narrowKeyOf(ent)]
-		return ok
-	}
-	s.buf = ent.AppendKey(s.buf[:0])
-	_, ok := s.wide[string(s.buf)]
+// Has reports whether the memoizable entry's key is in the set.
+func (s KeySet) Has(ent *CacheEntry) bool {
+	_, ok := s[keyOf(ent)]
 	return ok
 }
 
-// Add inserts the entry's key and reports whether it was new.
-func (s *KeySet) Add(ent *CacheEntry) bool {
-	if ent.narrow() {
-		n := len(s.narrow)
-		s.narrow[narrowKeyOf(ent)] = struct{}{}
-		return len(s.narrow) > n
-	}
-	s.buf = ent.AppendKey(s.buf[:0])
-	if _, ok := s.wide[string(s.buf)]; ok {
-		return false
-	}
-	s.wide[string(s.buf)] = struct{}{}
-	return true
+// Add inserts the memoizable entry's key and reports whether it was
+// new.
+func (s KeySet) Add(ent *CacheEntry) bool {
+	n := len(s)
+	s[keyOf(ent)] = struct{}{}
+	return len(s) > n
 }

@@ -3,7 +3,6 @@ package eval
 import (
 	"encoding/binary"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"picola/internal/cover"
@@ -74,17 +73,12 @@ func satisfiedOne(e *face.Encoding, con face.Constraint) bool {
 }
 
 // keyBuf is the pooled scratch of one cache lookup: the on/used bitset
-// words and the request's key — narrow, or a wide key's canonical
-// bytes. On a warmed instance a lookup allocates nothing (a wide probe
-// via string(kb.key) compiles to a no-copy lookup; only a miss's insert
-// interns a wide key).
+// words and, at nv ≤ memoMaxNV, the request's key. On a warmed instance
+// a lookup allocates nothing.
 type keyBuf struct {
-	// nk is the narrow key; for a wide key only its header word is set.
-	nk narrowKey
-	// key holds a wide key's canonical bytes and is empty for a narrow
-	// key.
-	key []byte
-	// hash is keyHash of the key, whichever its width.
+	// key is the memo key, and hash its keyHash; both are set only at
+	// nv ≤ memoMaxNV.
+	key   memoKey
 	hash  uint64
 	words []uint64
 	// dc is dcKey's scratch.
@@ -94,29 +88,16 @@ type keyBuf struct {
 
 var keyPool = sync.Pool{New: func() any { return new(keyBuf) }}
 
-// wide reports whether kb holds a wide key.
-func (kb *keyBuf) wide() bool { return len(kb.key) > 0 }
-
-// size is the key's accounted cache size: its canonical byte length plus
-// the fixed per-entry overhead.
-func (kb *keyBuf) size() int64 {
-	if kb.wide() {
-		return int64(len(kb.key)) + entryBytesOverhead
-	}
-	return narrowKeyBytes + entryBytesOverhead
-}
-
-// cacheKey builds the canonical signature of one minimization request
-// into the pooled buffer: one policy byte, the code length, the used-code
-// bitset (whose complement is the don't-care set) and the ON-set bitset
-// over the 2^nv code space. At nv ≤ narrowMaxNV that is the narrow key;
-// beyond, the canonical bytes in that order. The policy byte names the
-// minimizer that computes the request (minimizerFor), not the one
-// requested: an exact request that espresso serves shares the heuristic
-// request's entry. It reports false when the request cannot be
-// canonicalized that way — the code space exceeds cacheMaxNV, or a
-// member and a non-member share a code (only possible on non-injective
-// encodings), which would put the code in both the ON and OFF covers.
+// cacheKey canonicalizes one minimization request into the pooled
+// buffer: the used-code bitset (whose complement is the don't-care set)
+// and the ON-set bitset over the 2^nv code space, and at nv ≤ memoMaxNV
+// the memo key — one policy byte, the code length and the two bitsets.
+// The policy byte names the minimizer that computes the request
+// (minimizerFor), not the one requested. It reports false when the
+// request cannot be canonicalized that way — the code space exceeds
+// cacheMaxNV, or a member and a non-member share a code (only possible
+// on non-injective encodings), which would put the code in both the ON
+// and OFF covers.
 //
 //picola:hot
 func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool) bool {
@@ -124,7 +105,7 @@ func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool
 	if nv > cacheMaxNV || con.N() != e.N() {
 		return false
 	}
-	words := ((1 << uint(nv)) + 63) / 64
+	words := entryWords(nv)
 	if cap(kb.words) < 2*words {
 		kb.words = make([]uint64, 2*words)
 	}
@@ -138,45 +119,15 @@ func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool
 		usedCount += bits.OnesCount64(w)
 	}
 	kb.injective = usedCount == e.N()
-	hdr := uint64(nv)
-	if minimizerFor(heuristic, nv) == byEspresso {
-		hdr |= 1 << 8
-	}
-	kb.nk = narrowKey{hdr}
-	kb.hash = keyHash(hdr, used, on)
-	kb.key = kb.key[:0]
-	if nv <= narrowMaxNV {
-		kb.nk[1], kb.nk[2] = bits.ReverseBytes64(used[0]), bits.ReverseBytes64(on[0])
-		return true
-	}
-	if cap(kb.key) < 2+16*words {
-		kb.key = make([]byte, 0, 2+16*words)
-	}
-	kb.key = append(kb.key, byte(hdr>>8), byte(nv))
-	for _, w := range kb.words[words:] { // used first, then on
-		kb.key = append(kb.key,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	for _, w := range kb.words[:words] {
-		kb.key = append(kb.key,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
+	if nv <= memoMaxNV {
+		hdr := uint64(nv)
+		if minimizerFor(heuristic, nv) == byEspresso {
+			hdr |= 1 << 8
+		}
+		kb.key = memoKey{hdr, bits.ReverseBytes64(used[0]), bits.ReverseBytes64(on[0])}
+		kb.hash = keyHash(hdr, used, on)
 	}
 	return true
-}
-
-// entryKey sets kb to the key of a validated entry (Import's path; the
-// bitset words stay the entry's own).
-func (kb *keyBuf) entryKey(ent *CacheEntry) {
-	kb.hash = ent.ShardHash()
-	kb.key = kb.key[:0]
-	if ent.narrow() {
-		kb.nk = narrowKeyOf(ent)
-		return
-	}
-	kb.nk = narrowKey{ent.header()}
-	kb.key = ent.AppendKey(slices.Grow(kb.key, 2+8*(len(ent.Used)+len(ent.On))))
 }
 
 // codeWords fills the bitsets on and used, each ⌈2^nv/64⌉ words over the
@@ -211,8 +162,8 @@ func codeWords(e *face.Encoding, con face.Constraint, on, used []uint64) (uint64
 // dcKey builds the [nv, used-words...] signature of the request — the
 // input the don't-care cover depends on — into kb.dc. Splits of the same
 // code set into different ON/OFF partitions share it.
-func (kb *keyBuf) dcKey() []byte {
-	kb.dc = append(kb.dc[:0], byte(kb.nk[0]))
+func (kb *keyBuf) dcKey(nv int) []byte {
+	kb.dc = append(kb.dc[:0], byte(nv))
 	for _, w := range kb.words[len(kb.words)/2:] {
 		kb.dc = binary.LittleEndian.AppendUint64(kb.dc, w)
 	}
@@ -231,7 +182,7 @@ func (kb *keyBuf) dcKey() []byte {
 // cold construction, never memoized.
 func (c *Cache) dcCover(kb *keyBuf, e *face.Encoding) *cover.Cover {
 	if kb.injective {
-		dk := kb.dcKey()
+		dk := kb.dcKey(e.NV)
 		c.dcMu.RLock()
 		dc, ok := c.dcm[string(dk)]
 		c.dcMu.RUnlock()
@@ -248,7 +199,7 @@ func (c *Cache) dcCover(kb *keyBuf, e *face.Encoding) *cover.Cover {
 	}
 	dc := un.Complement()
 	if kb.injective {
-		dc = c.dcStore(string(kb.dcKey()), dc)
+		dc = c.dcStore(string(kb.dcKey(e.NV)), dc)
 	}
 	return dc
 }

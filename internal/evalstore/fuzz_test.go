@@ -21,8 +21,16 @@ func FuzzCacheShardLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// An entry above nv 6, which a read skips and counts.
+	wide, err := ir.Marshal(&ir.File{CacheEntries: []eval.CacheEntry{{
+		NV: 7, Used: []uint64{^uint64(0), 0xff}, On: []uint64{0x5, 0x1}, Cubes: 4,
+	}}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{}, []byte{})
 	f.Add(valid, ir.AppendFrame(nil, valid))
+	f.Add(wide, ir.AppendFrame(nil, valid))
 	f.Add([]byte("not an ir file"), ir.AppendFrame(nil, []byte("junk")))
 	f.Add(valid[:len(valid)/2], ir.AppendFrame(nil, valid)[:9])
 	f.Fuzz(func(t *testing.T, shard []byte, wal []byte) {

@@ -3,7 +3,10 @@
 // ON-bitset, used-bitset) signature, stored on disk so repeated corpora
 // hit warm across runs and across machines. A memoized count is a pure
 // function of its key, so the store can never change an answer — only
-// replace an espresso run with a disk read.
+// replace an espresso run with a disk read. Like the cache, the store
+// holds counts at nv ≤ 6 only: a read skips an entry above nv 6 and
+// counts it (LoadStats.Wide), Append writes none, and the next
+// compaction drops them.
 //
 // Layout under the store directory:
 //
@@ -88,7 +91,7 @@ type Store struct {
 	// known holds the keys believed to be on disk: those the last read
 	// found, plus those this process appended since. Append uses it to
 	// write only novel entries.
-	known *eval.KeySet
+	known eval.KeySet
 	wal   *os.File
 	// walSize and walClean are what the last read of the WAL saw: its
 	// length and the length of its clean frame prefix (walScanned is
@@ -102,7 +105,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("evalstore: %w", err)
 	}
-	return &Store{dir: dir, known: eval.NewKeySet(0)}, nil
+	return &Store{dir: dir, known: eval.KeySet{}}, nil
 }
 
 // Close releases the WAL handle (if any append opened it).
@@ -132,8 +135,12 @@ type LoadStats struct {
 	WALBadFrames int
 	// WALTornBytes is the length of the torn tail dropped from the WAL.
 	WALTornBytes int
-	// Entries is the number of distinct entries found on disk.
+	// Entries is the number of distinct entries at nv ≤ 6 found on disk.
 	Entries int
+	// Wide counts the entries read above nv 6, duplicates included: the
+	// cache holds no such count, so the read skips them and the next
+	// compaction drops them.
+	Wide int
 	// Import is the per-class outcome of installing them into the
 	// cache; zero when Load was given a nil cache.
 	Import eval.ImportStats
@@ -212,8 +219,8 @@ func readWAL(path string) (input, error) {
 // WAL order), plus the skip accounting, with no in-memory cache bound
 // applied. The shard files and the WAL are read and decoded
 // concurrently; the merge then walks them in the fixed shard-then-WAL
-// order, so the result is the sequential one. The dedup set keys narrow
-// entries by their words, so it builds no string for them.
+// order, so the result is the sequential one. The dedup set keys entries
+// by their words, so it builds no string for them.
 func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
 	var st LoadStats
 	inputs, err := par.Map(storeShards+1, par.Workers(0), func(i int) (input, error) {
@@ -232,7 +239,7 @@ func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
 		}
 	}
 	entries := make([]eval.CacheEntry, 0, total)
-	seen := eval.NewKeySet(total)
+	seen := make(eval.KeySet, total)
 	for i, in := range inputs {
 		switch {
 		case i == storeShards:
@@ -248,7 +255,10 @@ func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
 		}
 		for _, batch := range in.batches {
 			for j := range batch {
-				if seen.Add(&batch[j]) {
+				switch {
+				case !batch[j].Memoizable():
+					st.Wide++
+				case seen.Add(&batch[j]):
 					entries = append(entries, batch[j])
 				}
 			}
@@ -266,12 +276,12 @@ func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
 // journal truncated by another process's compaction, a corrupt shard)
 // must be appended again — and its WAL scan is kept for Append's
 // torn-tail repair.
-func (s *Store) noteRead(seen *eval.KeySet, walSize, walClean int64) {
+func (s *Store) noteRead(seen eval.KeySet, walSize, walClean int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.known = seen
 	s.walScanned, s.walSize, s.walClean = true, walSize, walClean
-	gEntries.Set(int64(seen.Len()))
+	gEntries.Set(int64(len(seen)))
 }
 
 // appendChunkEntries bounds one WAL frame's entry count. Chunking keeps
@@ -283,7 +293,9 @@ var appendChunkEntries = 1 << 16
 
 // Append frames the entries not already known to be on disk and appends
 // them to the WAL in canonical key order, chunked into frames of at
-// most appendChunkEntries, returning how many entries were written.
+// most appendChunkEntries, returning how many entries were written. An
+// entry the cache cannot hold (above nv 6, eval.CacheEntry.Memoizable)
+// is never written.
 // Appending is the cheap end of the compaction cycle: O_APPEND frame
 // writes, no rewrite of any shard. A failure mid-way leaves the already
 // written frames valid — the next load deduplicates.
@@ -292,7 +304,7 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 	defer s.mu.Unlock()
 	var fresh []int // indexes into entries
 	for i := range entries {
-		if !s.known.Has(&entries[i]) {
+		if entries[i].Memoizable() && !s.known.Has(&entries[i]) {
 			fresh = append(fresh, i)
 		}
 	}
@@ -334,7 +346,7 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 		fresh = fresh[len(batch):]
 	}
 	mAppended.Add(int64(written))
-	gEntries.Set(int64(s.known.Len()))
+	gEntries.Set(int64(len(s.known)))
 	return written, nil
 }
 
@@ -379,7 +391,8 @@ type CompactStats struct {
 // Compact folds the shard files and the WAL into freshly written shard
 // files — each marshalled as one canonical picola-ir/v1 container,
 // written to a temp file in the store directory and atomically renamed
-// into place — then truncates the WAL. An empty WAL leaves nothing to
+// into place — then truncates the WAL. The fold drops every entry
+// above nv 6, as a read skips them. An empty WAL leaves nothing to
 // fold: Compact then returns zero stats without reading or writing any
 // shard. Unreadable inputs are skipped exactly as in Load, except that
 // a CRC-valid WAL frame the decoder rejects keeps the journal in place

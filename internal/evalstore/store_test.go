@@ -2,6 +2,7 @@ package evalstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -25,6 +26,19 @@ func testEntry(i int) eval.CacheEntry {
 		On:        []uint64{uint64(i)&0x7fff | 1},
 		Cubes:     i%5 + 1,
 	}
+}
+
+// keyString returns the entry's canonical key bytes: tag, nv, then the
+// used and ON words little-endian.
+func keyString(ent eval.CacheEntry) string {
+	b := []byte{0, byte(ent.NV)}
+	if ent.Heuristic {
+		b[0] = 1
+	}
+	for _, w := range append(slices.Clone(ent.Used), ent.On...) {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return string(b)
 }
 
 func testEntries(n int) []eval.CacheEntry {
@@ -460,7 +474,7 @@ func TestStoreEntriesCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(got); i++ {
-		if bytes.Compare(got[i-1].AppendKey(nil), got[i].AppendKey(nil)) >= 0 {
+		if keyString(got[i-1]) >= keyString(got[i]) {
 			t.Fatalf("inventory out of canonical order at %d", i)
 		}
 	}
@@ -751,7 +765,7 @@ func TestStoreCompactTornOnlyWAL(t *testing.T) {
 
 // sequentialRead is the reference reader the concurrent Load must
 // match: the shard files in order, then the WAL's frames in order, one
-// entry at a time, the first entry of each key winning.
+// entry at a time, the first entry of each key at nv ≤ 6 winning.
 func sequentialRead(t *testing.T, dir string) ([]eval.CacheEntry, LoadStats) {
 	t.Helper()
 	var st LoadStats
@@ -759,7 +773,9 @@ func sequentialRead(t *testing.T, dir string) ([]eval.CacheEntry, LoadStats) {
 	seen := map[string]bool{}
 	add := func(batch []eval.CacheEntry) {
 		for _, ent := range batch {
-			if k := string(ent.AppendKey(nil)); !seen[k] {
+			if ent.NV > 6 {
+				st.Wide++
+			} else if k := keyString(ent); !seen[k] {
 				seen[k] = true
 				out = append(out, ent)
 			}
@@ -900,9 +916,9 @@ func TestStoreLoadMatchesSequential(t *testing.T) {
 		t.Fatal("loaded cache differs from the sequential reference")
 	}
 	for _, win := range []eval.CacheEntry{shardWin, walLose} {
-		k := string(win.AppendKey(nil))
+		k := keyString(win)
 		for _, ent := range got {
-			if string(ent.AppendKey(nil)) == k && ent.Cubes != win.Cubes {
+			if keyString(ent) == k && ent.Cubes != win.Cubes {
 				t.Errorf("key won by count %d, want the first on disk, %d", ent.Cubes, win.Cubes)
 			}
 		}
@@ -986,8 +1002,8 @@ func TestStoreReadForgetsLostEntries(t *testing.T) {
 }
 
 // layoutEntries regenerates the entries of testdata/layout-v1, a store
-// written by an earlier version of this package: narrow (nv 1–6) and
-// wide (nv 7–8) entries of both policies, spread over 15 shards.
+// written by an earlier version of this package: entries at nv 1–6 and
+// nv 7–8 of both policies, spread over 15 shards.
 func layoutEntries() []eval.CacheEntry {
 	r := rand.New(rand.NewSource(11))
 	seen := map[string]bool{}
@@ -1004,7 +1020,7 @@ func layoutEntries() []eval.CacheEntry {
 					}
 					ent.On[i] = ent.Used[i] & r.Uint64()
 				}
-				if k := string(ent.AppendKey(nil)); !seen[k] {
+				if k := keyString(ent); !seen[k] {
 					seen[k] = true
 					out = append(out, ent)
 				}
@@ -1014,14 +1030,33 @@ func layoutEntries() []eval.CacheEntry {
 	return out
 }
 
-// TestStoreLayoutStable pins the on-disk layout across versions: a
-// store an earlier version wrote loads exactly its entries, and
-// appending and compacting them into a fresh directory reproduces every
-// file byte for byte — the shard each entry hashes to, the order within
-// each shard, and the encoding.
+// atMostNV6 returns the entries at nv ≤ 6, the ones a store holds.
+func atMostNV6(ents []eval.CacheEntry) []eval.CacheEntry {
+	var out []eval.CacheEntry
+	for _, ent := range ents {
+		if ent.NV <= 6 {
+			out = append(out, ent)
+		}
+	}
+	return out
+}
+
+// TestStoreLayoutStable pins the on-disk layout across versions. A
+// store an earlier version wrote loads exactly its entries at nv ≤ 6
+// and counts the ones above. Appending and compacting all of its
+// entries into a fresh directory writes those at nv ≤ 6 — each to the
+// shard it hashes to, in the same order and encoding — and no other:
+// a golden shard that holds only such entries comes back byte for
+// byte, and every other golden shard's entries at nv ≤ 6 come back in
+// order.
 func TestStoreLayoutStable(t *testing.T) {
 	const golden = "testdata/layout-v1"
-	want := layoutEntries()
+	all := layoutEntries()
+	want := atMostNV6(all)
+	if len(want) != 34 || len(all)-len(want) != 12 {
+		t.Fatalf("layout fixture regenerated %d entries at nv <= 6 and %d above, want 34 and 12",
+			len(want), len(all)-len(want))
+	}
 	s, err := Open(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -1034,8 +1069,9 @@ func TestStoreLayoutStable(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != len(want) || st.Import.Inserted != len(want) || st.SkippedShards != 0 || st.WALFrames != 0 {
-		t.Fatalf("load stats %+v, want %d entries from clean shards", st, len(want))
+	if st.Entries != len(want) || st.Import.Inserted != len(want) || st.Wide != len(all)-len(want) ||
+		st.SkippedShards != 0 || st.WALFrames != 0 {
+		t.Fatalf("load stats %+v, want %d entries and %d wide from clean shards", st, len(want), len(all)-len(want))
 	}
 	sorted := slices.Clone(want)
 	eval.SortEntries(sorted)
@@ -1049,7 +1085,7 @@ func TestStoreLayoutStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if n, err := fresh.Append(want); n != len(want) || err != nil {
+	if n, err := fresh.Append(all); n != len(want) || err != nil {
 		t.Fatalf("append wrote %d (err %v), want %d", n, err, len(want))
 	}
 	if _, err := fresh.Compact(); err != nil {
@@ -1059,24 +1095,64 @@ func TestStoreLayoutStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != len(goldenFiles) {
-		t.Fatalf("rewrite made %d files, the golden store has %d", len(files), len(goldenFiles))
-	}
+	wantFiles := map[string]bool{}
+	whole := 0
 	for _, de := range goldenFiles {
 		wantB, err := os.ReadFile(filepath.Join(golden, de.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		gotB, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if de.Name() == walName {
+			wantFiles[walName] = true
+			if !bytes.Equal(gotB, wantB) {
+				t.Errorf("%s differs from the golden store's", de.Name())
+			}
+			continue
+		}
+		gf, err := ir.Unmarshal(wantB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(gotB, wantB) {
-			t.Errorf("%s differs from the golden store's", de.Name())
+		kept := atMostNV6(gf.CacheEntries)
+		if len(kept) > 0 {
+			wantFiles[de.Name()] = true
 		}
+		if len(kept) == len(gf.CacheEntries) {
+			whole++
+			if !bytes.Equal(gotB, wantB) {
+				t.Errorf("%s differs from the golden store's", de.Name())
+			}
+			continue
+		}
+		var got []eval.CacheEntry
+		if gotB != nil {
+			f, err := ir.Unmarshal(gotB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = f.CacheEntries
+		}
+		if !reflect.DeepEqual(got, kept) {
+			t.Errorf("%s holds %d entries, want the golden shard's %d at nv <= 6 in its order", de.Name(), len(got), len(kept))
+		}
+	}
+	if whole != 4 {
+		t.Errorf("%d golden shards hold only entries at nv <= 6, want 4", whole)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range files {
+		if !wantFiles[de.Name()] {
+			t.Errorf("rewrite made %s, which holds no golden entry at nv <= 6", de.Name())
+		}
+	}
+	if len(files) != len(wantFiles) {
+		t.Errorf("rewrite made %d files, want %d", len(files), len(wantFiles))
 	}
 }

@@ -12,14 +12,18 @@ import (
 // fields never change meaning, and a breaking change bumps the suffix.
 const LedgerSchema = "picola-ledger/v1"
 
-// StageParents declares the static nesting of the pipeline's span stages
-// (the flat trace stream carries no span ids): column-generation and
-// estimate-polish spans run inside their variant's restart span. A
-// stage's self wall is its cumulative wall minus the cumulative wall of
-// its declared children.
-var StageParents = map[string]string{
-	"column": "restart",
-	"polish": "restart",
+// parentStage returns the stage whose span encloses span e, or "" for a
+// top-level span. The flat trace stream carries no span ids, so the
+// nesting is static: column-generation spans and a variant's light
+// estimate polish (a "polish" span named "light") run inside their
+// variant's restart span; the winning variant's full polish ("full")
+// runs after the portfolio, outside every restart. A stage's self wall
+// is its cumulative wall minus the wall of the spans it encloses.
+func parentStage(e Event) string {
+	if e.Stage == "column" || e.Stage == "polish" && e.Name == "light" {
+		return "restart"
+	}
+	return ""
 }
 
 // StageProfile is one stage's line in a ledger record's flat profile.
@@ -29,9 +33,9 @@ type StageProfile struct {
 	// events the stage emitted.
 	Spans  int64 `json:"spans"`
 	Events int64 `json:"events,omitempty"`
-	// CumNS is the summed span wall; SelfNS subtracts the declared child
-	// stages' cumulative wall (clamped at 0: parallel children can
-	// overlap their parent).
+	// CumNS is the summed span wall; SelfNS subtracts the wall of the
+	// spans nested in the stage's spans (clamped at 0: parallel children
+	// can overlap their parent).
 	CumNS  int64 `json:"cum_ns"`
 	SelfNS int64 `json:"self_ns"`
 }
@@ -94,6 +98,9 @@ type RunLedger struct {
 
 	mu     sync.Mutex
 	stages map[string]*stageAgg
+	// nestedNS is the wall of the spans nested in each stage's spans
+	// (parentStage).
+	nestedNS map[string]int64
 }
 
 type stageAgg struct{ spans, events, cumNS int64 }
@@ -105,15 +112,17 @@ func NewRunLedger(command string, m *Metrics) *RunLedger {
 		m = Default
 	}
 	return &RunLedger{
-		command: command,
-		metrics: m,
-		start:   time.Now(),
-		stages:  map[string]*stageAgg{},
+		command:  command,
+		metrics:  m,
+		start:    time.Now(),
+		stages:   map[string]*stageAgg{},
+		nestedNS: map[string]int64{},
 	}
 }
 
 // Emit implements Tracer: spans add a call and their wall to the stage's
-// aggregate, plain events just count.
+// aggregate, and their wall to the enclosing stage's nested wall; plain
+// events just count.
 func (l *RunLedger) Emit(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -123,8 +132,12 @@ func (l *RunLedger) Emit(e Event) {
 		l.stages[e.Stage] = a
 	}
 	if e.Kind == KindSpan {
+		ns := int64(e.DurMS * 1e6)
 		a.spans++
-		a.cumNS += int64(e.DurMS * 1e6)
+		a.cumNS += ns
+		if parent := parentStage(e); parent != "" {
+			l.nestedNS[parent] += ns
+		}
 	} else {
 		a.events++
 	}
@@ -177,15 +190,9 @@ func (l *RunLedger) snapshotStages() *LedgerRecord {
 		StartUnixMS: l.start.UnixMilli(),
 		WallNS:      int64(time.Since(l.start)),
 	}
-	childNS := map[string]int64{}
-	for stage, a := range l.stages {
-		if parent, ok := StageParents[stage]; ok {
-			childNS[parent] += a.cumNS
-		}
-	}
 	for _, stage := range sortedNames(l.stages) {
 		a := l.stages[stage]
-		self := a.cumNS - childNS[stage]
+		self := a.cumNS - l.nestedNS[stage]
 		if self < 0 {
 			self = 0
 		}

@@ -11,7 +11,12 @@ import (
 
 // span emits one span event of durNS into l.
 func span(l *RunLedger, stage string, durNS int64) {
-	l.Emit(Event{Kind: KindSpan, Stage: stage, Name: stage, DurMS: float64(durNS) / 1e6})
+	namedSpan(l, stage, stage, durNS)
+}
+
+// namedSpan emits one span event of durNS with the given name into l.
+func namedSpan(l *RunLedger, stage, name string, durNS int64) {
+	l.Emit(Event{Kind: KindSpan, Stage: stage, Name: name, DurMS: float64(durNS) / 1e6})
 }
 
 func TestRunLedgerAggregatesSpans(t *testing.T) {
@@ -20,7 +25,7 @@ func TestRunLedgerAggregatesSpans(t *testing.T) {
 	span(l, "restart", 100e6)
 	span(l, "restart", 100e6)
 	span(l, "column", 30e6)
-	span(l, "polish", 20e6)
+	namedSpan(l, "polish", "light", 20e6)
 	l.Emit(Event{Kind: KindEvent, Stage: "select", Name: "winner"})
 	rec := l.Finalize()
 
@@ -34,7 +39,7 @@ func TestRunLedgerAggregatesSpans(t *testing.T) {
 	if got := byStage["restart"]; got.Spans != 2 || got.CumNS != 200e6 {
 		t.Errorf("restart = %+v, want 2 spans, 200ms cum", got)
 	}
-	// column and polish are declared children of restart: restart's self
+	// column and the light polish run inside restart: restart's self
 	// wall subtracts their cumulative wall.
 	if got := byStage["restart"].SelfNS; got != 150e6 {
 		t.Errorf("restart self = %d, want 150ms", got)
@@ -51,6 +56,28 @@ func TestRunLedgerAggregatesSpans(t *testing.T) {
 		if rec.Stages[i-1].Stage >= rec.Stages[i].Stage {
 			t.Fatalf("stages not sorted: %v", rec.Stages)
 		}
+	}
+}
+
+// TestRunLedgerFullPolishOutsideRestart: the winning variant's full
+// polish runs after the portfolio, outside every restart span, so its
+// wall is not subtracted from restart's self wall; a variant's light
+// polish is.
+func TestRunLedgerFullPolishOutsideRestart(t *testing.T) {
+	l := NewRunLedger("x", NewMetrics())
+	span(l, "restart", 100e6)
+	namedSpan(l, "polish", "light", 10e6)
+	namedSpan(l, "polish", "full", 40e6)
+	rec := l.Finalize()
+	byStage := map[string]StageProfile{}
+	for _, st := range rec.Stages {
+		byStage[st.Stage] = st
+	}
+	if got := byStage["restart"].SelfNS; got != 90e6 {
+		t.Errorf("restart self = %d, want 90ms: only the light polish nests in it", got)
+	}
+	if got := byStage["polish"]; got.Spans != 2 || got.CumNS != 50e6 || got.SelfNS != 50e6 {
+		t.Errorf("polish = %+v, want 2 spans, 50ms cum and self", got)
 	}
 }
 

@@ -75,6 +75,17 @@ func checkConstraintCover(rep *Report, e *face.Encoding, i int, c face.Constrain
 		rep.addf("pipeline", i, "ConstraintCubes failed: %v", err)
 		return
 	}
+	checkPipelineCount(rep, i, k, want, proven)
+	if e.Satisfied(c) && k != 1 {
+		rep.addf("pipeline", i, "satisfied constraint costs %d cubes, want exactly 1", k)
+	}
+}
+
+// checkPipelineCount holds the pipeline count k of non-empty constraint
+// i to the reference count want: equal to it when the reference is a
+// proven minimum, not above it when the reference is an unproven cover,
+// and at least 1 either way.
+func checkPipelineCount(rep *Report, i, k, want int, proven bool) {
 	switch {
 	case proven && k != want:
 		rep.addf("pipeline", i, "Cache.ConstraintCubes = %d, oracle recomputation %d", k, want)
@@ -83,9 +94,6 @@ func checkConstraintCover(rep *Report, e *face.Encoding, i int, c face.Constrain
 	}
 	if k < 1 {
 		rep.addf("pipeline", i, "non-empty constraint costs %d cubes", k)
-	}
-	if e.Satisfied(c) && k != 1 {
-		rep.addf("pipeline", i, "satisfied constraint costs %d cubes, want exactly 1", k)
 	}
 }
 
