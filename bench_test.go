@@ -330,8 +330,9 @@ var (
 // BenchmarkCubeKernels compares the single-word cube kernels against the
 // generic span-loop reference on identical data: the generic runs use
 // Domain.Generic(), the kernels-disabled view of the same 8-variable
-// binary domain. The sub-benchmark leaf names (kernel|generic) are the
-// benchstat axis:
+// binary domain, on which Tautology takes the W-word kernel (the
+// cover-per-cofactor reference recursion is test code of package cover).
+// The sub-benchmark leaf names (kernel|generic) are the benchstat axis:
 //
 //	go test -bench=CubeKernels -count=10 | tee kernels.txt
 //	benchstat -col /path kernels.txt   # after s/…\/(kernel|generic)/path=\1/
@@ -489,9 +490,11 @@ func BenchmarkMinimizeSmall(b *testing.B) {
 }
 
 // BenchmarkEspresso measures the two-level minimizer substrate on the
-// multi-valued symbolic covers the pipeline feeds it.
+// multi-valued symbolic covers the pipeline feeds it, at every cube
+// width: bbara and keyb fit one word, s832 takes two, planet three and
+// scf six.
 func BenchmarkEspresso(b *testing.B) {
-	for _, name := range []string{"bbara", "keyb", "planet"} {
+	for _, name := range []string{"bbara", "keyb", "s832", "planet", "scf"} {
 		spec, _ := benchgen.ByName(name)
 		m := benchgen.Generate(spec)
 		sc, err := symbolic.Build(m)

@@ -150,48 +150,14 @@ func (f *Cover) activeVar() int {
 	return best
 }
 
-// Tautology reports whether the cover covers the entire space. On
-// single-word domains it runs the pooled uint64 kernel (see kernel.go); the
-// body below is the generic reference path, reachable for any domain via
-// Domain.Generic.
+// Tautology reports whether the cover covers the entire space, by the
+// unate recursion of kernel.go: the single-word kernel on single-word
+// domains, the W-word kernel on every other.
 func (f *Cover) Tautology() bool {
 	if f.D.SingleWord() {
 		return f.tautology1()
 	}
-	mTautologyNodes.Inc()
-	d := f.D
-	// Quick accept: a universal cube.
-	for _, c := range f.Cubes {
-		if d.FullParts(c) == d.NumVars() {
-			return true
-		}
-	}
-	if len(f.Cubes) == 0 {
-		return false
-	}
-	// Quick reject: some value appears in no cube.
-	or := d.NewCube()
-	for _, c := range f.Cubes {
-		d.Supercube(or, or, c)
-	}
-	for v := 0; v < d.NumVars(); v++ {
-		if !d.PartFull(or, v) {
-			return false
-		}
-	}
-	v := f.activeVar()
-	if v < 0 {
-		// No active variable and no universal cube can only happen with an
-		// empty cover, handled above; every remaining cube is universal.
-		return true
-	}
-	for val := 0; val < d.Size(v); val++ {
-		vc := d.ValueCube(v, val)
-		if !f.Cofactor(vc).Tautology() {
-			return false
-		}
-	}
-	return true
+	return f.tautologyW()
 }
 
 // Complement returns a cover of the complement of f (the minterms covered
@@ -273,12 +239,13 @@ func sharpUniverse(d *cube.Domain, c cube.Cube) *Cover {
 	return out
 }
 
-// CoversCube reports whether the cover covers every minterm of cube c.
+// CoversCube reports whether the cover covers every minterm of cube c:
+// whether its cofactor by c is a tautology.
 func (f *Cover) CoversCube(c cube.Cube) bool {
 	if f.D.SingleWord() {
 		return f.coversCube1(c)
 	}
-	return f.Cofactor(c).Tautology()
+	return f.coversCubeW(c)
 }
 
 // Covers reports whether f covers every cube of g.

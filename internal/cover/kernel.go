@@ -1,20 +1,45 @@
 package cover
 
 import (
+	"slices"
 	"sync"
 
 	"picola/internal/cube"
 )
 
-// Single-word tautology kernel. When the domain's cubes fit in one uint64
-// (the encoder's code spaces always do: nv <= 8 bits), the unate recursion
-// in Tautology/CoversCube runs over plain uint64 slices carved from a
-// pooled bump arena instead of materializing a fresh *Cover per cofactor.
-// The recursion mirrors the generic path decision-for-decision — same quick
-// accepts/rejects, same splitting variable, same visit order — so the
-// cover.tautology_nodes metric counts identically and the generic path
-// (reachable via Domain.Generic) remains the oracle the kernel is checked
-// against in tests.
+// Tautology kernels. Tautology and CoversCube run the unate recursion
+// (Rudell and Sangiovanni-Vincentelli, IEEE TCAD 1987) over cubes stored
+// as plain words in a pooled bump arena: child covers are carved as
+// three-index sub-slices instead of materializing a fresh *Cover per
+// cofactor. Two kernels share that shape, chosen by the domain's word
+// count: taut1 for single-word domains (the encoder's code spaces always
+// are: nv <= 8 bits), where a cube is one uint64 tested against the
+// per-variable masks, and tautW for every wider domain (the symbolic
+// covers of the larger machines), where a cube is a stride of W words
+// and the field tests are cube's word-parallel ones. taut1 stays because
+// tautW, run at one word, is the slower of the two: 139–152 against
+// 101–109 ns per CoversCube in BenchmarkCoversCubeOneWord (2-vCPU Xeon
+// VM, Go 1.24).
+//
+// Both mirror one reference recursion decision-for-decision — same quick
+// accept, quick reject, splitting variable and value order — so the
+// cover.tautology_nodes metric counts identically. That recursion, which
+// allocates a cover per cofactor, lives in kernel_test.go as the twin the
+// kernels are checked against.
+//
+// The one-field lemma. The cubes of a cover whose every field is
+// non-empty, cofactored by the value cube of value val of variable v
+// (the universe with field v restricted to {val}), are kept exactly when
+// their field v holds val: every other field of the value cube is full,
+// so the intersection is non-empty there already. A kept cube comes out
+// with field v full and every other field as it was, so it is again
+// non-empty in every field. Hence once every cube in the arena is
+// non-empty in every field, each cofactor below needs one bit of field v.
+// The entry cofactor keeps the full "every field of the intersection is
+// non-empty" test: CoversCube's cofactor by an arbitrary cube c, and
+// Tautology's top-level split, whose cover may hold empty cubes; both
+// leave only cubes that are non-empty in every field. TestOneFieldLemma
+// checks the lemma against the generic Cofactor.
 
 // taut1 is the pooled scratch of one kernel run: a bump arena of cofactored
 // cover words. Child covers are carved as sub-slices; reallocation during
@@ -27,12 +52,12 @@ type taut1 struct {
 var taut1Pool = sync.Pool{New: func() any { return new(taut1) }}
 
 // rec is the unate recursion over a single-word cover. It must keep the
-// exact decision structure of the generic Tautology above.
+// exact decision structure of the reference recursion (kernel_test.go).
 //
 //picola:hot
 func (s *taut1) rec(d *cube.Domain, cs []uint64) bool {
 	mTautologyNodes.Inc()
-	full := d.FullMask()
+	full := d.FullWords()[0]
 	for _, w := range cs {
 		if w&full == full {
 			return true
@@ -86,7 +111,7 @@ func (s *taut1) rec(d *cube.Domain, cs []uint64) bool {
 //
 //picola:hot
 func (s *taut1) cofactorInto(d *cube.Domain, cs []uint64, p uint64) {
-	full := d.FullMask()
+	full := d.FullWords()[0]
 	vmask := d.VarMasks()
 outer:
 	for _, w := range cs {
@@ -107,7 +132,7 @@ func (f *Cover) tautology1() bool {
 	s := taut1Pool.Get().(*taut1)
 	defer taut1Pool.Put(s)
 	s.buf = s.buf[:0]
-	full := f.D.FullMask()
+	full := f.D.FullWords()[0]
 	for _, c := range f.Cubes {
 		s.buf = append(s.buf, c[0]&full)
 	}
@@ -123,7 +148,7 @@ func (f *Cover) coversCube1(c cube.Cube) bool {
 	defer taut1Pool.Put(s)
 	s.buf = s.buf[:0]
 	d := f.D
-	full := d.FullMask()
+	full := d.FullWords()[0]
 	vmask := d.VarMasks()
 	p := c[0]
 outer:
@@ -137,4 +162,172 @@ outer:
 		s.buf = append(s.buf, (k[0]|^p)&full)
 	}
 	return s.rec(d, s.buf)
+}
+
+// tautW is the pooled scratch of one W-word kernel run: a bump arena of
+// cofactored cubes, each a stride of W words (W = the domain's word
+// count), the per-variable non-full counts of the node being split, and
+// the value cube of Tautology's top-level split. As in taut1, carved
+// child covers are never written after creation, so growing the arena
+// during deeper recursion is safe.
+type tautW struct {
+	buf []uint64
+	cnt []int
+	vc  []uint64
+}
+
+var tautWPool = sync.Pool{New: func() any { return new(tautW) }}
+
+// rec is the unate recursion over a cover of W-word strides. It must keep
+// the exact decision structure of the reference recursion
+// (kernel_test.go). top marks Tautology's top-level node, whose cubes may
+// be empty in some field: its split takes the full test, every node below
+// the one-field test (see the lemma above).
+//
+//picola:hot
+func (s *tautW) rec(d *cube.Domain, cs []uint64, top bool) bool {
+	mTautologyNodes.Inc()
+	full := d.FullWords()
+	w := len(full)
+	for j := 0; j < len(cs); j += w {
+		if slices.Equal(cs[j:j+w], full) {
+			return true
+		}
+	}
+	if len(cs) == 0 {
+		return false
+	}
+	for i, f := range full {
+		var or uint64
+		for j := i; j < len(cs); j += w {
+			or |= cs[j]
+		}
+		if or != f {
+			return false
+		}
+	}
+	cnt := s.cnt[:d.NumVars()]
+	clear(cnt)
+	for j := 0; j < len(cs); j += w {
+		d.AddNonFull(cnt, cs[j:j+w])
+	}
+	best, bestN := -1, 0
+	for v, n := range cnt {
+		if n > bestN {
+			best, bestN = v, n
+		}
+	}
+	if best < 0 {
+		return true
+	}
+	// The full field of best goes into the arena ahead of the children,
+	// where deeper splits leave it alone.
+	base := len(s.buf)
+	for range w {
+		s.buf = append(s.buf, 0)
+	}
+	fv := s.buf[base:len(s.buf):len(s.buf)]
+	d.SetAll(fv, best)
+	ok := true
+	for val := 0; ok && val < d.Size(best); val++ {
+		lo := len(s.buf)
+		if top {
+			s.vc = append(s.vc[:0], full...)
+			d.Restrict(s.vc, best, val)
+			s.cofactorInto(d, cs, s.vc)
+		} else {
+			s.cofactorValue(cs, d.BitOf(best, val), fv)
+		}
+		sub := s.buf[lo:len(s.buf):len(s.buf)]
+		ok = s.rec(d, sub, false)
+		s.buf = s.buf[:lo]
+	}
+	s.buf = s.buf[:base]
+	return ok
+}
+
+// cofactorInto appends to the arena the cofactor of the W-word cubes cs by
+// the cube p under the full test: the cubes whose intersection with p is
+// non-empty in every field, with fields widened by ^p.
+//
+//picola:hot
+func (s *tautW) cofactorInto(d *cube.Domain, cs []uint64, p cube.Cube) {
+	full := d.FullWords()
+	w := len(full)
+	for j := 0; j < len(cs); j += w {
+		x := cs[j : j+w]
+		if !d.Intersects(x, p) {
+			continue
+		}
+		for i, f := range full {
+			s.buf = append(s.buf, (x[i]|^p[i])&f)
+		}
+	}
+}
+
+// cofactorValue appends to the arena the cofactor of the W-word cubes cs,
+// each non-empty in every field, by the value at absolute bit position
+// bit of the variable whose full field is fv (W words), under the
+// one-field lemma: the cubes holding that bit, with the field made full.
+//
+//picola:hot
+func (s *tautW) cofactorValue(cs []uint64, bit int, fv []uint64) {
+	w := len(fv)
+	word, m := bit/64, uint64(1)<<(bit%64)
+	for j := 0; j < len(cs); j += w {
+		if cs[j+word]&m == 0 {
+			continue
+		}
+		for i, f := range fv {
+			s.buf = append(s.buf, cs[j+i]|f)
+		}
+	}
+}
+
+// reset readies a scratch checked out of the pool for a run over d: the
+// arena empty, the count buffer sized for d's variables.
+func (s *tautW) reset(d *cube.Domain) {
+	s.buf = s.buf[:0]
+	if cap(s.cnt) < d.NumVars() {
+		s.cnt = make([]int, d.NumVars())
+	}
+}
+
+// tautologyW runs the W-word kernel over the cover's cubes, masked to the
+// domain's bits.
+//
+//picola:hot
+func (f *Cover) tautologyW() bool {
+	s := tautWPool.Get().(*tautW)
+	defer tautWPool.Put(s)
+	s.reset(f.D)
+	full := f.D.FullWords()
+	for _, c := range f.Cubes {
+		for i, m := range full {
+			s.buf = append(s.buf, c[i]&m)
+		}
+	}
+	return s.rec(f.D, s.buf, true)
+}
+
+// coversCubeW runs the W-word kernel on the cover cofactored by c, fused
+// so the intermediate cover is never materialized. The cofactor by c
+// takes the full test, so the recursion starts below the entry.
+//
+//picola:hot
+func (f *Cover) coversCubeW(c cube.Cube) bool {
+	s := tautWPool.Get().(*tautW)
+	defer tautWPool.Put(s)
+	s.reset(f.D)
+	d := f.D
+	full := d.FullWords()
+	for _, k := range f.Cubes {
+		if !d.Intersects(k, c) {
+			continue
+		}
+		for i, m := range full {
+			s.buf = append(s.buf, (k[i]|^c[i])&m)
+		}
+	}
+	return s.rec(d, s.buf, false)
 }

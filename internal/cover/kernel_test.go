@@ -2,10 +2,59 @@ package cover
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"picola/internal/cube"
 )
+
+// tautologyGeneric is the reference unate recursion both kernels
+// (kernel.go) mirror decision-for-decision: quick accept on a universal
+// cube, quick reject on a value no cube allows, split on activeVar in
+// value order, one fresh *Cover per cofactor. It counts
+// cover.tautology_nodes exactly as the kernels do.
+func tautologyGeneric(f *Cover) bool {
+	mTautologyNodes.Inc()
+	d := f.D
+	// Quick accept: a universal cube.
+	for _, c := range f.Cubes {
+		if d.FullParts(c) == d.NumVars() {
+			return true
+		}
+	}
+	if len(f.Cubes) == 0 {
+		return false
+	}
+	// Quick reject: some value appears in no cube.
+	or := d.NewCube()
+	for _, c := range f.Cubes {
+		d.Supercube(or, or, c)
+	}
+	for v := 0; v < d.NumVars(); v++ {
+		if !d.PartFull(or, v) {
+			return false
+		}
+	}
+	v := f.activeVar()
+	if v < 0 {
+		// No active variable and no universal cube can only happen with an
+		// empty cover, handled above; every remaining cube is universal.
+		return true
+	}
+	for val := 0; val < d.Size(v); val++ {
+		vc := d.ValueCube(v, val)
+		if !tautologyGeneric(f.Cofactor(vc)) {
+			return false
+		}
+	}
+	return true
+}
+
+// coversCubeGeneric is the reference CoversCube: the cofactor by c,
+// materialized, then the reference recursion.
+func coversCubeGeneric(f *Cover, c cube.Cube) bool {
+	return tautologyGeneric(f.Cofactor(c))
+}
 
 // randCover builds a random cover of up to maxCubes cubes over d, with
 // mostly non-empty fields.
@@ -29,10 +78,145 @@ func randCover(rng *rand.Rand, d *cube.Domain, maxCubes int) *Cover {
 	return f
 }
 
-// TestTautologyKernelMatchesGeneric cross-checks the single-word tautology
-// kernel against the generic recursion — results must match and, because
-// the kernel mirrors the generic decision structure, so must the
-// tautology_nodes metric increments.
+// randWideDomain builds a random domain of exactly words words (at least
+// two) mixing binary and multi-valued fields, so fields straddling a word
+// boundary occur regularly; one in three starts with 63 bits of fields
+// so that a binary field sits at bit 63, half of them through 31 binary
+// fields after a 1-valued one.
+func randWideDomain(rng *rand.Rand, words int) *cube.Domain {
+	lo, hi := 64*(words-1)+1, 64*words
+	target := lo + rng.Intn(hi-lo+1)
+	var sizes []int
+	bits := 0
+	if rng.Intn(3) == 0 {
+		if rng.Intn(2) == 0 {
+			sizes = append([]int{1}, repeatSizes(2, 31)...)
+		} else {
+			sizes = []int{63}
+		}
+		sizes = append(sizes, 2)
+		bits = 65
+	}
+	for bits < target {
+		s := 2
+		if rng.Intn(2) == 0 {
+			s = 1 + rng.Intn(32)
+		}
+		s = min(s, hi-bits)
+		sizes = append(sizes, s)
+		bits += s
+	}
+	return cube.New(sizes...)
+}
+
+// tautCover builds a cover likely to be a tautology, so the recursion
+// runs deep: the universe split splits times (a cube's field cut into
+// two non-empty parts), some cubes then widened by a random value, and
+// one time in three a random cube dropped.
+func tautCover(rng *rand.Rand, d *cube.Domain, splits int) *Cover {
+	g := New(d)
+	g.Add(d.Universe())
+	for i := 0; i < splits; i++ {
+		c := g.Cubes[rng.Intn(g.Len())]
+		v := rng.Intn(d.NumVars())
+		if d.PartCount(c, v) < 2 {
+			continue
+		}
+		// Move a random non-empty proper subset of c's field v to a copy.
+		n := c.Clone()
+		d.ClearAll(n, v)
+		var vals []int
+		for val := 0; val < d.Size(v); val++ {
+			if d.Has(c, v, val) {
+				vals = append(vals, val)
+			}
+		}
+		rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		for _, val := range vals[:1+rng.Intn(len(vals)-1)] {
+			d.ClearVal(c, v, val)
+			d.Set(n, v, val)
+		}
+		g.Add(n)
+	}
+	for _, c := range g.Cubes {
+		if rng.Intn(4) == 0 {
+			v := rng.Intn(d.NumVars())
+			d.Set(c, v, rng.Intn(d.Size(v)))
+		}
+	}
+	if rng.Intn(3) == 0 {
+		g = g.Without(rng.Intn(g.Len()))
+	}
+	rng.Shuffle(g.Len(), func(i, j int) { g.Cubes[i], g.Cubes[j] = g.Cubes[j], g.Cubes[i] })
+	return g
+}
+
+// addEmptyCube appends to f a cube that is empty in one random field and
+// otherwise the universe narrowed to one value in one more random field,
+// so that it meets every cube except in its empty field: the case where
+// only the full every-field test drops it.
+func addEmptyCube(rng *rand.Rand, f *Cover) {
+	d := f.D
+	c := d.Universe()
+	v := rng.Intn(d.NumVars())
+	d.Restrict(c, v, rng.Intn(d.Size(v)))
+	d.ClearAll(c, rng.Intn(d.NumVars()))
+	f.Add(c)
+}
+
+// nodes runs fn and returns its answer with the cover.tautology_nodes
+// delta it caused.
+func nodes(fn func() bool) (bool, int64) {
+	n0 := mTautologyNodes.Value()
+	ok := fn()
+	return ok, mTautologyNodes.Value() - n0
+}
+
+// checkKernelParity runs Tautology and CoversCube on f through the
+// dispatching entry points and through the reference recursion on the
+// Generic view of the domain, and requires equal answers and equal
+// cover.tautology_nodes deltas. The kernels also run on the Generic view
+// itself, which sends a single-word domain to the W-word kernel.
+func checkKernelParity(t *testing.T, rng *rand.Rand, f *Cover) {
+	t.Helper()
+	d := f.D
+	fg := &Cover{D: d.Generic(), Cubes: f.Cubes}
+	want, wantN := nodes(func() bool { return tautologyGeneric(fg) })
+	for _, k := range []*Cover{f, fg} {
+		got, gotN := nodes(k.Tautology)
+		if got != want || gotN != wantN {
+			t.Fatalf("Tautology over %d words (%d vars) on\n%s\nkernel %v (%d nodes), reference %v (%d nodes)",
+				d.Words(), d.NumVars(), f, got, gotN, want, wantN)
+		}
+	}
+	// Cubes to test containment of: a random one (possibly empty in a
+	// field), a cube of f, and a cube of f with one field narrowed.
+	cs := randCover(rng, d, 1).Cubes
+	if f.Len() > 0 {
+		c := f.Cubes[rng.Intn(f.Len())].Clone()
+		cs = append(cs, c)
+		n := c.Clone()
+		v := rng.Intn(d.NumVars())
+		d.Restrict(n, v, rng.Intn(d.Size(v)))
+		cs = append(cs, n)
+	}
+	for _, c := range cs {
+		want, wantN := nodes(func() bool { return coversCubeGeneric(fg, c) })
+		for _, k := range []*Cover{f, fg} {
+			got, gotN := nodes(func() bool { return k.CoversCube(c) })
+			if got != want || gotN != wantN {
+				t.Fatalf("CoversCube(%s) over %d words on\n%s\nkernel %v (%d nodes), reference %v (%d nodes)",
+					d.String(c), d.Words(), f, got, gotN, want, wantN)
+			}
+		}
+	}
+}
+
+// TestTautologyKernelMatchesGeneric cross-checks both kernels on
+// single-word domains — taut1, and the W-word kernel through the Generic
+// view — against the reference recursion: results must match and,
+// because the kernels mirror the reference decision structure, so must
+// the tautology_nodes metric increments.
 func TestTautologyKernelMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 500; iter++ {
@@ -44,42 +228,108 @@ func TestTautologyKernelMatchesGeneric(t *testing.T) {
 		if !d.SingleWord() {
 			t.Fatal("test domain must be single-word")
 		}
-		g := d.Generic()
 		f := randCover(rng, d, 12)
-		fg := &Cover{D: g, Cubes: f.Cubes}
-
-		n0 := mTautologyNodes.Value()
-		kt := f.Tautology()
-		kNodes := mTautologyNodes.Value() - n0
-
-		n0 = mTautologyNodes.Value()
-		gt := fg.Tautology()
-		gNodes := mTautologyNodes.Value() - n0
-
-		if kt != gt {
-			t.Fatalf("Tautology disagree on\n%s\nkernel %v generic %v", f, kt, gt)
+		if iter%2 == 1 {
+			f = tautCover(rng, d, 1+rng.Intn(12))
 		}
-		if kNodes != gNodes {
-			t.Fatalf("node counts diverge on\n%s\nkernel %d generic %d", f, kNodes, gNodes)
+		if iter%3 == 0 {
+			addEmptyCube(rng, f)
 		}
+		checkKernelParity(t, rng, f)
+	}
+}
 
-		c := randCover(rng, d, 1)
-		if c.Len() == 1 {
-			n0 = mTautologyNodes.Value()
-			kc := f.CoversCube(c.Cubes[0])
-			kNodes = mTautologyNodes.Value() - n0
+// TestTautologyKernelWideMatchesGeneric is the same cross-check for the
+// W-word kernel on random domains of 2, 3 and 4–6 words: binary and
+// multi-valued fields, fields straddling a word boundary, a binary field
+// at bit 63 in a third of them, and covers holding cubes empty in a field
+// at the top level (addEmptyCube in a third of them).
+func TestTautologyKernelWideMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for iter := 0; iter < 600; iter++ {
+		words := 2 + iter%3
+		if words == 4 {
+			words += rng.Intn(3)
+		}
+		d := randWideDomain(rng, words)
+		if d.Words() != words || d.SingleWord() {
+			t.Fatalf("randWideDomain(%d) built %d words", words, d.Words())
+		}
+		f := randCover(rng, d, 10)
+		if iter%2 == 1 {
+			f = tautCover(rng, d, 1+rng.Intn(10))
+		}
+		if iter%3 == 0 {
+			addEmptyCube(rng, f)
+		}
+		checkKernelParity(t, rng, f)
+	}
+}
 
-			n0 = mTautologyNodes.Value()
-			gc := fg.CoversCube(c.Cubes[0])
-			gNodes = mTautologyNodes.Value() - n0
-
-			if kc != gc {
-				t.Fatalf("CoversCube disagree: kernel %v generic %v", kc, gc)
+// TestOneFieldLemma checks the lemma the W-word kernel's cofactors below
+// the entry rest on (kernel.go): over a cover whose cubes are non-empty
+// in every field, the cofactor by the value cube of (v, val) keeps exactly
+// the cubes whose field v holds val, with field v made full — the
+// generic Cofactor's result, cube for cube — and every cube it keeps is
+// again non-empty in every field.
+func TestOneFieldLemma(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 300; iter++ {
+		d := randWideDomain(rng, 2+rng.Intn(4))
+		if iter%4 == 0 {
+			d = cube.New(append([]int{1 + rng.Intn(5)}, repeatSizes(2, 1+rng.Intn(20))...)...)
+		}
+		f := randCover(rng, d, 12)
+		f.dropEmpty()
+		full := d.FullWords()
+		var s tautW
+		var flat []uint64
+		for _, c := range f.Cubes {
+			for i, m := range full {
+				flat = append(flat, c[i]&m)
 			}
-			if kNodes != gNodes {
-				t.Fatalf("CoversCube node counts diverge: kernel %d generic %d", kNodes, gNodes)
+		}
+		for v := 0; v < d.NumVars(); v++ {
+			val := rng.Intn(d.Size(v))
+			fv := d.NewCube()
+			d.SetAll(fv, v)
+			s.buf = s.buf[:0]
+			s.cofactorValue(flat, d.BitOf(v, val), fv)
+			var want []uint64
+			for _, c := range f.Cofactor(d.ValueCube(v, val)).Cubes {
+				want = append(want, c...)
+			}
+			if !slices.Equal(s.buf, want) {
+				t.Fatalf("one-field cofactor by (%d,%d) over %d words differs from Cofactor on\n%s", v, val, d.Words(), f)
+			}
+			for j := 0; j < len(want); j += d.Words() {
+				if d.IsEmpty(want[j : j+d.Words()]) {
+					t.Fatalf("cofactor by (%d,%d) kept a cube with an empty field", v, val)
+				}
 			}
 		}
+	}
+}
+
+// TestAllocsCoversCubeWide is the W-word kernel's allocation gate: on a
+// warmed pool, CoversCube over a 6-word symbolic-cover-shaped domain (27
+// binary inputs, a 121-valued state field, a 177-valued output field —
+// scf's layout) performs zero heap allocations.
+func TestAllocsCoversCubeWide(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	d := cube.New(append(repeatSizes(2, 27), 121, 177)...)
+	if d.Words() != 6 {
+		t.Fatalf("domain has %d words, want 6", d.Words())
+	}
+	rng := rand.New(rand.NewSource(5))
+	f := tautCover(rng, d, 40)
+	c := d.Universe()
+	d.Restrict(c, 27, 3)
+	f.CoversCube(c) // warm the pool
+	if n := testing.AllocsPerRun(100, func() { f.CoversCube(c) }); n != 0 {
+		t.Fatalf("warmed wide CoversCube allocates %.1f times per call, want 0", n)
 	}
 }
 
@@ -108,3 +358,39 @@ func TestTautologyKernelKnownCases(t *testing.T) {
 		t.Fatal("cover must not contain 1--")
 	}
 }
+
+// BenchmarkCoversCubeOneWord runs CoversCube on single-word covers of an
+// espresso-sized shape (6 binary variables, up to 24 cubes) through the
+// single-word kernel and through the W-word kernel at W = 1, on the same
+// domain and cubes: the measurement that keeps taut1.
+func BenchmarkCoversCubeOneWord(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	d := cube.Binary(6)
+	type query struct {
+		f *Cover
+		c cube.Cube
+	}
+	var qs []query
+	for len(qs) < 64 {
+		f := tautCover(rng, d, 1+rng.Intn(24))
+		if f.Len() == 0 {
+			continue
+		}
+		c := f.Cubes[rng.Intn(f.Len())]
+		qs = append(qs, query{f.Without(0), c})
+	}
+	b.Run("taut1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			benchSink = q.f.coversCube1(q.c)
+		}
+	})
+	b.Run("tautW", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			benchSink = q.f.coversCubeW(q.c)
+		}
+	})
+}
+
+var benchSink bool

@@ -74,20 +74,32 @@ type Domain struct {
 	// the kernels in the package tests.
 	w1    bool
 	vmask []uint64 // per-variable field mask within word 0
-	full  uint64   // union of all field masks (the universe word)
 
 	// Two- and three-word kernel state (kernels23.go): the same
 	// construction-time selection for domains of 65..128 and 129..192 bits.
 	// Each variable's field mask is precomputed over the fixed word count —
 	// a field straddling a word boundary simply has non-zero mask parts in
-	// both words — so every operation is a fully unrolled word expression
-	// with no span loop.
+	// both words — so every per-variable operation is a fully unrolled
+	// word expression with no span loop.
 	w2     bool
 	vmask2 [][2]uint64 // per-variable field masks over words 0..1
-	full2  [2]uint64   // universe words
 	w3     bool
 	vmask3 [][3]uint64 // per-variable field masks over words 0..2
-	full3  [3]uint64   // universe words
+
+	// Word-parallel field tests, precomputed for every width. low[i]
+	// holds the low bit of each binary field lying inside word i, so for
+	// a cube word x, (x|x>>1)&low[i] == low[i] says every such field is
+	// non-empty and low[i]&^(x&(x>>1)) marks the ones that are not full:
+	// one test per word instead of one per field. Every other field —
+	// multi-valued, 1-valued, or binary but straddling a word boundary
+	// (a binary field at bit 63) — is listed in odd and takes one mask
+	// test. Every multi-word domain (multi) runs its whole-cube emptiness
+	// tests this way; at any width the tautology kernel of internal/cover
+	// reaches them through AddNonFull.
+	low   []uint64
+	odd   []int
+	fullw []uint64 // universe words
+	multi bool
 }
 
 // New creates a domain with the given number of values per variable.
@@ -117,13 +129,24 @@ func New(sizes ...int) *Domain {
 			d.bitVar[d.offs[v]+val] = v
 		}
 	}
+	d.low = make([]uint64, d.nwords)
+	d.fullw = make([]uint64, d.nwords)
+	for v := range sizes {
+		if d.sizes[v] == 2 && len(d.spans[v]) == 1 {
+			d.low[d.offs[v]/64] |= 1 << (d.offs[v] % 64)
+		} else {
+			d.odd = append(d.odd, v)
+		}
+		for _, s := range d.spans[v] {
+			d.fullw[s.word] |= s.mask
+		}
+	}
 	switch {
 	case d.nbits <= 64:
 		d.w1 = true
 		d.vmask = make([]uint64, len(sizes))
 		for v := range sizes {
 			d.vmask[v] = d.spans[v][0].mask
-			d.full |= d.vmask[v]
 		}
 	case d.nwords == 2:
 		d.w2 = true
@@ -131,7 +154,6 @@ func New(sizes ...int) *Domain {
 		for v := range sizes {
 			for _, s := range d.spans[v] {
 				d.vmask2[v][s.word] |= s.mask
-				d.full2[s.word] |= s.mask
 			}
 		}
 	case d.nwords == 3:
@@ -140,10 +162,10 @@ func New(sizes ...int) *Domain {
 		for v := range sizes {
 			for _, s := range d.spans[v] {
 				d.vmask3[v][s.word] |= s.mask
-				d.full3[s.word] |= s.mask
 			}
 		}
 	}
+	d.multi = d.nwords > 1
 	return d
 }
 
@@ -152,8 +174,9 @@ func New(sizes ...int) *Domain {
 func (d *Domain) SingleWord() bool { return d.w1 }
 
 // KernelWords reports which word-level kernel tier the domain selected:
-// 1, 2 or 3 for the fixed-width fast paths, 0 when every operation takes
-// the generic span-loop path (domains beyond 192 bits, or Generic views).
+// 1, 2 or 3 for the fixed-width fast paths, 0 for domains beyond 192 bits
+// (span loops but for the word-parallel emptiness tests every multi-word
+// domain takes) and Generic views (span loops throughout).
 //
 //lint:ignore deadexport tier check of TestKernelTierSelection and BenchmarkCubeKernelsMultiWord (bench_test.go)
 func (d *Domain) KernelWords() int {
@@ -168,14 +191,15 @@ func (d *Domain) KernelWords() int {
 	return 0
 }
 
-// FullMask returns the universe word — the union of every variable's field
-// mask in word 0. Only meaningful when SingleWord reports true.
-func (d *Domain) FullMask() uint64 { return d.full }
-
 // VarMasks returns the per-variable field masks within word 0, or nil when
 // the domain is not single-word. The slice is shared and must not be
 // modified.
 func (d *Domain) VarMasks() []uint64 { return d.vmask }
+
+// FullWords returns the universe cube's words — the union of every
+// variable's field masks, word by word — at every width. The slice is
+// shared and must not be modified.
+func (d *Domain) FullWords() []uint64 { return d.fullw }
 
 // Generic returns a copy of the domain with the word-level kernels (all
 // tiers) disabled, so every operation takes the span-loop reference path.
@@ -187,13 +211,11 @@ func (d *Domain) Generic() *Domain {
 	g := *d
 	g.w1 = false
 	g.vmask = nil
-	g.full = 0
 	g.w2 = false
 	g.vmask2 = nil
-	g.full2 = [2]uint64{}
 	g.w3 = false
 	g.vmask3 = nil
-	g.full3 = [3]uint64{}
+	g.multi = false
 	return &g
 }
 
@@ -411,6 +433,19 @@ func (d *Domain) PartCount(c Cube, v int) int {
 	return n
 }
 
+// SharedValues returns the number of values of variable v that both a and
+// b allow; zero means the two fields are disjoint.
+func (d *Domain) SharedValues(a, b Cube, v int) int {
+	if d.w1 {
+		return bits.OnesCount64(a[0] & b[0] & d.vmask[v])
+	}
+	n := 0
+	for _, s := range d.spans[v] {
+		n += bits.OnesCount64(a[s.word] & b[s.word] & s.mask)
+	}
+	return n
+}
+
 // BinLit returns the literal of binary variable v in c. It panics if the
 // variable is not binary.
 func (d *Domain) BinLit(c Cube, v int) Lit {
@@ -459,11 +494,8 @@ func (d *Domain) IsEmpty(c Cube) bool {
 		}
 		return false
 	}
-	if d.w2 {
-		return d.isEmpty2(c)
-	}
-	if d.w3 {
-		return d.isEmpty3(c)
+	if d.multi {
+		return !d.meets(c, c)
 	}
 	for v := range d.sizes {
 		if d.PartEmpty(c, v) {
@@ -488,12 +520,6 @@ func (d *Domain) Intersect(dst, a, b Cube) bool {
 		}
 		return true
 	}
-	if d.w2 {
-		return d.intersect2(dst, a, b)
-	}
-	if d.w3 {
-		return d.intersect3(dst, a, b)
-	}
 	for i := range dst {
 		dst[i] = a[i] & b[i]
 	}
@@ -514,11 +540,8 @@ func (d *Domain) Intersects(a, b Cube) bool {
 		}
 		return true
 	}
-	if d.w2 {
-		return d.intersects2(a, b)
-	}
-	if d.w3 {
-		return d.intersects3(a, b)
+	if d.multi {
+		return d.meets(a, b)
 	}
 	for v := range d.sizes {
 		empty := true
@@ -573,14 +596,12 @@ func (d *Domain) Cofactor(dst, c, p Cube) bool {
 				return false
 			}
 		}
-		dst[0] = dst[0]&^d.full | (c[0]|^p[0])&d.full
+		full := d.fullw[0]
+		dst[0] = dst[0]&^full | (c[0]|^p[0])&full
 		return true
 	}
-	if d.w2 {
-		return d.cofactor2(dst, c, p)
-	}
-	if d.w3 {
-		return d.cofactor3(dst, c, p)
+	if d.multi {
+		return d.cofactorMulti(dst, c, p)
 	}
 	if !d.Intersects(c, p) {
 		return false

@@ -159,23 +159,128 @@ func TestKernelsMatchGenericOracle(t *testing.T) {
 	}
 }
 
-// The 2- and 3-word kernels must agree with the generic span path on every
-// operation, including domains with fields straddling word boundaries.
+// randBit63Domain builds a random domain of the given word count whose
+// fields put a binary field at bit 63 — straddling words 0 and 1 — after
+// either 31 binary fields behind a 1-valued one or one 63-valued field,
+// and whose later fields are random sizes.
+func randBit63Domain(rng *rand.Rand, words int) *Domain {
+	sizes := []int{63}
+	if rng.Intn(2) == 0 {
+		sizes = append([]int{1}, Binary(31).Sizes()...)
+	}
+	sizes = append(sizes, 2)
+	hi := 64 * words
+	for bits := 65; bits < hi-1; {
+		s := 2
+		if rng.Intn(3) == 0 {
+			s = 1 + rng.Intn(9)
+		}
+		s = min(s, hi-bits)
+		sizes = append(sizes, s)
+		bits += s
+	}
+	return New(sizes...)
+}
+
+// Every multi-word domain must agree with the generic span path on every
+// operation: the 2- and 3-word kernels, the span loops beyond them, and
+// the word-parallel emptiness tests (wide.go) at every width — fields
+// straddling word boundaries and binary fields at bit 63 included.
 func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 1500; iter++ {
-		words := 2 + rng.Intn(2)
+	for iter := 0; iter < 3000; iter++ {
+		words := 2 + rng.Intn(5)
 		d := randMultiWordDomain(rng, words)
-		if d.KernelWords() != words {
-			t.Fatalf("randMultiWordDomain(%d) selected tier %d (%d bits)",
-				words, d.KernelWords(), d.Bits())
+		if iter%2 == 1 {
+			d = randBit63Domain(rng, words)
+		}
+		tier := words
+		if words > 3 {
+			tier = 0
+		}
+		if d.KernelWords() != tier || !d.multi || d.Generic().multi {
+			t.Fatalf("%d-word domain (%d bits) selected tier %d, multi %v",
+				words, d.Bits(), d.KernelWords(), d.multi)
 		}
 		checkOpsMatchOracle(t, rng, d)
 	}
 }
 
+// TestWordParallelFieldTests checks the word-parallel field tests at
+// every width against their per-field definitions: AddNonFull against
+// PartFull, SharedValues against Has, and meets against the generic
+// Intersects.
+func TestWordParallelFieldTests(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for iter := 0; iter < 3000; iter++ {
+		var d *Domain
+		switch words := 1 + iter%6; {
+		case words == 1:
+			d = randKernelDomain(rng)
+		case iter%4 < 2:
+			d = randBit63Domain(rng, words)
+		default:
+			d = randMultiWordDomain(rng, words)
+		}
+		g := d.Generic()
+		a, b := randCube(rng, d), randCube(rng, d)
+		cnt := make([]int, d.NumVars())
+		d.AddNonFull(cnt, a)
+		for v := range cnt {
+			want := 0
+			if !g.PartFull(a, v) {
+				want = 1
+			}
+			if cnt[v] != want {
+				t.Fatalf("AddNonFull(%s) counts var %d as %d, want %d", g.String(a), v, cnt[v], want)
+			}
+			shared := 0
+			for val := 0; val < d.Size(v); val++ {
+				if d.Has(a, v, val) && d.Has(b, v, val) {
+					shared++
+				}
+			}
+			if got := d.SharedValues(a, b, v); got != shared {
+				t.Fatalf("SharedValues(%s,%s,%d) = %d, want %d", g.String(a), g.String(b), v, got, shared)
+			}
+		}
+		if got, want := d.meets(a, b), g.Intersects(a, b); got != want {
+			t.Fatalf("meets(%s,%s) = %v, generic Intersects %v", g.String(a), g.String(b), got, want)
+		}
+	}
+}
+
+// A binary field at bit 63 straddles two words, so it is tested by its
+// masks, not by the in-word low bits: each of its values alone makes it
+// non-empty, and only both make it full.
+func TestBinaryFieldAtBit63(t *testing.T) {
+	for _, words := range []int{2, 4} {
+		d := New(append([]int{63}, Binary(32*words-32).Sizes()...)...)
+		if d.Words() != words || d.BitOf(1, 0) != 63 {
+			t.Fatalf("domain layout: %d words, field 1 at bit %d", d.Words(), d.BitOf(1, 0))
+		}
+		if !slices.Contains(d.odd, 1) || d.low[0]>>63 != 0 {
+			t.Fatalf("binary field at bit 63 must be tested by its masks")
+		}
+		for val := 0; val < 2; val++ {
+			c := d.Universe()
+			d.Restrict(c, 1, val)
+			if d.IsEmpty(c) || !d.meets(c, c) {
+				t.Fatalf("%d words: field at bit 63 holding value %d reads empty", words, val)
+			}
+			cnt := make([]int, d.NumVars())
+			d.AddNonFull(cnt, c)
+			d.AddNonFull(cnt, d.Universe())
+			if cnt[1] != 1 || slices.Max(cnt) != 1 {
+				t.Fatalf("%d words: non-full counts %v, want var 1 alone", words, cnt)
+			}
+		}
+	}
+}
+
 // Kernel-tier selection: 1/2/3 words pick the matching fast path, anything
-// past 192 bits falls back to the generic span loop.
+// past 192 bits takes no fixed-width tier (span loops, but for the
+// word-parallel emptiness tests).
 func TestKernelTierSelection(t *testing.T) {
 	cases := []struct {
 		nv, words int
@@ -187,8 +292,8 @@ func TestKernelTierSelection(t *testing.T) {
 		{64, 2},  // 128 bits, boundary of tier 2
 		{65, 3},  // 130 bits
 		{96, 3},  // 192 bits, boundary of tier 3
-		{97, 0},  // 194 bits: generic only
-		{128, 0}, // 256 bits: generic only
+		{97, 0},  // 194 bits: no fixed-width tier
+		{128, 0}, // 256 bits: no fixed-width tier
 	}
 	for _, c := range cases {
 		d := Binary(c.nv)

@@ -423,7 +423,7 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 			if conflictCount[k] > 0 && o[bestBit/64]>>(uint(bestBit)%64)&1 == 1 {
 				// The raised bit is in o's field; if bestV was a conflict
 				// variable of o it no longer is.
-				if wasConflict(d, c, o, bestV, bestBit) {
+				if wasConflict(d, c, o, bestV) {
 					conflictCount[k]--
 					if conflictCount[k] == 1 {
 						// Recompute the single remaining conflict variable.
@@ -441,29 +441,15 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 }
 
 // wasConflict reports whether variable v of o conflicted with c before the
-// raise of bit (which belongs to v): true iff the only shared value now is
-// the raised bit itself.
-func wasConflict(d *cube.Domain, c, o cube.Cube, v, bit int) bool {
-	for val := 0; val < d.Size(v); val++ {
-		b := d.BitOf(v, val)
-		if b == bit {
-			continue
-		}
-		if c[b/64]>>(uint(b)%64)&1 == 1 && o[b/64]>>(uint(b)%64)&1 == 1 {
-			return false
-		}
-	}
-	return true
+// raise of bit (which belongs to v and which o allows): true iff the
+// raised bit is now the only value the two fields share.
+func wasConflict(d *cube.Domain, c, o cube.Cube, v int) bool {
+	return d.SharedValues(c, o, v) == 1
 }
 
 // varDisjoint reports whether cubes a and b share no value of variable v.
 func varDisjoint(d *cube.Domain, a, b cube.Cube, v int) bool {
-	for val := 0; val < d.Size(v); val++ {
-		if d.Has(a, v, val) && d.Has(b, v, val) {
-			return false
-		}
-	}
-	return true
+	return d.SharedValues(a, b, v) == 0
 }
 
 // irredundant selects a small irredundant subcover. The cubes are

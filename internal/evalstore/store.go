@@ -6,7 +6,8 @@
 // replace an espresso run with a disk read. Like the cache, the store
 // holds counts at nv ≤ 6 only: a read skips an entry above nv 6 and
 // counts it (LoadStats.Wide), Append writes none, and the next
-// compaction drops them.
+// compaction drops them — a store whose last read skipped such entries
+// is folded even when its WAL is empty.
 //
 // Layout under the store directory:
 //
@@ -23,7 +24,8 @@
 // and appended to the WAL (one Write call per frame), and Compact folds
 // shards + WAL into freshly written shard files — each written to a
 // temp file and atomically renamed into place — before truncating the
-// WAL; with an empty WAL it has nothing to fold and touches no shard. A
+// WAL; with an empty WAL it has nothing to fold and touches no shard,
+// unless the last read skipped entries above nv 6. A
 // crash at any point loses at most the torn tail of the WAL: Append
 // cuts a torn tail back to the clean frame prefix before its first
 // write, and compaction truncates the journal only after every shard
@@ -49,10 +51,11 @@ import (
 	"picola/internal/par"
 )
 
-// Store metrics: entries read at load (before dedup/import), shard
-// files and WAL frames skipped as corrupt, entries appended to the WAL,
-// entries written by the last compaction, and the current on-disk
-// entry count.
+// Store metrics: the distinct entries at nv ≤ 6 each read found on
+// disk (LoadStats.Entries: after dedup and after skipping entries above
+// nv 6, before import; Compact's read included), shard files and WAL
+// frames skipped as corrupt, entries appended to the WAL, entries
+// written by the last compaction, and the current on-disk entry count.
 var (
 	mLoadEntries  = obs.Default.Counter("evalstore.load.entries")
 	mLoadSkipped  = obs.Default.Counter("evalstore.load.skipped_shards")
@@ -98,6 +101,9 @@ type Store struct {
 	// false until the first read). Append's torn-tail repair uses them.
 	walScanned        bool
 	walSize, walClean int64
+	// wide is the last read's LoadStats.Wide: entries above nv 6 still
+	// on disk, which Compact folds away even with an empty WAL.
+	wide int
 }
 
 // Open opens (creating if needed) a store directory.
@@ -267,20 +273,21 @@ func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
 	st.Entries = len(entries)
 	mLoadEntries.Add(int64(len(entries)))
 	wal := inputs[storeShards]
-	s.noteRead(seen, int64(wal.size), int64(wal.clean))
+	s.noteRead(seen, int64(wal.size), int64(wal.clean), st.Wide)
 	return entries, st, nil
 }
 
 // noteRead records a read under the lock: its keys replace the known
 // set — an entry this process appended that has since left the disk (a
 // journal truncated by another process's compaction, a corrupt shard)
-// must be appended again — and its WAL scan is kept for Append's
-// torn-tail repair.
-func (s *Store) noteRead(seen eval.KeySet, walSize, walClean int64) {
+// must be appended again — its WAL scan is kept for Append's torn-tail
+// repair, and its count of entries above nv 6 for Compact.
+func (s *Store) noteRead(seen eval.KeySet, walSize, walClean int64, wide int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.known = seen
 	s.walScanned, s.walSize, s.walClean = true, walSize, walClean
+	s.wide = wide
 	gEntries.Set(int64(len(seen)))
 }
 
@@ -392,9 +399,10 @@ type CompactStats struct {
 // files — each marshalled as one canonical picola-ir/v1 container,
 // written to a temp file in the store directory and atomically renamed
 // into place — then truncates the WAL. The fold drops every entry
-// above nv 6, as a read skips them. An empty WAL leaves nothing to
-// fold: Compact then returns zero stats without reading or writing any
-// shard. Unreadable inputs are skipped exactly as in Load, except that
+// above nv 6, as a read skips them, and removes a shard file that held
+// nothing else. An empty WAL leaves nothing to fold: unless this
+// store's last read skipped entries above nv 6, Compact then returns
+// zero stats without reading or writing any shard. Unreadable inputs are skipped exactly as in Load, except that
 // a CRC-valid WAL frame the decoder rejects keeps the journal in place
 // (see CompactStats.KeptWAL). A crash mid-compaction is safe at every
 // point: the WAL still holds everything not yet renamed, and duplicate
@@ -407,7 +415,10 @@ func (s *Store) Compact() (CompactStats, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return st, fmt.Errorf("evalstore: %w", err)
 	}
-	if err != nil || fi.Size() == 0 {
+	s.mu.Lock()
+	wide := s.wide
+	s.mu.Unlock()
+	if (err != nil || fi.Size() == 0) && wide == 0 {
 		// Nothing to fold: the shards already hold every entry in
 		// canonical form, and rewriting them would reproduce their bytes.
 		return st, nil
@@ -423,6 +434,15 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 	for i, batch := range byShard {
 		if len(batch) == 0 {
+			// A shard left with no entry held only entries above nv 6
+			// (or was never written): remove it if it decodes, so the
+			// fold drops those too. An undecodable one stays as it is.
+			path := filepath.Join(s.dir, shardName(i))
+			if in := readShard(path); !in.corrupt && in.batches != nil {
+				if err := os.Remove(path); err != nil {
+					return st, fmt.Errorf("evalstore: %w", err)
+				}
+			}
 			continue
 		}
 		eval.SortEntries(batch)
@@ -499,7 +519,10 @@ func (s *Store) truncateWAL(walPath string) error {
 		err = nil
 	}
 	if err == nil {
+		// The renamed shards hold no entry above nv 6, and now neither
+		// does the journal.
 		s.walScanned, s.walSize, s.walClean = true, 0, 0
+		s.wide = 0
 	}
 	return err
 }

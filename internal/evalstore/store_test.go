@@ -1156,3 +1156,60 @@ func TestStoreLayoutStable(t *testing.T) {
 		t.Errorf("rewrite made %d files, want %d", len(files), len(wantFiles))
 	}
 }
+
+// TestStoreCompactDropsWide: a store whose shards still hold entries
+// above nv 6 — written by an earlier version, here a copy of
+// testdata/layout-v1, whose WAL is empty — loses them to the first
+// Compact after a read that skipped them, so the next Load decodes none,
+// and its entries at nv ≤ 6 come through unchanged. A second Compact
+// then has nothing to fold.
+func TestStoreCompactDropsWide(t *testing.T) {
+	const golden = "testdata/layout-v1"
+	dir := t.TempDir()
+	files, err := os.ReadDir(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range files {
+		b, err := os.ReadFile(filepath.Join(golden, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, de.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := eval.NewCache()
+	st, err := s.Load(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Wide != 12 || st.Entries != 34 {
+		t.Fatalf("first load stats %+v, want 34 entries and 12 wide", st)
+	}
+	cst, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cst.Entries != 34 {
+		t.Fatalf("compaction stats %+v, want the 34 entries at nv <= 6 written", cst)
+	}
+	after := eval.NewCache()
+	if st, err = s.Load(after); err != nil {
+		t.Fatal(err)
+	}
+	if st.Wide != 0 || st.Entries != 34 {
+		t.Fatalf("load after compaction stats %+v, want 34 entries and none wide", st)
+	}
+	if !reflect.DeepEqual(after.Export(), before.Export()) {
+		t.Fatal("compaction changed the entries at nv <= 6")
+	}
+	if cst, err = s.Compact(); err != nil || cst.ShardFiles != 0 {
+		t.Fatalf("second compaction %+v (err %v), want nothing written", cst, err)
+	}
+}

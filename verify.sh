@@ -44,12 +44,13 @@ go test ./...
 go test -race ./...
 
 # Allocation-regression gate: on a warmed arena, one exact constraint
-# scoring must perform zero heap allocations, and on a warmed encoder one
-# classify column scan likewise (the hot-path pooling contract;
-# testing.AllocsPerRun-based, so a single stray make fails it). The
-# store lifecycle gates bound cache import at about one allocation per
-# inserted entry and a store append of known entries at a constant.
-go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/evalstore
+# scoring must perform zero heap allocations, on a warmed encoder one
+# classify column scan likewise, and on a warmed pool one CoversCube over
+# a six-word cover (the hot-path pooling contract; testing.AllocsPerRun-
+# based, so a single stray make fails it). The store lifecycle gates
+# bound cache import at about one allocation per inserted entry and a
+# store append of known entries at a constant.
+go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/evalstore ./internal/cover
 
 # Hot-path semantics gate: regenerate the Table I snapshot and require
 # zero cube-count deltas against the committed baseline — the kernel,
@@ -64,6 +65,14 @@ ledger_tmp=$(mktemp /tmp/picola-ledger.XXXXXX.json)
 go run ./cmd/tables -table 1 -json "$tables_tmp" -ledger "$ledger_tmp" >/dev/null
 go run ./cmd/obsdiff -wall-pct inf BENCH_4.json "$tables_tmp"
 grep -q '"schema": "picola-ledger/v1"' "$ledger_tmp"
+
+# Table II product gate: the state-assignment table runs espresso on
+# every symbolic cover width (one to six words) and must reproduce the
+# committed snapshot's product counts — zero mismatches, walls ignored.
+t2_tmp=$(mktemp /tmp/picola-table2.XXXXXX.json)
+go run ./cmd/tables -table 2 -json "$t2_tmp" >/dev/null
+go run ./cmd/obsdiff -wall-pct inf internal/benchsnap/testdata/table2.json "$t2_tmp"
+rm -f "$t2_tmp"
 
 # Table III golden gate: EncodeAll plus the code-length sweep is the only
 # committed experiment that runs the estimate polish at nv 8-10, so its
