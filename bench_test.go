@@ -378,7 +378,7 @@ func BenchmarkCubeKernels(b *testing.B) {
 
 // BenchmarkCubeKernelsMultiWord is the 2- and 3-word analogue of
 // BenchmarkCubeKernels: an 80-bit (40-variable) and a 160-bit (80-variable)
-// binary domain exercise the fixed-width multi-word kernels against the
+// binary domain exercise the word-parallel whole-cube tests against the
 // same Generic() span-loop reference.
 func BenchmarkCubeKernelsMultiWord(b *testing.B) {
 	for _, tier := range []struct {
@@ -386,8 +386,8 @@ func BenchmarkCubeKernelsMultiWord(b *testing.B) {
 		nv   int
 	}{{"2word", 40}, {"3word", 80}} {
 		d := cube.Binary(tier.nv)
-		if d.KernelWords() != int(tier.name[0]-'0') {
-			b.Fatalf("Binary(%d) selected tier %d", tier.nv, d.KernelWords())
+		if d.SingleWord() || d.Words() != int(tier.name[0]-'0') {
+			b.Fatalf("Binary(%d) spans %d words, single-word %v", tier.nv, d.Words(), d.SingleWord())
 		}
 		pairs := benchCubePairs(d, 256, 13)
 		dst := d.NewCube()

@@ -183,7 +183,7 @@ func (f *Cover) complementRec() *Cover {
 		}
 	}
 	if len(f.Cubes) == 1 {
-		return sharpUniverse(d, f.Cubes[0])
+		return &Cover{D: d, Cubes: DisjointSharp(d, d.Universe(), f.Cubes[0])}
 	}
 	v := f.activeVar()
 	if v < 0 {
@@ -202,40 +202,6 @@ func (f *Cover) complementRec() *Cover {
 		}
 	}
 	out.SCC()
-	return out
-}
-
-// sharpUniverse returns the complement of a single cube: one cube per
-// variable whose field is not full, with that field inverted and all
-// preceding fields kept as in c (a disjoint sharp).
-func sharpUniverse(d *cube.Domain, c cube.Cube) *Cover {
-	out := New(d)
-	prefix := d.Universe()
-	for v := 0; v < d.NumVars(); v++ {
-		if d.PartFull(c, v) {
-			continue
-		}
-		r := prefix.Clone()
-		// Field v of r becomes the complement of c's field v.
-		for val := 0; val < d.Size(v); val++ {
-			if d.Has(c, v, val) {
-				d.ClearVal(r, v, val)
-			} else {
-				d.Set(r, v, val)
-			}
-		}
-		if !d.IsEmpty(r) {
-			out.Cubes = append(out.Cubes, r)
-		}
-		// Restrict the prefix to c's field for subsequent variables,
-		// making the sharp disjoint.
-		d.ClearAll(prefix, v)
-		for val := 0; val < d.Size(v); val++ {
-			if d.Has(c, v, val) {
-				d.Set(prefix, v, val)
-			}
-		}
-	}
 	return out
 }
 

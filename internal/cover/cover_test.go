@@ -191,6 +191,10 @@ func TestCoversAndEquivalent(t *testing.T) {
 }
 
 func TestComplementRoundTrip(t *testing.T) {
+	// The complement of a single empty cube is the universe cube.
+	if g := FromStrings(cube.Binary(3), "0~1").Complement(); g.String() != "---" {
+		t.Fatalf("complement of the empty cube 0~1:\n%s\nwant ---", g)
+	}
 	r := rand.New(rand.NewSource(11))
 	d := cube.Binary(6)
 	for trial := 0; trial < 30; trial++ {

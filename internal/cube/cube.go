@@ -71,20 +71,13 @@ type Domain struct {
 	// uint64 operations against these precomputed masks. The selection is
 	// made once here, at construction; the generic span path remains the
 	// reference implementation (see Generic) and is cross-checked against
-	// the kernels in the package tests.
+	// the kernels in the package tests. Every wider domain runs the span
+	// loops for its per-variable operations (PartEmpty, PartFull,
+	// PartCount, SetAll, ClearAll, FullParts): on espresso's two- and
+	// three-word covers they take under 3 % of the time, too little for a
+	// fixed-width tier to pay for itself.
 	w1    bool
 	vmask []uint64 // per-variable field mask within word 0
-
-	// Two- and three-word kernel state (kernels23.go): the same
-	// construction-time selection for domains of 65..128 and 129..192 bits.
-	// Each variable's field mask is precomputed over the fixed word count —
-	// a field straddling a word boundary simply has non-zero mask parts in
-	// both words — so every per-variable operation is a fully unrolled
-	// word expression with no span loop.
-	w2     bool
-	vmask2 [][2]uint64 // per-variable field masks over words 0..1
-	w3     bool
-	vmask3 [][3]uint64 // per-variable field masks over words 0..2
 
 	// Word-parallel field tests, precomputed for every width. low[i]
 	// holds the low bit of each binary field lying inside word i, so for
@@ -141,28 +134,11 @@ func New(sizes ...int) *Domain {
 			d.fullw[s.word] |= s.mask
 		}
 	}
-	switch {
-	case d.nbits <= 64:
+	if d.nbits <= 64 {
 		d.w1 = true
 		d.vmask = make([]uint64, len(sizes))
 		for v := range sizes {
 			d.vmask[v] = d.spans[v][0].mask
-		}
-	case d.nwords == 2:
-		d.w2 = true
-		d.vmask2 = make([][2]uint64, len(sizes))
-		for v := range sizes {
-			for _, s := range d.spans[v] {
-				d.vmask2[v][s.word] |= s.mask
-			}
-		}
-	case d.nwords == 3:
-		d.w3 = true
-		d.vmask3 = make([][3]uint64, len(sizes))
-		for v := range sizes {
-			for _, s := range d.spans[v] {
-				d.vmask3[v][s.word] |= s.mask
-			}
 		}
 	}
 	d.multi = d.nwords > 1
@@ -170,26 +146,8 @@ func New(sizes ...int) *Domain {
 }
 
 // SingleWord reports whether the domain's cubes fit in one uint64 word and
-// the word-level kernels are selected.
+// the single-word kernels are selected.
 func (d *Domain) SingleWord() bool { return d.w1 }
-
-// KernelWords reports which word-level kernel tier the domain selected:
-// 1, 2 or 3 for the fixed-width fast paths, 0 for domains beyond 192 bits
-// (span loops but for the word-parallel emptiness tests every multi-word
-// domain takes) and Generic views (span loops throughout).
-//
-//lint:ignore deadexport tier check of TestKernelTierSelection and BenchmarkCubeKernelsMultiWord (bench_test.go)
-func (d *Domain) KernelWords() int {
-	switch {
-	case d.w1:
-		return 1
-	case d.w2:
-		return 2
-	case d.w3:
-		return 3
-	}
-	return 0
-}
 
 // VarMasks returns the per-variable field masks within word 0, or nil when
 // the domain is not single-word. The slice is shared and must not be
@@ -201,20 +159,16 @@ func (d *Domain) VarMasks() []uint64 { return d.vmask }
 // shared and must not be modified.
 func (d *Domain) FullWords() []uint64 { return d.fullw }
 
-// Generic returns a copy of the domain with the word-level kernels (all
-// tiers) disabled, so every operation takes the span-loop reference path.
-// It exists for tests and benchmarks: the generic path is the oracle the
-// kernels are checked against.
+// Generic returns a copy of the domain with the single-word kernels and
+// the word-parallel whole-cube tests disabled, so every operation takes
+// the span-loop reference path. It exists for tests and benchmarks: the
+// generic path is the oracle the kernels are checked against.
 //
 //lint:ignore deadexport kernel oracle of the cube kernel tests, TestTautologyKernelMatchesGeneric (cover) and the bench_test.go kernel benchmarks
 func (d *Domain) Generic() *Domain {
 	g := *d
 	g.w1 = false
 	g.vmask = nil
-	g.w2 = false
-	g.vmask2 = nil
-	g.w3 = false
-	g.vmask3 = nil
 	g.multi = false
 	return &g
 }
@@ -328,19 +282,6 @@ func (d *Domain) SetAll(c Cube, v int) {
 		c[0] |= d.vmask[v]
 		return
 	}
-	if d.w2 {
-		m := &d.vmask2[v]
-		c[0] |= m[0]
-		c[1] |= m[1]
-		return
-	}
-	if d.w3 {
-		m := &d.vmask3[v]
-		c[0] |= m[0]
-		c[1] |= m[1]
-		c[2] |= m[2]
-		return
-	}
 	for _, s := range d.spans[v] {
 		c[s.word] |= s.mask
 	}
@@ -350,19 +291,6 @@ func (d *Domain) SetAll(c Cube, v int) {
 func (d *Domain) ClearAll(c Cube, v int) {
 	if d.w1 {
 		c[0] &^= d.vmask[v]
-		return
-	}
-	if d.w2 {
-		m := &d.vmask2[v]
-		c[0] &^= m[0]
-		c[1] &^= m[1]
-		return
-	}
-	if d.w3 {
-		m := &d.vmask3[v]
-		c[0] &^= m[0]
-		c[1] &^= m[1]
-		c[2] &^= m[2]
 		return
 	}
 	for _, s := range d.spans[v] {
@@ -381,12 +309,6 @@ func (d *Domain) PartEmpty(c Cube, v int) bool {
 	if d.w1 {
 		return c[0]&d.vmask[v] == 0
 	}
-	if d.w2 {
-		return d.partEmpty2(c, v)
-	}
-	if d.w3 {
-		return d.partEmpty3(c, v)
-	}
 	for _, s := range d.spans[v] {
 		if c[s.word]&s.mask != 0 {
 			return false
@@ -401,12 +323,6 @@ func (d *Domain) PartFull(c Cube, v int) bool {
 		m := d.vmask[v]
 		return c[0]&m == m
 	}
-	if d.w2 {
-		return d.partFull2(c, v)
-	}
-	if d.w3 {
-		return d.partFull3(c, v)
-	}
 	for _, s := range d.spans[v] {
 		if c[s.word]&s.mask != s.mask {
 			return false
@@ -419,12 +335,6 @@ func (d *Domain) PartFull(c Cube, v int) bool {
 func (d *Domain) PartCount(c Cube, v int) int {
 	if d.w1 {
 		return bits.OnesCount64(c[0] & d.vmask[v])
-	}
-	if d.w2 {
-		return d.partCount2(c, v)
-	}
-	if d.w3 {
-		return d.partCount3(c, v)
 	}
 	n := 0
 	for _, s := range d.spans[v] {
@@ -627,12 +537,6 @@ func (d *Domain) FullParts(c Cube) int {
 			}
 		}
 		return n
-	}
-	if d.w2 {
-		return d.fullParts2(c)
-	}
-	if d.w3 {
-		return d.fullParts3(c)
 	}
 	n := 0
 	for v := range d.sizes {

@@ -83,7 +83,7 @@ func randMultiWordDomain(rng *rand.Rand, words int) *Domain {
 func checkOpsMatchOracle(t *testing.T, rng *rand.Rand, d *Domain) {
 	t.Helper()
 	g := d.Generic()
-	if g.KernelWords() != 0 {
+	if g.SingleWord() || g.multi {
 		t.Fatal("Generic() did not disable the kernels")
 	}
 	a, b := randCube(rng, d), randCube(rng, d)
@@ -183,9 +183,11 @@ func randBit63Domain(rng *rand.Rand, words int) *Domain {
 }
 
 // Every multi-word domain must agree with the generic span path on every
-// operation: the 2- and 3-word kernels, the span loops beyond them, and
-// the word-parallel emptiness tests (wide.go) at every width — fields
-// straddling word boundaries and binary fields at bit 63 included.
+// operation. Only its word-parallel emptiness tests (wide.go) differ from
+// the oracle, at every width — fields straddling word boundaries and
+// binary fields at bit 63 included. Its per-variable operations run the
+// oracle's own span loops, so TestWordParallelFieldTests checks them
+// against their definitions instead.
 func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 3000; iter++ {
@@ -194,22 +196,20 @@ func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
 		if iter%2 == 1 {
 			d = randBit63Domain(rng, words)
 		}
-		tier := words
-		if words > 3 {
-			tier = 0
-		}
-		if d.KernelWords() != tier || !d.multi || d.Generic().multi {
-			t.Fatalf("%d-word domain (%d bits) selected tier %d, multi %v",
-				words, d.Bits(), d.KernelWords(), d.multi)
+		if d.Words() != words || d.SingleWord() || !d.multi || d.Generic().multi {
+			t.Fatalf("%d-word domain (%d bits): %d words, single-word %v, multi %v",
+				words, d.Bits(), d.Words(), d.SingleWord(), d.multi)
 		}
 		checkOpsMatchOracle(t, rng, d)
 	}
 }
 
-// TestWordParallelFieldTests checks the word-parallel field tests at
-// every width against their per-field definitions: AddNonFull against
-// PartFull, SharedValues against Has, and meets against the generic
-// Intersects.
+// TestWordParallelFieldTests checks the field operations at every width
+// against their per-field definitions, built one value at a time from Has
+// and Set: AddNonFull against PartFull, SharedValues against Has, meets
+// against the generic Intersects, and PartEmpty, PartFull, PartCount,
+// FullParts, SetAll and ClearAll — the span loops of every multi-word
+// domain and the single-word kernels — against Has and Set.
 func TestWordParallelFieldTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 3000; iter++ {
@@ -247,6 +247,56 @@ func TestWordParallelFieldTests(t *testing.T) {
 		if got, want := d.meets(a, b), g.Intersects(a, b); got != want {
 			t.Fatalf("meets(%s,%s) = %v, generic Intersects %v", g.String(a), g.String(b), got, want)
 		}
+		checkPartOpsByValue(t, d, a)
+	}
+}
+
+// checkPartOpsByValue checks d's per-variable operations on cube a
+// against their definitions by value: a field's count is the number of
+// its values Has reports, it is empty at zero and full at its size;
+// SetAll(v) equals a with Set applied to every value of v, and ClearAll(v)
+// clears every value of v and nothing else, so Setting back the values a
+// held restores a.
+func checkPartOpsByValue(t *testing.T, d *Domain, a Cube) {
+	t.Helper()
+	full := 0
+	for v := 0; v < d.NumVars(); v++ {
+		n := 0
+		for val := 0; val < d.Size(v); val++ {
+			if d.Has(a, v, val) {
+				n++
+			}
+		}
+		if n == d.Size(v) {
+			full++
+		}
+		if d.PartCount(a, v) != n || d.PartEmpty(a, v) != (n == 0) || d.PartFull(a, v) != (n == d.Size(v)) {
+			t.Fatalf("%d words: var %d of %s: PartCount %d, PartEmpty %v, PartFull %v; %d of %d values set",
+				d.Words(), v, d.String(a), d.PartCount(a, v), d.PartEmpty(a, v), d.PartFull(a, v), n, d.Size(v))
+		}
+		got, want := a.Clone(), a.Clone()
+		d.SetAll(got, v)
+		for val := 0; val < d.Size(v); val++ {
+			d.Set(want, v, val)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d words: SetAll(%s, %d) = %s, want %s", d.Words(), d.String(a), v, d.String(got), d.String(want))
+		}
+		d.ClearAll(got, v)
+		for val := 0; val < d.Size(v); val++ {
+			if d.Has(got, v, val) {
+				t.Fatalf("%d words: ClearAll(var %d) left value %d in %s", d.Words(), v, val, d.String(got))
+			}
+			if d.Has(a, v, val) {
+				d.Set(got, v, val)
+			}
+		}
+		if !slices.Equal(got, a) {
+			t.Fatalf("%d words: ClearAll(var %d) of %s changed another field: %s", d.Words(), v, d.String(a), d.String(got))
+		}
+	}
+	if got := d.FullParts(a); got != full {
+		t.Fatalf("%d words: FullParts(%s) = %d, want %d", d.Words(), d.String(a), got, full)
 	}
 }
 
@@ -278,32 +328,28 @@ func TestBinaryFieldAtBit63(t *testing.T) {
 	}
 }
 
-// Kernel-tier selection: 1/2/3 words pick the matching fast path, anything
-// past 192 bits takes no fixed-width tier (span loops, but for the
-// word-parallel emptiness tests).
+// Kernel selection: a domain of up to 64 bits takes the single-word
+// kernels; every wider one, at any word count, takes the span loops and
+// the word-parallel emptiness tests.
 func TestKernelTierSelection(t *testing.T) {
 	cases := []struct {
 		nv, words int
 	}{
 		{8, 1},   // 16 bits
-		{32, 1},  // 64 bits, boundary of tier 1
+		{32, 1},  // 64 bits, the last single-word width
 		{33, 2},  // 66 bits
 		{40, 2},  // 80 bits
-		{64, 2},  // 128 bits, boundary of tier 2
+		{64, 2},  // 128 bits
 		{65, 3},  // 130 bits
-		{96, 3},  // 192 bits, boundary of tier 3
-		{97, 0},  // 194 bits: no fixed-width tier
-		{128, 0}, // 256 bits: no fixed-width tier
+		{96, 3},  // 192 bits
+		{97, 4},  // 194 bits
+		{128, 4}, // 256 bits
 	}
 	for _, c := range cases {
 		d := Binary(c.nv)
-		if d.KernelWords() != c.words {
-			t.Fatalf("Binary(%d) (%d bits): KernelWords %d, want %d",
-				c.nv, d.Bits(), d.KernelWords(), c.words)
-		}
-		if d.SingleWord() != (c.words == 1) {
-			t.Fatalf("Binary(%d): SingleWord %v inconsistent with tier %d",
-				c.nv, d.SingleWord(), c.words)
+		if d.Words() != c.words || d.SingleWord() != (c.words == 1) || d.multi != (c.words > 1) {
+			t.Fatalf("Binary(%d) (%d bits): %d words, single-word %v, multi %v; want %d words",
+				c.nv, d.Bits(), d.Words(), d.SingleWord(), d.multi, c.words)
 		}
 		u := d.Universe()
 		if d.IsEmpty(u) || d.FullParts(u) != c.nv {

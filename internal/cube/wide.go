@@ -7,9 +7,12 @@ import "math/bits"
 // carries that answer to the field's low bit, and one compare against
 // low tests every such field of the word at once; x&(x>>1) does the same
 // for fullness. A binary field at bit 63 straddles two words and sits in
-// odd with the multi-valued fields, which take one mask test each. The
-// generic span path (Domain.Generic) remains the reference these tests
-// are checked against in the package tests.
+// odd with the multi-valued fields, which take one mask test each.
+// These whole-cube tests (IsEmpty, Intersect, Intersects, Cofactor) are
+// the one fast path of every multi-word domain, whatever its width; its
+// per-variable operations take the span loops of cube.go. The generic
+// span path (Domain.Generic) remains the reference these tests are
+// checked against in the package tests.
 
 // meets reports whether every field of a AND b is non-empty, without
 // materializing the intersection.

@@ -1,7 +1,7 @@
 // Package espresso implements a heuristic two-level logic minimizer in the
 // style of Berkeley espresso: the classical EXPAND / IRREDUNDANT / REDUCE
-// iteration with essential-prime extraction, operating on multi-valued
-// covers in positional notation.
+// iteration, with the relatively essential cubes set aside, operating on
+// multi-valued covers in positional notation.
 //
 // The paper evaluates encodings by the number of product terms espresso
 // needs for the encoded constraints and for the encoded FSM combinational
@@ -36,6 +36,7 @@ type scratch struct {
 	varMask       []uint64
 	colCount      []int
 	covered       []bool
+	restricted    []uint64
 	rest          cover.Cover
 }
 
@@ -111,14 +112,6 @@ type Function struct {
 // improving.
 const maxIterations = 100
 
-// Options tune the minimizer.
-type Options struct {
-	// SkipLastGasp disables the post-convergence LAST_GASP attempt.
-	SkipLastGasp bool
-	// SkipMakeSparse disables the final output-lowering pass.
-	SkipMakeSparse bool
-}
-
 // cost is the espresso cost function: primary the number of cubes,
 // secondary the literal count (fewer is better).
 type cost struct {
@@ -140,21 +133,17 @@ func (a cost) less(b cost) bool {
 // Minimize returns a heuristically minimum cover of the function: a cover
 // F with On ⊆ F ⊆ On ∪ DC, irredundant and consisting of prime implicants
 // (relative to the heuristic). The input covers are not modified.
-func Minimize(f *Function, opts ...Options) (*cover.Cover, error) {
-	return MinimizeContext(context.Background(), f, opts...)
+func Minimize(f *Function) (*cover.Cover, error) {
+	return MinimizeContext(context.Background(), f)
 }
 
 // MinimizeContext is Minimize under a run context: the deadline is
 // checked on entry and once per improvement iteration, and a cancelled
 // minimization returns a wrapped context.Canceled/DeadlineExceeded
 // error instead of a cover.
-func MinimizeContext(ctx context.Context, f *Function, opts ...Options) (*cover.Cover, error) {
+func MinimizeContext(ctx context.Context, f *Function) (*cover.Cover, error) {
 	if err := ctxutil.Check(ctx, "espresso.minimize"); err != nil {
 		return nil, err
-	}
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
 	}
 	mMinimize.Inc()
 	hOnSize.Observe(int64(f.On.Len()))
@@ -219,17 +208,12 @@ func MinimizeContext(ctx context.Context, f *Function, opts ...Options) (*cover.
 		}
 		best = c
 	}
-	if !o.SkipLastGasp {
-		if G, ok := lastGasp(F, workDC, off, sc); ok {
-			F = G
-		}
+	if G, ok := lastGasp(F, workDC, off, sc); ok {
+		F = G
 	}
 	F.Cubes = append(F.Cubes, essentials.Cubes...)
 	F.SCC()
-	if !o.SkipMakeSparse {
-		F = makeSparse(F, dc, sc)
-	}
-	return F, nil
+	return makeSparse(F, dc, sc), nil
 }
 
 // lastGasp is espresso's post-convergence escape: every cube is reduced
@@ -302,7 +286,12 @@ func lastGasp(F *cover.Cover, dc, off *cover.Cover, sc *scratch) (*cover.Cover, 
 func makeSparse(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	d := F.D
 	out := F.Clone()
+	restricted := cube.Cube(sc.words(&sc.restricted, d.Words()))
 	for i, c := range out.Cubes {
+		// rest leaves cube i out, and only cube i changes while its
+		// values are tested, so one rest serves them all. It is built at
+		// the cube's first value to test: binary-only covers need none.
+		var rest *cover.Cover
 		for v := 0; v < d.NumVars(); v++ {
 			if d.Size(v) == 2 || d.PartCount(c, v) <= 1 {
 				continue // only multi-valued (output-like) fields
@@ -311,9 +300,11 @@ func makeSparse(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 				if !d.Has(c, v, val) || d.PartCount(c, v) == 1 {
 					continue
 				}
-				restricted := c.Clone()
+				if rest == nil {
+					rest = sc.restOf(d, out.Cubes, i, dc)
+				}
+				copy(restricted, c)
 				d.Restrict(restricted, v, val)
-				rest := sc.restOf(d, out.Cubes, i, dc)
 				if rest.CoversCube(restricted) {
 					d.ClearVal(c, v, val)
 				}
@@ -549,10 +540,13 @@ func irredundantSeq(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	return kept
 }
 
-// extractEssentials splits F into (essential primes, the rest). A prime is
-// essential when the other primes plus the don't-care set do not cover it;
-// essential primes appear in every prime irredundant cover, so the main
-// loop need not touch them.
+// extractEssentials splits F into its relatively essential cubes, which
+// the rest of F plus the don't-care set does not cover, and the others,
+// which the main loop works on. The test is against the current cover,
+// not against every prime, so a cube it sets aside need not be an
+// essential prime (one in every prime irredundant cover). On
+// irredundant's output it sets aside every cube that irredundant did not
+// leave redundant: usually all of F.
 func extractEssentials(F *cover.Cover, dc *cover.Cover, sc *scratch) (ess, rest *cover.Cover) {
 	ess = cover.New(F.D)
 	rest = cover.New(F.D)

@@ -79,6 +79,11 @@ rm -f "$t2_tmp"
 # output (no wall times) must match the committed table byte for byte.
 go run ./cmd/tables -table 3 | cmp testdata/table3.txt -
 
+# Table IV golden gate: espresso on the one- to three-word symbolic
+# covers of bbara to planet, under the area-driven and the low-power
+# codes; its output holds no wall times either.
+go run ./cmd/tables -table 4 | cmp testdata/table4.txt -
+
 # Regression-comparator self-consistency: obsdiff of a snapshot against
 # itself must exit 0 for both input kinds, whatever the thresholds.
 go run ./cmd/obsdiff "$ledger_tmp" "$ledger_tmp"
