@@ -214,6 +214,25 @@ func (f *Cover) CoversCube(c cube.Cube) bool {
 	return f.coversCubeW(c)
 }
 
+// DropCoveredValues clears, in value order, each value val of field v of
+// c for which the cover covers c restricted to val (field v narrowed to
+// {val}), as long as the field keeps two or more values. It answers as
+// CoversCube of each restricted cube would, and counts the same
+// recursion nodes, but cofactors the cover by c once: a cube survives
+// the cofactor by c restricted to val exactly when it meets c and holds
+// val, and comes out as its cofactor by c with field v full. Clearing
+// values of field v changes neither, and in the cofactor by c a cube's
+// field v holds a value of c exactly when the cube does, so one
+// cofactor by c serves every value, each answered from it by a value
+// cofactor (the one-field lemma, kernel.go).
+func (f *Cover) DropCoveredValues(c cube.Cube, v int) {
+	if f.D.SingleWord() {
+		f.dropCoveredValues1(c, v)
+		return
+	}
+	f.dropCoveredValuesW(c, v)
+}
+
 // Covers reports whether f covers every cube of g.
 func (f *Cover) Covers(g *Cover) bool {
 	for _, c := range g.Cubes {

@@ -39,7 +39,9 @@ import (
 // non-empty" test: CoversCube's cofactor by an arbitrary cube c, and
 // Tautology's top-level split, whose cover may hold empty cubes; both
 // leave only cubes that are non-empty in every field. TestOneFieldLemma
-// checks the lemma against the generic Cofactor.
+// checks the lemma against the generic Cofactor. DropCoveredValues
+// (cover.go) rests on it too: it takes the entry cofactor by c once per
+// field and reaches each value's test from it by one value cofactor.
 
 // taut1 is the pooled scratch of one kernel run: a bump arena of cofactored
 // cover words. Child covers are carved as sub-slices; reallocation during
@@ -139,20 +141,16 @@ func (f *Cover) tautology1() bool {
 	return s.rec(f.D, s.buf)
 }
 
-// coversCube1 runs the kernel on the cover cofactored by c, fused so the
-// intermediate cover is never materialized.
+// cofactorCubes appends to the arena the cofactor of the cubes by the
+// cube word p under the full test: the cubes whose intersection with p
+// is non-empty in every field, with fields widened by ^p.
 //
 //picola:hot
-func (f *Cover) coversCube1(c cube.Cube) bool {
-	s := taut1Pool.Get().(*taut1)
-	defer taut1Pool.Put(s)
-	s.buf = s.buf[:0]
-	d := f.D
+func (s *taut1) cofactorCubes(d *cube.Domain, cubes []cube.Cube, p uint64) {
 	full := d.FullWords()[0]
 	vmask := d.VarMasks()
-	p := c[0]
 outer:
-	for _, k := range f.Cubes {
+	for _, k := range cubes {
 		x := k[0] & p
 		for _, m := range vmask {
 			if x&m == 0 {
@@ -161,7 +159,47 @@ outer:
 		}
 		s.buf = append(s.buf, (k[0]|^p)&full)
 	}
-	return s.rec(d, s.buf)
+}
+
+// coversCube1 runs the kernel on the cover cofactored by c, fused so the
+// intermediate cover is never materialized.
+//
+//picola:hot
+func (f *Cover) coversCube1(c cube.Cube) bool {
+	s := taut1Pool.Get().(*taut1)
+	defer taut1Pool.Put(s)
+	s.buf = s.buf[:0]
+	s.cofactorCubes(f.D, f.Cubes, c[0])
+	return s.rec(f.D, s.buf)
+}
+
+// dropCoveredValues1 is DropCoveredValues on a single-word domain. A
+// value cofactor of the entry list is one word per cube, so it takes
+// cofactorInto's full test by the value cube.
+//
+//picola:hot
+func (f *Cover) dropCoveredValues1(c cube.Cube, v int) {
+	s := taut1Pool.Get().(*taut1)
+	defer taut1Pool.Put(s)
+	s.buf = s.buf[:0]
+	d := f.D
+	s.cofactorCubes(d, f.Cubes, c[0])
+	n := len(s.buf)
+	entry := s.buf[:n:n]
+	others := d.FullWords()[0] &^ d.VarMasks()[v] // a value cube less its bit
+	left := d.PartCount(c, v)
+	for val := 0; val < d.Size(v) && left >= 2; val++ {
+		bit := uint64(1) << uint(d.BitOf(v, val))
+		if c[0]&bit == 0 {
+			continue
+		}
+		s.cofactorInto(d, entry, others|bit)
+		if s.rec(d, s.buf[n:len(s.buf):len(s.buf)]) {
+			c[0] &^= bit
+			left--
+		}
+		s.buf = s.buf[:n]
+	}
 }
 
 // tautW is the pooled scratch of one W-word kernel run: a bump arena of
@@ -310,6 +348,23 @@ func (f *Cover) tautologyW() bool {
 	return s.rec(f.D, s.buf, true)
 }
 
+// cofactorCubes appends to the arena the cofactor of the cubes by c
+// under the full test: the cubes meeting c in every field, with fields
+// widened by ^c.
+//
+//picola:hot
+func (s *tautW) cofactorCubes(d *cube.Domain, cubes []cube.Cube, c cube.Cube) {
+	full := d.FullWords()
+	for _, k := range cubes {
+		if !d.Intersects(k, c) {
+			continue
+		}
+		for i, m := range full {
+			s.buf = append(s.buf, (k[i]|^c[i])&m)
+		}
+	}
+}
+
 // coversCubeW runs the W-word kernel on the cover cofactored by c, fused
 // so the intermediate cover is never materialized. The cofactor by c
 // takes the full test, so the recursion starts below the entry.
@@ -319,15 +374,39 @@ func (f *Cover) coversCubeW(c cube.Cube) bool {
 	s := tautWPool.Get().(*tautW)
 	defer tautWPool.Put(s)
 	s.reset(f.D)
+	s.cofactorCubes(f.D, f.Cubes, c)
+	return s.rec(f.D, s.buf, false)
+}
+
+// dropCoveredValuesW is DropCoveredValues on a domain of two or more
+// words. The full field of v goes into the arena first, then the entry
+// list; each value cofactor of it tests one bit (cofactorValue).
+//
+//picola:hot
+func (f *Cover) dropCoveredValuesW(c cube.Cube, v int) {
+	s := tautWPool.Get().(*tautW)
+	defer tautWPool.Put(s)
 	d := f.D
-	full := d.FullWords()
-	for _, k := range f.Cubes {
-		if !d.Intersects(k, c) {
+	s.reset(d)
+	w := d.Words()
+	for range w {
+		s.buf = append(s.buf, 0)
+	}
+	fv := s.buf[:w:w]
+	d.SetAll(fv, v)
+	s.cofactorCubes(d, f.Cubes, c)
+	n := len(s.buf)
+	entry := s.buf[w:n:n]
+	left := d.PartCount(c, v)
+	for val := 0; val < d.Size(v) && left >= 2; val++ {
+		if !d.Has(c, v, val) {
 			continue
 		}
-		for i, m := range full {
-			s.buf = append(s.buf, (k[i]|^c[i])&m)
+		s.cofactorValue(entry, d.BitOf(v, val), fv)
+		if s.rec(d, s.buf[n:len(s.buf):len(s.buf)], false) {
+			d.ClearVal(c, v, val)
+			left--
 		}
+		s.buf = s.buf[:n]
 	}
-	return s.rec(d, s.buf, false)
 }

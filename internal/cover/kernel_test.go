@@ -333,6 +333,118 @@ func TestAllocsCoversCubeWide(t *testing.T) {
 	}
 }
 
+// dropCoveredValuesByValue is the per-value loop DropCoveredValues
+// replaced (espresso's makeSparse ran it), kept as its twin: in value
+// order, while field v keeps two or more values, one CoversCube per value
+// on c restricted to it.
+func dropCoveredValuesByValue(f *Cover, c cube.Cube, v int) {
+	d := f.D
+	r := d.NewCube()
+	for val := 0; val < d.Size(v); val++ {
+		if !d.Has(c, v, val) || d.PartCount(c, v) == 1 {
+			continue
+		}
+		copy(r, c)
+		d.Restrict(r, v, val)
+		if f.CoversCube(r) {
+			d.ClearVal(c, v, val)
+		}
+	}
+}
+
+// randNonEmptyCube returns a random cube with every field non-empty.
+func randNonEmptyCube(rng *rand.Rand, d *cube.Domain) cube.Cube {
+	c := d.NewCube()
+	for v := 0; v < d.NumVars(); v++ {
+		for val := 0; val < d.Size(v); val++ {
+			if rng.Intn(3) != 0 {
+				d.Set(c, v, val)
+			}
+		}
+		if d.PartEmpty(c, v) {
+			d.Set(c, v, rng.Intn(d.Size(v)))
+		}
+	}
+	return c
+}
+
+// TestDropCoveredValuesMatchesByValue replays DropCoveredValues against
+// its per-value twin on random covers of one to six words — single-word
+// domains of fields of one to eight values, and randWideDomain's, with
+// straddling fields and a binary field at bit 63 — and demands the same
+// cleared values and the same cover.tautology_nodes delta. Every field of
+// the cube is lowered in turn, as makeSparse does, so later fields see a
+// cube whose earlier fields have lost values; the cube is random or a
+// cube of the cover with one field widened, so that some of its values
+// are covered and some are not.
+func TestDropCoveredValuesMatchesByValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for iter := 0; iter < 600; iter++ {
+		var d *cube.Domain
+		if words := 1 + iter%6; words == 1 {
+			sizes := make([]int, 2+rng.Intn(7))
+			for i := range sizes {
+				sizes[i] = 1 + rng.Intn(8)
+			}
+			d = cube.New(sizes...)
+		} else {
+			d = randWideDomain(rng, words)
+		}
+		f := randCover(rng, d, 12)
+		if iter%2 == 1 {
+			f = tautCover(rng, d, 1+rng.Intn(12))
+		}
+		if iter%3 == 0 {
+			addEmptyCube(rng, f)
+		}
+		c := randNonEmptyCube(rng, d)
+		if iter%4 < 2 && f.Len() > 0 {
+			if k := f.Cubes[rng.Intn(f.Len())]; !d.IsEmpty(k) {
+				c = k.Clone()
+				d.SetAll(c, rng.Intn(d.NumVars()))
+			}
+		}
+		want, got := c.Clone(), c.Clone()
+		for v := 0; v < d.NumVars(); v++ {
+			_, wantN := nodes(func() bool { dropCoveredValuesByValue(f, want, v); return true })
+			_, gotN := nodes(func() bool { f.DropCoveredValues(got, v); return true })
+			if !slices.Equal(got, want) || gotN != wantN {
+				t.Fatalf("DropCoveredValues(%s, %d) over %d words on\n%s\ngot %s (%d nodes), per value %s (%d nodes)",
+					d.String(c), v, d.Words(), f, d.String(got), gotN, d.String(want), wantN)
+			}
+		}
+	}
+}
+
+// TestAllocsDropCoveredValues is DropCoveredValues' allocation gate: on a
+// warmed pool, lowering the output field of a cube performs zero heap
+// allocations, both on a one-word domain (6 binary inputs, a 9-valued
+// output field) and on TestAllocsCoversCubeWide's six-word domain.
+func TestAllocsDropCoveredValues(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []*cube.Domain{
+		cube.WithOutputs(6, 9),
+		cube.New(append(repeatSizes(2, 27), 121, 177)...),
+	} {
+		f := tautCover(rng, d, 40)
+		c0 := d.Universe()
+		d.Restrict(c0, 0, 1)
+		c := c0.Clone()
+		v := d.NumVars() - 1
+		run := func() {
+			copy(c, c0)
+			f.DropCoveredValues(c, v)
+		}
+		run() // warm the pool
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Fatalf("warmed DropCoveredValues over %d words allocates %.1f times per call, want 0", d.Words(), n)
+		}
+	}
+}
+
 func repeatSizes(s, n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -88,7 +88,8 @@ type Domain struct {
 	// (a binary field at bit 63) — is listed in odd and takes one mask
 	// test. Every multi-word domain (multi) runs its whole-cube emptiness
 	// tests this way; at any width the tautology kernel of internal/cover
-	// reaches them through AddNonFull.
+	// reaches them through AddNonFull, and espresso's expand step through
+	// DisjointFields.
 	low   []uint64
 	odd   []int
 	fullw []uint64 // universe words

@@ -206,10 +206,11 @@ func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
 
 // TestWordParallelFieldTests checks the field operations at every width
 // against their per-field definitions, built one value at a time from Has
-// and Set: AddNonFull against PartFull, SharedValues against Has, meets
-// against the generic Intersects, and PartEmpty, PartFull, PartCount,
-// FullParts, SetAll and ClearAll — the span loops of every multi-word
-// domain and the single-word kernels — against Has and Set.
+// and Set: AddNonFull against PartFull, SharedValues against Has,
+// DisjointFields against SharedValues, meets against the generic
+// Intersects, and PartEmpty, PartFull, PartCount, FullParts, SetAll and
+// ClearAll — the span loops of every multi-word domain and the
+// single-word kernels — against Has and Set.
 func TestWordParallelFieldTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 3000; iter++ {
@@ -244,10 +245,42 @@ func TestWordParallelFieldTests(t *testing.T) {
 				t.Fatalf("SharedValues(%s,%s,%d) = %d, want %d", g.String(a), g.String(b), v, got, shared)
 			}
 		}
+		// A random pair is disjoint in many fields at once; the
+		// complement of a in one field, every other field full, makes a
+		// single conflict unless a has an empty field.
+		one := d.Universe()
+		u := iter % d.NumVars()
+		for val := 0; val < d.Size(u); val++ {
+			if d.Has(a, u, val) {
+				d.ClearVal(one, u, val)
+			}
+		}
+		for _, o := range []Cube{b, one} {
+			checkDisjointFields(t, d, a, o)
+		}
 		if got, want := d.meets(a, b), g.Intersects(a, b); got != want {
 			t.Fatalf("meets(%s,%s) = %v, generic Intersects %v", g.String(a), g.String(b), got, want)
 		}
 		checkPartOpsByValue(t, d, a)
+	}
+}
+
+// checkDisjointFields checks DisjointFields(a, b) against its definition
+// through SharedValues: the count of variables whose fields share no
+// value and, when that count is 1, the variable.
+func checkDisjointFields(t *testing.T, d *Domain, a, b Cube) {
+	t.Helper()
+	n, v := 0, -1
+	for u := 0; u < d.NumVars(); u++ {
+		if d.SharedValues(a, b, u) == 0 {
+			n++
+			v = u
+		}
+	}
+	gotN, gotV := d.DisjointFields(a, b)
+	if gotN != n || n == 1 && gotV != v {
+		t.Fatalf("%d words: DisjointFields(%s,%s) = (%d,%d), want (%d,%d)",
+			d.Words(), d.String(a), d.String(b), gotN, gotV, n, v)
 	}
 }
 

@@ -10,9 +10,10 @@ import "math/bits"
 // odd with the multi-valued fields, which take one mask test each.
 // These whole-cube tests (IsEmpty, Intersect, Intersects, Cofactor) are
 // the one fast path of every multi-word domain, whatever its width; its
-// per-variable operations take the span loops of cube.go. The generic
-// span path (Domain.Generic) remains the reference these tests are
-// checked against in the package tests.
+// per-variable operations take the span loops of cube.go. AddNonFull and
+// DisjointFields run the same tests at every width, one word included.
+// The generic span path (Domain.Generic) remains the reference these
+// tests are checked against in the package tests.
 
 // meets reports whether every field of a AND b is non-empty, without
 // materializing the intersection.
@@ -35,6 +36,33 @@ func (d *Domain) meets(a, b Cube) bool {
 		}
 	}
 	return true
+}
+
+// DisjointFields returns the number n of fields in which a and b share
+// no value and, when n is 1, that field's variable v. The binary fields
+// inside each word are tested at once, low&^(x|x>>1) marking the empty
+// ones of x = a AND b; every other field takes one mask test.
+//
+//picola:hot
+func (d *Domain) DisjointFields(a, b Cube) (n, v int) {
+	for i, low := range d.low {
+		x := a[i] & b[i]
+		if e := low &^ (x | x>>1); e != 0 {
+			n += bits.OnesCount64(e)
+			v = d.bitVar[i*64+bits.TrailingZeros64(e)]
+		}
+	}
+	for _, u := range d.odd {
+		var x uint64
+		for _, s := range d.spans[u] {
+			x |= a[s.word] & b[s.word] & s.mask
+		}
+		if x == 0 {
+			n++
+			v = u
+		}
+	}
+	return n, v
 }
 
 // cofactorMulti is Cofactor for every multi-word domain.

@@ -12,6 +12,7 @@ package espresso
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -36,7 +37,6 @@ type scratch struct {
 	varMask       []uint64
 	colCount      []int
 	covered       []bool
-	restricted    []uint64
 	rest          cover.Cover
 }
 
@@ -73,6 +73,21 @@ func (sc *scratch) words(buf *[]uint64, n int) []uint64 {
 		(*buf)[i] = 0
 	}
 	return *buf
+}
+
+// columnCounts returns, for every value bit of the domain, the number of
+// the cubes holding it: the ON-column counts expandCube ranks bits by.
+// The result lives in the scratch until the next columnCounts call.
+func (sc *scratch) columnCounts(d *cube.Domain, cubes []cube.Cube) []int {
+	cnt := sc.ints(&sc.colCount, d.Bits())
+	for _, c := range cubes {
+		for i, m := range d.FullWords() {
+			for w := c[i] & m; w != 0; w &= w - 1 {
+				cnt[i*64+bits.TrailingZeros64(w)]++
+			}
+		}
+	}
+	return cnt
 }
 
 // restOf rebuilds the shared rest buffer as F minus cube i plus dc. The
@@ -185,9 +200,9 @@ func MinimizeContext(ctx context.Context, f *Function) (*cover.Cover, error) {
 	defer scratchPool.Put(sc)
 
 	F = expand(F, off, sc)
-	F = irredundant(F, dc, sc)
+	F, proved := irredundant(F, dc, sc)
 
-	essentials, F := extractEssentials(F, dc, sc)
+	essentials, F := extractEssentials(F, dc, proved, sc)
 	workDC := dc
 	if essentials.Len() > 0 {
 		workDC = cover.Union(dc, essentials)
@@ -201,7 +216,7 @@ func MinimizeContext(ctx context.Context, f *Function) (*cover.Cover, error) {
 		mIterations.Inc()
 		F = reduce(F, workDC, sc)
 		F = expand(F, off, sc)
-		F = irredundant(F, workDC, sc)
+		F, _ = irredundant(F, workDC, sc)
 		c := coverCost(F)
 		if !c.less(best) {
 			break
@@ -225,18 +240,7 @@ func lastGasp(F *cover.Cover, dc, off *cover.Cover, sc *scratch) (*cover.Cover, 
 	d := F.D
 	reduced := cover.New(d)
 	for i, c := range F.Cubes {
-		rest := sc.restOf(d, F.Cubes, i, dc)
-		q := rest.Cofactor(c)
-		if q.Tautology() {
-			continue
-		}
-		comp := q.Complement()
-		sc := d.NewCube()
-		for _, cc := range comp.Cubes {
-			d.Supercube(sc, sc, cc)
-		}
-		nc := d.NewCube()
-		if d.Intersect(nc, c, sc) {
+		if nc, ok := reduceCube(d, c, sc.restOf(d, F.Cubes, i, dc)); ok {
 			reduced.Add(nc)
 		}
 	}
@@ -244,14 +248,7 @@ func lastGasp(F *cover.Cover, dc, off *cover.Cover, sc *scratch) (*cover.Cover, 
 		return F, false
 	}
 	// Expand the reduced cubes and keep the primes covering ≥ 2 of them.
-	colCount := sc.ints(&sc.colCount, d.Bits())
-	for _, f := range reduced.Cubes {
-		for bit := 0; bit < d.Bits(); bit++ {
-			if f[bit/64]>>(uint(bit)%64)&1 == 1 {
-				colCount[bit]++
-			}
-		}
-	}
+	colCount := sc.columnCounts(d, reduced.Cubes)
 	var candidates []cube.Cube
 	for _, c := range reduced.Cubes {
 		p := expandCube(d, c.Clone(), off, colCount, sc)
@@ -271,7 +268,7 @@ func lastGasp(F *cover.Cover, dc, off *cover.Cover, sc *scratch) (*cover.Cover, 
 	trial := F.Clone()
 	trial.Cubes = append(trial.Cubes, candidates...)
 	trial.SCC()
-	trial = irredundant(trial, dc, sc)
+	trial, _ = irredundant(trial, dc, sc)
 	if coverCost(trial).less(coverCost(F)) {
 		return trial, true
 	}
@@ -282,33 +279,26 @@ func lastGasp(F *cover.Cover, dc, off *cover.Cover, sc *scratch) (*cover.Cover, 
 // assert: a value is dropped when the rest of the cover plus the
 // don't-care set already covers the cube restricted to it. This is
 // espresso's sparse-matrix pass — it cannot change the cube count, only
-// shrink the asserted literals (PLA transistors).
+// shrink the asserted literals (PLA transistors). Each field's values
+// are tested from one cofactor of the rest by the cube
+// (cover.DropCoveredValues), in value order, while the field keeps two
+// or more of them.
 func makeSparse(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	d := F.D
 	out := F.Clone()
-	restricted := cube.Cube(sc.words(&sc.restricted, d.Words()))
 	for i, c := range out.Cubes {
 		// rest leaves cube i out, and only cube i changes while its
-		// values are tested, so one rest serves them all. It is built at
-		// the cube's first value to test: binary-only covers need none.
+		// fields are lowered, so one rest serves them all. It is built at
+		// the cube's first field to lower: binary-only covers need none.
 		var rest *cover.Cover
 		for v := 0; v < d.NumVars(); v++ {
 			if d.Size(v) == 2 || d.PartCount(c, v) <= 1 {
 				continue // only multi-valued (output-like) fields
 			}
-			for val := 0; val < d.Size(v); val++ {
-				if !d.Has(c, v, val) || d.PartCount(c, v) == 1 {
-					continue
-				}
-				if rest == nil {
-					rest = sc.restOf(d, out.Cubes, i, dc)
-				}
-				copy(restricted, c)
-				d.Restrict(restricted, v, val)
-				if rest.CoversCube(restricted) {
-					d.ClearVal(c, v, val)
-				}
+			if rest == nil {
+				rest = sc.restOf(d, out.Cubes, i, dc)
 			}
+			rest.DropCoveredValues(c, v)
 		}
 	}
 	return out
@@ -326,17 +316,9 @@ func expand(F *cover.Cover, off *cover.Cover, sc *scratch) *cover.Cover {
 	})
 	covered := sc.bools(&sc.covered, F.Len())
 	out := cover.New(d)
-	// Column counts over the ON-set: how many cubes contain each value bit.
-	// The classical expansion heuristic raises the feasible bit present in
-	// the most ON cubes.
-	colCount := sc.ints(&sc.colCount, d.Bits())
-	for _, f := range F.Cubes {
-		for bit := 0; bit < d.Bits(); bit++ {
-			if f[bit/64]>>(uint(bit)%64)&1 == 1 {
-				colCount[bit]++
-			}
-		}
-	}
+	// Column counts over the ON-set: the classical expansion heuristic
+	// raises the feasible bit present in the most ON cubes.
+	colCount := sc.columnCounts(d, F.Cubes)
 	for i, c := range F.Cubes {
 		if covered[i] {
 			continue
@@ -357,20 +339,15 @@ func expand(F *cover.Cover, off *cover.Cover, sc *scratch) *cover.Cover {
 // complement of off, picking at each step the feasible bit with the
 // highest ON-column count. Feasibility is tracked incrementally: an OFF
 // cube at distance 1 "blocks" the bits of its conflicting variable's
-// field, since raising one would make c intersect it.
+// field, since raising one would make c intersect it. An OFF cube's
+// conflicting fields are counted word-parallel (Domain.DisjointFields).
 func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, sc *scratch) cube.Cube {
-	nv := d.NumVars()
 	nb := d.Bits()
 	words := d.Words()
 	conflictCount := sc.ints(&sc.conflictCount, off.Len())
 	conflictVar := sc.ints(&sc.conflictVar, off.Len()) // meaningful when count == 1
 	for k, o := range off.Cubes {
-		for v := 0; v < nv; v++ {
-			if varDisjoint(d, c, o, v) {
-				conflictCount[k]++
-				conflictVar[k] = v
-			}
-		}
+		conflictCount[k], conflictVar[k] = d.DisjointFields(c, o)
 	}
 	blockedMask := sc.words(&sc.blockedMask, words)
 	varMask := sc.words(&sc.varMask, words) // scratch
@@ -417,13 +394,8 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 				if wasConflict(d, c, o, bestV) {
 					conflictCount[k]--
 					if conflictCount[k] == 1 {
-						// Recompute the single remaining conflict variable.
-						for v := 0; v < nv; v++ {
-							if varDisjoint(d, c, o, v) {
-								conflictVar[k] = v
-								break
-							}
-						}
+						// Find the single remaining conflict variable.
+						_, conflictVar[k] = d.DisjointFields(c, o)
 					}
 				}
 			}
@@ -438,11 +410,6 @@ func wasConflict(d *cube.Domain, c, o cube.Cube, v int) bool {
 	return d.SharedValues(c, o, v) == 1
 }
 
-// varDisjoint reports whether cubes a and b share no value of variable v.
-func varDisjoint(d *cube.Domain, a, b cube.Cube, v int) bool {
-	return d.SharedValues(a, b, v) == 0
-}
-
 // irredundant selects a small irredundant subcover. The cubes are
 // partitioned espresso-style into relatively essential (E: not covered by
 // the rest plus DC), totally redundant (covered by E plus DC — dropped)
@@ -450,11 +417,15 @@ func varDisjoint(d *cube.Domain, a, b cube.Cube, v int) bool {
 // region E ∪ DC leaves uncovered is then chosen by branch-and-bound set
 // covering at shard granularity. Oversized instances fall back to the
 // order-dependent sequential removal.
-func irredundant(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
+//
+// The result is a subcover of F with E first, and irredundant also
+// returns |E|: its verdicts, which extractEssentials reuses. It proves
+// nothing, and returns 0, for n ≤ 1 and on the fallback.
+func irredundant(F *cover.Cover, dc *cover.Cover, sc *scratch) (*cover.Cover, int) {
 	d := F.D
 	n := F.Len()
 	if n <= 1 {
-		return F.Clone()
+		return F.Clone(), 0
 	}
 	ess := cover.New(d)
 	var rp []cube.Cube
@@ -476,11 +447,11 @@ func irredundant(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	}
 	rp = kept
 	if len(rp) == 0 {
-		return ess
+		return ess, ess.Len()
 	}
 	const maxRp, maxShards = 64, 4096
 	if len(rp) > maxRp {
-		return irredundantSeq(F, dc, sc)
+		return irredundantSeq(F, dc, sc), 0
 	}
 	// Shard each partially-redundant cube against E ∪ DC; every shard must
 	// end up inside some chosen Rp cube.
@@ -500,7 +471,7 @@ func irredundant(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 		}
 		shardCount += len(shards)
 		if shardCount > maxShards {
-			return irredundantSeq(F, dc, sc)
+			return irredundantSeq(F, dc, sc), 0
 		}
 		for _, s := range shards {
 			var cols []int
@@ -519,7 +490,7 @@ func irredundant(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	for _, pi := range chosen {
 		out.Add(rp[pi])
 	}
-	return out
+	return out, ess.Len()
 }
 
 // irredundantSeq is the order-dependent fallback: remove cubes covered by
@@ -547,10 +518,18 @@ func irredundantSeq(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 // essential prime (one in every prime irredundant cover). On
 // irredundant's output it sets aside every cube that irredundant did not
 // leave redundant: usually all of F.
-func extractEssentials(F *cover.Cover, dc *cover.Cover, sc *scratch) (ess, rest *cover.Cover) {
+//
+// The first proved cubes of F are set aside untested: irredundant's
+// verdicts. irredundant proved that the rest of its input G plus DC does
+// not cover them, and F, its result, is a subcover of G, so F − {c} ∪ DC
+// does not cover them either. Only the cubes its covering step chose are
+// tested.
+func extractEssentials(F *cover.Cover, dc *cover.Cover, proved int, sc *scratch) (ess, rest *cover.Cover) {
 	ess = cover.New(F.D)
 	rest = cover.New(F.D)
-	for i, c := range F.Cubes {
+	ess.Cubes = append(ess.Cubes, F.Cubes[:proved]...)
+	for i := proved; i < F.Len(); i++ {
+		c := F.Cubes[i]
 		others := sc.restOf(F.D, F.Cubes, i, dc)
 		if others.CoversCube(c) {
 			rest.Add(c)
@@ -576,26 +555,31 @@ func reduce(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
 	rest := &sc.rest
 	rest.D = d
 	for i := 0; i < work.Len(); i++ {
-		c := work.Cubes[i]
 		rest.Cubes = rest.Cubes[:0]
 		rest.Cubes = append(rest.Cubes, out.Cubes...) // already reduced
 		rest.Cubes = append(rest.Cubes, work.Cubes[i+1:]...)
 		rest.Cubes = append(rest.Cubes, dc.Cubes...)
-		q := rest.Cofactor(c)
-		if q.Tautology() {
-			continue // c entirely covered by the rest: drop
-		}
-		comp := q.Complement()
-		sc := d.NewCube()
-		for _, cc := range comp.Cubes {
-			d.Supercube(sc, sc, cc)
-		}
-		nc := d.NewCube()
-		if d.Intersect(nc, c, sc) {
+		if nc, ok := reduceCube(d, work.Cubes[i], rest); ok {
 			out.Add(nc)
 		}
 	}
 	return out
+}
+
+// reduceCube returns c ∩ supercube(¬(rest cofactor c)): the smallest cube
+// inside c that still holds every minterm of c that rest leaves
+// uncovered. It reports false when rest covers all of c, or the
+// intersection is empty: c can be dropped.
+func reduceCube(d *cube.Domain, c cube.Cube, rest *cover.Cover) (cube.Cube, bool) {
+	q := rest.Cofactor(c)
+	if q.Tautology() {
+		return nil, false
+	}
+	sup := d.NewCube()
+	for _, cc := range q.Complement().Cubes {
+		d.Supercube(sup, sup, cc)
+	}
+	return sup, d.Intersect(sup, c, sup)
 }
 
 // Verify checks that min is a correct cover of f: it covers the ON-set, is

@@ -2,10 +2,12 @@ package espresso
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"picola/internal/cover"
 	"picola/internal/cube"
+	"picola/internal/obs"
 )
 
 func TestMinimizeSimpleMerge(t *testing.T) {
@@ -309,31 +311,124 @@ func expandedIrredundant(f *Function, sc *scratch) (F, off *cover.Cover) {
 	off = cover.Union(f.On, f.DC).Complement()
 	F = f.On.Clone()
 	F.SCC()
-	return irredundant(expand(F, off, sc), f.DC, sc), off
+	F, _ = irredundant(expand(F, off, sc), f.DC, sc)
+	return F, off
+}
+
+// wideDomains are two-word domains small enough for randomOnDC to
+// enumerate: a 61-valued field ending at bit 62 then a binary field at
+// bit 63, and a 5-valued field straddling the word boundary (bits
+// 61–65) between a 58-valued and a binary field.
+var wideDomains = []*cube.Domain{cube.New(2, 61, 2, 3), cube.New(3, 58, 5, 2)}
+
+// passCase is a domain and the number of random functions a pass
+// contract is checked on.
+type passCase struct {
+	d      *cube.Domain
+	trials int
+}
+
+// withWide returns the one-word case followed by a few trials on each of
+// wideDomains.
+func withWide(one passCase) []passCase {
+	out := []passCase{one}
+	for _, d := range wideDomains {
+		out = append(out, passCase{d, 3})
+	}
+	return out
 }
 
 // makeSparse keeps the cube count and the function, and only lowers bits:
 // each output cube lies inside the input cube at its index.
 func TestMakeSparseKeepsFunction(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
-	d := cube.WithOutputs(4, 3)
 	sc := new(scratch)
-	for trial := 0; trial < 20; trial++ {
-		on, dc := randomOnDC(d, r)
-		f := &Function{D: d, On: on, DC: dc}
-		F, _ := expandedIrredundant(f, sc)
-		sparse := makeSparse(F, dc, sc)
-		if err := Verify(sparse, f); err != nil {
-			t.Fatalf("%v\ncover:\n%s\nsparse:\n%s", err, F, sparse)
-		}
-		if sparse.Len() != F.Len() {
-			t.Fatalf("sparse pass changed the cube count: %d vs %d", sparse.Len(), F.Len())
-		}
-		for i, c := range sparse.Cubes {
-			if !d.Contains(F.Cubes[i], c) {
-				t.Fatalf("sparse pass raised a bit: %s -> %s", d.String(F.Cubes[i]), d.String(c))
+	for _, pc := range withWide(passCase{cube.WithOutputs(4, 3), 20}) {
+		d := pc.d
+		for trial := 0; trial < pc.trials; trial++ {
+			on, dc := randomOnDC(d, r)
+			f := &Function{D: d, On: on, DC: dc}
+			F, _ := expandedIrredundant(f, sc)
+			sparse := makeSparse(F, dc, sc)
+			if err := Verify(sparse, f); err != nil {
+				t.Fatalf("%v\ncover:\n%s\nsparse:\n%s", err, F, sparse)
+			}
+			if sparse.Len() != F.Len() {
+				t.Fatalf("sparse pass changed the cube count: %d vs %d", sparse.Len(), F.Len())
+			}
+			for i, c := range sparse.Cubes {
+				if !d.Contains(F.Cubes[i], c) {
+					t.Fatalf("sparse pass raised a bit: %s -> %s", d.String(F.Cubes[i]), d.String(c))
+				}
 			}
 		}
+	}
+}
+
+// makeSparseByValue is the sparse pass makeSparse replaced, kept as its
+// twin: one CoversCube of the rest per value of each multi-valued field,
+// on the cube restricted to that value.
+func makeSparseByValue(F *cover.Cover, dc *cover.Cover, sc *scratch) *cover.Cover {
+	d := F.D
+	out := F.Clone()
+	restricted := d.NewCube()
+	for i, c := range out.Cubes {
+		rest := sc.restOf(d, out.Cubes, i, dc)
+		for v := 0; v < d.NumVars(); v++ {
+			if d.Size(v) == 2 || d.PartCount(c, v) <= 1 {
+				continue
+			}
+			for val := 0; val < d.Size(v); val++ {
+				if !d.Has(c, v, val) || d.PartCount(c, v) == 1 {
+					continue
+				}
+				copy(restricted, c)
+				d.Restrict(restricted, v, val)
+				if rest.CoversCube(restricted) {
+					d.ClearVal(c, v, val)
+				}
+			}
+		}
+	}
+	return out
+}
+
+var tautologyNodes = obs.Default.Counter("cover.tautology_nodes")
+
+// makeSparse lowers the same values as its per-value twin, and its
+// value tests run the same recursion: the covers are equal cube for cube
+// and the cover.tautology_nodes deltas are equal.
+func TestMakeSparseMatchesByValue(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	sc := new(scratch)
+	lowered, ran := 0, int64(0)
+	for _, pc := range withWide(passCase{cube.WithOutputs(4, 3), 20}) {
+		d := pc.d
+		for trial := 0; trial < pc.trials; trial++ {
+			on, dc := randomOnDC(d, r)
+			F, _ := expandedIrredundant(&Function{D: d, On: on, DC: dc}, sc)
+			n0 := tautologyNodes.Value()
+			want := makeSparseByValue(F, dc, sc)
+			n1 := tautologyNodes.Value()
+			got := makeSparse(F, dc, sc)
+			n2 := tautologyNodes.Value()
+			for i := range want.Cubes {
+				if !slices.Equal(got.Cubes[i], want.Cubes[i]) {
+					t.Fatalf("%d words: cube %d lowered to %s, per value to %s",
+						d.Words(), i, d.String(got.Cubes[i]), d.String(want.Cubes[i]))
+				}
+				if !slices.Equal(F.Cubes[i], want.Cubes[i]) {
+					lowered++
+				}
+			}
+			if n2-n1 != n1-n0 {
+				t.Fatalf("%d words: makeSparse ran %d tautology nodes, per value %d", d.Words(), n2-n1, n1-n0)
+			}
+			ran += n1 - n0
+		}
+	}
+	if lowered == 0 || ran == 0 {
+		t.Fatalf("%d cubes lowered, %d tautology nodes run: the comparison checked nothing", lowered, ran)
 	}
 }
 
@@ -360,16 +455,80 @@ func TestLastGaspNeverWorsens(t *testing.T) {
 func TestMinimizeIrredundant(t *testing.T) {
 	// No cube of the result may be covered by the rest plus DC.
 	r := rand.New(rand.NewSource(6))
-	d := cube.Binary(5)
-	for trial := 0; trial < 15; trial++ {
-		on, dc := randomOnDC(d, r)
-		f := &Function{D: d, On: on, DC: dc}
-		min := MustMinimize(f)
-		for i := range min.Cubes {
-			rest := cover.Union(min.Without(i), dc)
-			if rest.CoversCube(min.Cubes[i]) {
-				t.Fatalf("cube %s is redundant", d.String(min.Cubes[i]))
+	for _, pc := range withWide(passCase{cube.Binary(5), 15}) {
+		d := pc.d
+		for trial := 0; trial < pc.trials; trial++ {
+			on, dc := randomOnDC(d, r)
+			f := &Function{D: d, On: on, DC: dc}
+			min := MustMinimize(f)
+			for i := range min.Cubes {
+				rest := cover.Union(min.Without(i), dc)
+				if rest.CoversCube(min.Cubes[i]) {
+					t.Fatalf("cube %s is redundant", d.String(min.Cubes[i]))
+				}
 			}
 		}
+	}
+}
+
+// extractEssentialsFull is the split extractEssentials made before it
+// took irredundant's verdicts, kept as its twin: every cube tested
+// against the rest of F plus DC.
+func extractEssentialsFull(F *cover.Cover, dc *cover.Cover, sc *scratch) (ess, rest *cover.Cover) {
+	ess = cover.New(F.D)
+	rest = cover.New(F.D)
+	for i, c := range F.Cubes {
+		if sc.restOf(F.D, F.Cubes, i, dc).CoversCube(c) {
+			rest.Add(c)
+		} else {
+			ess.Add(c)
+		}
+	}
+	return ess, rest
+}
+
+// extractEssentials, given irredundant's verdicts, makes the split the
+// full test makes, cube for cube and in order, on random functions of
+// one and two words. It runs on irredundant's output S, where the cubes
+// after the verdicts are nearly always relatively essential as well, and
+// on S with the cubes irredundant dropped put right after the verdicts:
+// a subcover of irredundant's input still, so the verdicts hold, but its
+// first cube past them is one the rest covers.
+func TestExtractEssentialsReusesVerdicts(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	sc := new(scratch)
+	skipped, tested, covered := 0, 0, 0
+	cases := append(withWide(passCase{cube.Binary(5), 30}), passCase{cube.WithOutputs(4, 3), 30}, passCase{cube.New(3, 2, 2), 30})
+	for _, pc := range cases {
+		d := pc.d
+		for trial := 0; trial < pc.trials; trial++ {
+			on, dc := randomOnDC(d, r)
+			off := cover.Union(on, dc).Complement()
+			F := on.Clone()
+			F.SCC()
+			G := expand(F, off, sc)
+			S, proved := irredundant(G, dc, sc)
+			withDropped := cover.New(d)
+			withDropped.Cubes = append(withDropped.Cubes, S.Cubes[:proved]...)
+			for _, g := range G.Cubes {
+				if !slices.ContainsFunc(S.Cubes, func(c cube.Cube) bool { return slices.Equal(c, g) }) {
+					withDropped.Add(g)
+				}
+			}
+			withDropped.Cubes = append(withDropped.Cubes, S.Cubes[proved:]...)
+			for _, F := range []*cover.Cover{S, withDropped} {
+				wantEss, wantRest := extractEssentialsFull(F, dc, sc)
+				ess, rest := extractEssentials(F, dc, proved, sc)
+				if !slices.EqualFunc(ess.Cubes, wantEss.Cubes, slices.Equal) || !slices.EqualFunc(rest.Cubes, wantRest.Cubes, slices.Equal) {
+					t.Fatalf("%d words, %d proved: split\n%s\n--\n%s\nwant\n%s\n--\n%s", d.Words(), proved, ess, rest, wantEss, wantRest)
+				}
+				skipped += proved
+				tested += F.Len() - proved
+				covered += rest.Len()
+			}
+		}
+	}
+	if skipped == 0 || tested == 0 || covered == 0 {
+		t.Fatalf("%d cubes taken from verdicts, %d tested, %d covered: the comparison missed a case", skipped, tested, covered)
 	}
 }
