@@ -327,96 +327,56 @@ var (
 	benchSinkBool bool
 )
 
-// BenchmarkCubeKernels compares the single-word cube kernels against the
-// generic span-loop reference on identical data: the generic runs use
-// Domain.Generic(), the kernels-disabled view of the same 8-variable
-// binary domain, on which Tautology takes the W-word kernel (the
-// cover-per-cofactor reference recursion is test code of package cover).
-// The sub-benchmark leaf names (kernel|generic) are the benchstat axis:
-//
-//	go test -bench=CubeKernels -count=10 | tee kernels.txt
-//	benchstat -col /path kernels.txt   # after s/…\/(kernel|generic)/path=\1/
+// BenchmarkCubeKernels measures the whole-cube operations on binary
+// domains of one, two and three words (8, 40 and 80 variables), and
+// Tautology on a genuine 16-cube tautology at one word (all 16
+// assignments of the first 4 variables, the rest free), so the
+// recursion runs instead of quick-rejecting.
 func BenchmarkCubeKernels(b *testing.B) {
+	for _, tier := range []struct {
+		name string
+		nv   int
+	}{{"1word", 8}, {"2word", 40}, {"3word", 80}} {
+		d := cube.Binary(tier.nv)
+		if d.Words() != int(tier.name[0]-'0') {
+			b.Fatalf("Binary(%d) spans %d words", tier.nv, d.Words())
+		}
+		pairs := benchCubePairs(d, 256, 13)
+		dst := d.NewCube()
+		b.Run(tier.name+"/intersect", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				benchSinkBool = d.Intersect(dst, p[0], p[1])
+			}
+		})
+		b.Run(tier.name+"/cofactor", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				benchSinkBool = d.Cofactor(dst, p[0], p[1])
+			}
+		})
+	}
 	d := cube.Binary(8)
-	pairs := benchCubePairs(d, 256, 11)
-	// A genuine tautology (all 16 assignments of the first 4 variables,
-	// rest free) so both paths recurse instead of quick-rejecting.
-	var tautCubes []cube.Cube
+	f := cover.New(d)
 	for x := 0; x < 16; x++ {
 		c := d.Universe()
 		for v := 0; v < 4; v++ {
 			d.Restrict(c, v, x>>uint(v)&1)
 		}
-		tautCubes = append(tautCubes, c)
+		f.Add(c)
 	}
-	dst := d.NewCube()
-	for _, path := range []struct {
-		name string
-		d    *cube.Domain
-	}{{"kernel", d}, {"generic", d.Generic()}} {
-		dd := path.d
-		b.Run("intersect/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkBool = dd.Intersect(dst, p[0], p[1])
-			}
-		})
-		b.Run("cofactor/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkBool = dd.Cofactor(dst, p[0], p[1])
-			}
-		})
-		b.Run("tautology/"+path.name, func(b *testing.B) {
-			f := &cover.Cover{D: dd, Cubes: tautCubes}
-			for i := 0; i < b.N; i++ {
-				benchSinkBool = f.Tautology()
-			}
-		})
-	}
-}
-
-// BenchmarkCubeKernelsMultiWord is the 2- and 3-word analogue of
-// BenchmarkCubeKernels: an 80-bit (40-variable) and a 160-bit (80-variable)
-// binary domain exercise the word-parallel whole-cube tests against the
-// same Generic() span-loop reference.
-func BenchmarkCubeKernelsMultiWord(b *testing.B) {
-	for _, tier := range []struct {
-		name string
-		nv   int
-	}{{"2word", 40}, {"3word", 80}} {
-		d := cube.Binary(tier.nv)
-		if d.SingleWord() || d.Words() != int(tier.name[0]-'0') {
-			b.Fatalf("Binary(%d) spans %d words, single-word %v", tier.nv, d.Words(), d.SingleWord())
+	b.Run("1word/tautology", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSinkBool = f.Tautology()
 		}
-		pairs := benchCubePairs(d, 256, 13)
-		dst := d.NewCube()
-		for _, path := range []struct {
-			name string
-			d    *cube.Domain
-		}{{"kernel", d}, {"generic", d.Generic()}} {
-			dd := path.d
-			b.Run(tier.name+"/intersect/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkBool = dd.Intersect(dst, p[0], p[1])
-				}
-			})
-			b.Run(tier.name+"/cofactor/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkBool = dd.Cofactor(dst, p[0], p[1])
-				}
-			})
-		}
-	}
+	})
 }
 
 // BenchmarkMinimizeSmall measures whole minimizer runs on a small random
-// fr-form function — the constraint-scoring shape — under the single-word
-// kernels and under the generic reference domain, and exact.Counter on
-// the same function given as its ON and used bitsets (one word) and on
-// an nv = 7 constraint function (two words).
+// fr-form function — the constraint-scoring shape — through espresso and
+// exact.Minimize, and exact.Counter on the same function given as its ON
+// and used bitsets (one word) and on an nv = 7 constraint function (two
+// words).
 func BenchmarkMinimizeSmall(b *testing.B) {
 	const inputs = 5
 	d := cube.Binary(inputs)
@@ -459,34 +419,26 @@ func BenchmarkMinimizeSmall(b *testing.B) {
 			}
 		})
 	}
-	for _, path := range []struct {
-		name string
-		d    *cube.Domain
-	}{{"kernel", d}, {"generic", d.Generic()}} {
-		dd := path.d
-		onc := &cover.Cover{D: dd, Cubes: on.Cubes}
-		offc := &cover.Cover{D: dd, Cubes: off.Cubes}
-		b.Run("espresso/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f := &espresso.Function{D: dd, On: onc, Off: offc}
-				mc, err := espresso.Minimize(f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSinkInt = mc.Len()
+	b.Run("espresso", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := &espresso.Function{D: d, On: on, Off: off}
+			mc, err := espresso.Minimize(f)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("exact/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f := &espresso.Function{D: dd, On: onc, Off: offc}
-				mc, _, err := exact.Minimize(f, inputs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSinkInt = mc.Len()
+			benchSinkInt = mc.Len()
+		}
+	})
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := &espresso.Function{D: d, On: on, Off: off}
+			mc, _, err := exact.Minimize(f, inputs)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			benchSinkInt = mc.Len()
+		}
+	})
 }
 
 // BenchmarkEspresso measures the two-level minimizer substrate on the

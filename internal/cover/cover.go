@@ -150,16 +150,6 @@ func (f *Cover) activeVar() int {
 	return best
 }
 
-// Tautology reports whether the cover covers the entire space, by the
-// unate recursion of kernel.go: the single-word kernel on single-word
-// domains, the W-word kernel on every other.
-func (f *Cover) Tautology() bool {
-	if f.D.SingleWord() {
-		return f.tautology1()
-	}
-	return f.tautologyW()
-}
-
 // Complement returns a cover of the complement of f (the minterms covered
 // by no cube of f), computed by Shannon expansion with single-cube
 // containment cleanup. The result is not guaranteed minimal.
@@ -203,34 +193,6 @@ func (f *Cover) complementRec() *Cover {
 	}
 	out.SCC()
 	return out
-}
-
-// CoversCube reports whether the cover covers every minterm of cube c:
-// whether its cofactor by c is a tautology.
-func (f *Cover) CoversCube(c cube.Cube) bool {
-	if f.D.SingleWord() {
-		return f.coversCube1(c)
-	}
-	return f.coversCubeW(c)
-}
-
-// DropCoveredValues clears, in value order, each value val of field v of
-// c for which the cover covers c restricted to val (field v narrowed to
-// {val}), as long as the field keeps two or more values. It answers as
-// CoversCube of each restricted cube would, and counts the same
-// recursion nodes, but cofactors the cover by c once: a cube survives
-// the cofactor by c restricted to val exactly when it meets c and holds
-// val, and comes out as its cofactor by c with field v full. Clearing
-// values of field v changes neither, and in the cofactor by c a cube's
-// field v holds a value of c exactly when the cube does, so one
-// cofactor by c serves every value, each answered from it by a value
-// cofactor (the one-field lemma, kernel.go).
-func (f *Cover) DropCoveredValues(c cube.Cube, v int) {
-	if f.D.SingleWord() {
-		f.dropCoveredValues1(c, v)
-		return
-	}
-	f.dropCoveredValuesW(c, v)
 }
 
 // Covers reports whether f covers every cube of g.

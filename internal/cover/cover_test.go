@@ -47,7 +47,7 @@ func randomCover(d *cube.Domain, r *rand.Rand, n int) *Cover {
 					d.Set(c, v, val)
 				}
 			}
-			if d.PartEmpty(c, v) {
+			if d.PartCount(c, v) == 0 {
 				d.Set(c, v, r.Intn(d.Size(v)))
 			}
 		}

@@ -7,25 +7,18 @@ import (
 	"picola/internal/cube"
 )
 
-// Tautology kernels. Tautology and CoversCube run the unate recursion
-// (Rudell and Sangiovanni-Vincentelli, IEEE TCAD 1987) over cubes stored
-// as plain words in a pooled bump arena: child covers are carved as
-// three-index sub-slices instead of materializing a fresh *Cover per
-// cofactor. Two kernels share that shape, chosen by the domain's word
-// count: taut1 for single-word domains (the encoder's code spaces always
-// are: nv <= 8 bits), where a cube is one uint64 tested against the
-// per-variable masks, and tautW for every wider domain (the symbolic
-// covers of the larger machines), where a cube is a stride of W words
-// and the field tests are cube's word-parallel ones. taut1 stays because
-// tautW, run at one word, is the slower of the two: 139–152 against
-// 101–109 ns per CoversCube in BenchmarkCoversCubeOneWord (2-vCPU Xeon
-// VM, Go 1.24).
+// Tautology kernel. Tautology, CoversCube and DropCoveredValues run the
+// unate recursion (Rudell and Sangiovanni-Vincentelli, IEEE TCAD 1987)
+// over cubes stored as strides of W words (W = the domain's word count)
+// in a pooled bump arena: child covers are carved as three-index
+// sub-slices instead of materializing a fresh *Cover per cofactor, and
+// the field tests are cube's word-parallel ones.
 //
-// Both mirror one reference recursion decision-for-decision — same quick
-// accept, quick reject, splitting variable and value order — so the
-// cover.tautology_nodes metric counts identically. That recursion, which
-// allocates a cover per cofactor, lives in kernel_test.go as the twin the
-// kernels are checked against.
+// The kernel mirrors one reference recursion decision-for-decision —
+// same quick accept, quick reject, splitting variable and value order —
+// so the cover.tautology_nodes metric counts identically. That
+// recursion, which allocates a cover per cofactor, lives in
+// kernel_test.go as the twin the kernel is checked against.
 //
 // The one-field lemma. The cubes of a cover whose every field is
 // non-empty, cofactored by the value cube of value val of variable v
@@ -39,175 +32,16 @@ import (
 // non-empty" test: CoversCube's cofactor by an arbitrary cube c, and
 // Tautology's top-level split, whose cover may hold empty cubes; both
 // leave only cubes that are non-empty in every field. TestOneFieldLemma
-// checks the lemma against the generic Cofactor. DropCoveredValues
-// (cover.go) rests on it too: it takes the entry cofactor by c once per
-// field and reaches each value's test from it by one value cofactor.
-
-// taut1 is the pooled scratch of one kernel run: a bump arena of cofactored
-// cover words. Child covers are carved as sub-slices; reallocation during
-// deeper recursion is safe because carved slices are never written after
-// creation.
-type taut1 struct {
-	buf []uint64
-}
-
-var taut1Pool = sync.Pool{New: func() any { return new(taut1) }}
-
-// rec is the unate recursion over a single-word cover. It must keep the
-// exact decision structure of the reference recursion (kernel_test.go).
-//
-//picola:hot
-func (s *taut1) rec(d *cube.Domain, cs []uint64) bool {
-	mTautologyNodes.Inc()
-	full := d.FullWords()[0]
-	for _, w := range cs {
-		if w&full == full {
-			return true
-		}
-	}
-	if len(cs) == 0 {
-		return false
-	}
-	var or uint64
-	for _, w := range cs {
-		or |= w
-	}
-	vmask := d.VarMasks()
-	for _, m := range vmask {
-		if or&m != m {
-			return false
-		}
-	}
-	best, bestN := -1, 0
-	for v, m := range vmask {
-		n := 0
-		for _, w := range cs {
-			if w&m != m {
-				n++
-			}
-		}
-		if n > bestN {
-			best, bestN = v, n
-		}
-	}
-	if best < 0 {
-		return true
-	}
-	bm := vmask[best]
-	for val := 0; val < d.Size(best); val++ {
-		vcw := (full &^ bm) | 1<<uint(d.BitOf(best, val))
-		lo := len(s.buf)
-		s.cofactorInto(d, cs, vcw)
-		sub := s.buf[lo:len(s.buf):len(s.buf)]
-		ok := s.rec(d, sub)
-		s.buf = s.buf[:lo]
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// cofactorInto appends to the arena the cofactor of each cover word by the
-// cube word p: words intersecting p, with fields widened by ^p.
-//
-//picola:hot
-func (s *taut1) cofactorInto(d *cube.Domain, cs []uint64, p uint64) {
-	full := d.FullWords()[0]
-	vmask := d.VarMasks()
-outer:
-	for _, w := range cs {
-		x := w & p
-		for _, m := range vmask {
-			if x&m == 0 {
-				continue outer
-			}
-		}
-		s.buf = append(s.buf, (w|^p)&full)
-	}
-}
-
-// tautology1 runs the kernel over the cover's cubes.
-//
-//picola:hot
-func (f *Cover) tautology1() bool {
-	s := taut1Pool.Get().(*taut1)
-	defer taut1Pool.Put(s)
-	s.buf = s.buf[:0]
-	full := f.D.FullWords()[0]
-	for _, c := range f.Cubes {
-		s.buf = append(s.buf, c[0]&full)
-	}
-	return s.rec(f.D, s.buf)
-}
-
-// cofactorCubes appends to the arena the cofactor of the cubes by the
-// cube word p under the full test: the cubes whose intersection with p
-// is non-empty in every field, with fields widened by ^p.
-//
-//picola:hot
-func (s *taut1) cofactorCubes(d *cube.Domain, cubes []cube.Cube, p uint64) {
-	full := d.FullWords()[0]
-	vmask := d.VarMasks()
-outer:
-	for _, k := range cubes {
-		x := k[0] & p
-		for _, m := range vmask {
-			if x&m == 0 {
-				continue outer
-			}
-		}
-		s.buf = append(s.buf, (k[0]|^p)&full)
-	}
-}
-
-// coversCube1 runs the kernel on the cover cofactored by c, fused so the
-// intermediate cover is never materialized.
-//
-//picola:hot
-func (f *Cover) coversCube1(c cube.Cube) bool {
-	s := taut1Pool.Get().(*taut1)
-	defer taut1Pool.Put(s)
-	s.buf = s.buf[:0]
-	s.cofactorCubes(f.D, f.Cubes, c[0])
-	return s.rec(f.D, s.buf)
-}
-
-// dropCoveredValues1 is DropCoveredValues on a single-word domain. A
-// value cofactor of the entry list is one word per cube, so it takes
-// cofactorInto's full test by the value cube.
-//
-//picola:hot
-func (f *Cover) dropCoveredValues1(c cube.Cube, v int) {
-	s := taut1Pool.Get().(*taut1)
-	defer taut1Pool.Put(s)
-	s.buf = s.buf[:0]
-	d := f.D
-	s.cofactorCubes(d, f.Cubes, c[0])
-	n := len(s.buf)
-	entry := s.buf[:n:n]
-	others := d.FullWords()[0] &^ d.VarMasks()[v] // a value cube less its bit
-	left := d.PartCount(c, v)
-	for val := 0; val < d.Size(v) && left >= 2; val++ {
-		bit := uint64(1) << uint(d.BitOf(v, val))
-		if c[0]&bit == 0 {
-			continue
-		}
-		s.cofactorInto(d, entry, others|bit)
-		if s.rec(d, s.buf[n:len(s.buf):len(s.buf)]) {
-			c[0] &^= bit
-			left--
-		}
-		s.buf = s.buf[:n]
-	}
-}
+// checks the lemma against Cover.Cofactor. DropCoveredValues
+// rests on it too: it takes the entry cofactor by c once per field and
+// reaches each value's test from it by one value cofactor.
 
 // tautW is the pooled scratch of one W-word kernel run: a bump arena of
 // cofactored cubes, each a stride of W words (W = the domain's word
 // count), the per-variable non-full counts of the node being split, and
-// the value cube of Tautology's top-level split. As in taut1, carved
-// child covers are never written after creation, so growing the arena
-// during deeper recursion is safe.
+// the value cube of Tautology's top-level split. Carved child covers are
+// never written after creation, so growing the arena during deeper
+// recursion is safe.
 type tautW struct {
 	buf []uint64
 	cnt []int
@@ -331,11 +165,11 @@ func (s *tautW) reset(d *cube.Domain) {
 	}
 }
 
-// tautologyW runs the W-word kernel over the cover's cubes, masked to the
-// domain's bits.
+// Tautology reports whether the cover covers the entire space: the
+// kernel over the cover's cubes, masked to the domain's bits.
 //
 //picola:hot
-func (f *Cover) tautologyW() bool {
+func (f *Cover) Tautology() bool {
 	s := tautWPool.Get().(*tautW)
 	defer tautWPool.Put(s)
 	s.reset(f.D)
@@ -365,12 +199,14 @@ func (s *tautW) cofactorCubes(d *cube.Domain, cubes []cube.Cube, c cube.Cube) {
 	}
 }
 
-// coversCubeW runs the W-word kernel on the cover cofactored by c, fused
-// so the intermediate cover is never materialized. The cofactor by c
-// takes the full test, so the recursion starts below the entry.
+// CoversCube reports whether the cover covers every minterm of cube c:
+// whether its cofactor by c is a tautology. The kernel runs on that
+// cofactor, fused so the intermediate cover is never materialized; the
+// cofactor by c takes the full test, so the recursion starts below the
+// entry.
 //
 //picola:hot
-func (f *Cover) coversCubeW(c cube.Cube) bool {
+func (f *Cover) CoversCube(c cube.Cube) bool {
 	s := tautWPool.Get().(*tautW)
 	defer tautWPool.Put(s)
 	s.reset(f.D)
@@ -378,12 +214,21 @@ func (f *Cover) coversCubeW(c cube.Cube) bool {
 	return s.rec(f.D, s.buf, false)
 }
 
-// dropCoveredValuesW is DropCoveredValues on a domain of two or more
-// words. The full field of v goes into the arena first, then the entry
-// list; each value cofactor of it tests one bit (cofactorValue).
+// DropCoveredValues clears, in value order, each value val of field v of
+// c for which the cover covers c restricted to val (field v narrowed to
+// {val}), as long as the field keeps two or more values. It answers as
+// CoversCube of each restricted cube would, and counts the same
+// recursion nodes, but cofactors the cover by c once: a cube survives
+// the cofactor by c restricted to val exactly when it meets c and holds
+// val, and comes out as its cofactor by c with field v full. Clearing
+// values of field v changes neither, and in the cofactor by c a cube's
+// field v holds a value of c exactly when the cube does, so one
+// cofactor by c serves every value, each answered from it by a value
+// cofactor (the one-field lemma). The full field of v goes into the
+// arena first, then the entry list.
 //
 //picola:hot
-func (f *Cover) dropCoveredValuesW(c cube.Cube, v int) {
+func (f *Cover) DropCoveredValues(c cube.Cube, v int) {
 	s := tautWPool.Get().(*tautW)
 	defer tautWPool.Put(s)
 	d := f.D

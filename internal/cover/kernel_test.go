@@ -8,11 +8,11 @@ import (
 	"picola/internal/cube"
 )
 
-// tautologyGeneric is the reference unate recursion both kernels
-// (kernel.go) mirror decision-for-decision: quick accept on a universal
+// tautologyGeneric is the reference unate recursion the kernel
+// (kernel.go) mirrors decision-for-decision: quick accept on a universal
 // cube, quick reject on a value no cube allows, split on activeVar in
 // value order, one fresh *Cover per cofactor. It counts
-// cover.tautology_nodes exactly as the kernels do.
+// cover.tautology_nodes exactly as the kernel does.
 func tautologyGeneric(f *Cover) bool {
 	mTautologyNodes.Inc()
 	d := f.D
@@ -69,7 +69,7 @@ func randCover(rng *rand.Rand, d *cube.Domain, maxCubes int) *Cover {
 					d.Set(c, v, val)
 				}
 			}
-			if d.PartEmpty(c, v) && rng.Intn(8) != 0 {
+			if d.PartCount(c, v) == 0 && rng.Intn(8) != 0 {
 				d.Set(c, v, rng.Intn(d.Size(v)))
 			}
 		}
@@ -173,21 +173,16 @@ func nodes(fn func() bool) (bool, int64) {
 }
 
 // checkKernelParity runs Tautology and CoversCube on f through the
-// dispatching entry points and through the reference recursion on the
-// Generic view of the domain, and requires equal answers and equal
-// cover.tautology_nodes deltas. The kernels also run on the Generic view
-// itself, which sends a single-word domain to the W-word kernel.
+// kernel and through the reference recursion, and requires equal answers
+// and equal cover.tautology_nodes deltas.
 func checkKernelParity(t *testing.T, rng *rand.Rand, f *Cover) {
 	t.Helper()
 	d := f.D
-	fg := &Cover{D: d.Generic(), Cubes: f.Cubes}
-	want, wantN := nodes(func() bool { return tautologyGeneric(fg) })
-	for _, k := range []*Cover{f, fg} {
-		got, gotN := nodes(k.Tautology)
-		if got != want || gotN != wantN {
-			t.Fatalf("Tautology over %d words (%d vars) on\n%s\nkernel %v (%d nodes), reference %v (%d nodes)",
-				d.Words(), d.NumVars(), f, got, gotN, want, wantN)
-		}
+	want, wantN := nodes(func() bool { return tautologyGeneric(f) })
+	got, gotN := nodes(f.Tautology)
+	if got != want || gotN != wantN {
+		t.Fatalf("Tautology over %d words (%d vars) on\n%s\nkernel %v (%d nodes), reference %v (%d nodes)",
+			d.Words(), d.NumVars(), f, got, gotN, want, wantN)
 	}
 	// Cubes to test containment of: a random one (possibly empty in a
 	// field), a cube of f, and a cube of f with one field narrowed.
@@ -201,65 +196,47 @@ func checkKernelParity(t *testing.T, rng *rand.Rand, f *Cover) {
 		cs = append(cs, n)
 	}
 	for _, c := range cs {
-		want, wantN := nodes(func() bool { return coversCubeGeneric(fg, c) })
-		for _, k := range []*Cover{f, fg} {
-			got, gotN := nodes(func() bool { return k.CoversCube(c) })
-			if got != want || gotN != wantN {
-				t.Fatalf("CoversCube(%s) over %d words on\n%s\nkernel %v (%d nodes), reference %v (%d nodes)",
-					d.String(c), d.Words(), f, got, gotN, want, wantN)
-			}
+		want, wantN := nodes(func() bool { return coversCubeGeneric(f, c) })
+		got, gotN := nodes(func() bool { return f.CoversCube(c) })
+		if got != want || gotN != wantN {
+			t.Fatalf("CoversCube(%s) over %d words on\n%s\nkernel %v (%d nodes), reference %v (%d nodes)",
+				d.String(c), d.Words(), f, got, gotN, want, wantN)
 		}
 	}
 }
 
-// TestTautologyKernelMatchesGeneric cross-checks both kernels on
-// single-word domains — taut1, and the W-word kernel through the Generic
-// view — against the reference recursion: results must match and,
-// because the kernels mirror the reference decision structure, so must
-// the tautology_nodes metric increments.
+// TestTautologyKernelMatchesGeneric cross-checks the kernel against the
+// reference recursion on random domains of one to six words: results
+// must match and, because the kernel mirrors the reference decision
+// structure, so must the tautology_nodes metric increments. One-word
+// domains are up to six binary fields, a third of them behind a field of
+// one to four values; wider ones are randWideDomain's, with fields
+// straddling a word boundary and a binary field at bit 63 in a third of
+// them. Half the covers are tautCover's, and a third hold a cube empty
+// in a field at the top level (addEmptyCube).
 func TestTautologyKernelMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 500; iter++ {
-		nv := 1 + rng.Intn(6)
-		d := cube.Binary(nv)
-		if rng.Intn(3) == 0 {
-			d = cube.New(append([]int{1 + rng.Intn(4)}, repeatSizes(2, nv)...)...)
+	for iter := 0; iter < 1800; iter++ {
+		words, k := 1+iter%6, iter/6
+		var d *cube.Domain
+		maxCubes := 10
+		if words == 1 {
+			nv := 1 + rng.Intn(6)
+			d, maxCubes = cube.Binary(nv), 12
+			if rng.Intn(3) == 0 {
+				d = cube.New(append([]int{1 + rng.Intn(4)}, repeatSizes(2, nv)...)...)
+			}
+		} else {
+			d = randWideDomain(rng, words)
 		}
-		if !d.SingleWord() {
-			t.Fatal("test domain must be single-word")
+		if d.Words() != words {
+			t.Fatalf("%d-word domain built %d words", words, d.Words())
 		}
-		f := randCover(rng, d, 12)
-		if iter%2 == 1 {
-			f = tautCover(rng, d, 1+rng.Intn(12))
+		f := randCover(rng, d, maxCubes)
+		if k%2 == 1 {
+			f = tautCover(rng, d, 1+rng.Intn(maxCubes))
 		}
-		if iter%3 == 0 {
-			addEmptyCube(rng, f)
-		}
-		checkKernelParity(t, rng, f)
-	}
-}
-
-// TestTautologyKernelWideMatchesGeneric is the same cross-check for the
-// W-word kernel on random domains of 2, 3 and 4–6 words: binary and
-// multi-valued fields, fields straddling a word boundary, a binary field
-// at bit 63 in a third of them, and covers holding cubes empty in a field
-// at the top level (addEmptyCube in a third of them).
-func TestTautologyKernelWideMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for iter := 0; iter < 600; iter++ {
-		words := 2 + iter%3
-		if words == 4 {
-			words += rng.Intn(3)
-		}
-		d := randWideDomain(rng, words)
-		if d.Words() != words || d.SingleWord() {
-			t.Fatalf("randWideDomain(%d) built %d words", words, d.Words())
-		}
-		f := randCover(rng, d, 10)
-		if iter%2 == 1 {
-			f = tautCover(rng, d, 1+rng.Intn(10))
-		}
-		if iter%3 == 0 {
+		if k%3 == 0 {
 			addEmptyCube(rng, f)
 		}
 		checkKernelParity(t, rng, f)
@@ -270,7 +247,7 @@ func TestTautologyKernelWideMatchesGeneric(t *testing.T) {
 // the entry rest on (kernel.go): over a cover whose cubes are non-empty
 // in every field, the cofactor by the value cube of (v, val) keeps exactly
 // the cubes whose field v holds val, with field v made full — the
-// generic Cofactor's result, cube for cube — and every cube it keeps is
+// result of Cover.Cofactor, cube for cube — and every cube it keeps is
 // again non-empty in every field.
 func TestOneFieldLemma(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -311,25 +288,29 @@ func TestOneFieldLemma(t *testing.T) {
 	}
 }
 
-// TestAllocsCoversCubeWide is the W-word kernel's allocation gate: on a
-// warmed pool, CoversCube over a 6-word symbolic-cover-shaped domain (27
-// binary inputs, a 121-valued state field, a 177-valued output field —
-// scf's layout) performs zero heap allocations.
-func TestAllocsCoversCubeWide(t *testing.T) {
+// TestAllocsCoversCube is CoversCube's allocation gate: on a warmed pool,
+// one CoversCube performs zero heap allocations, both on a one-word
+// domain (6 binary inputs, a 9-valued output field) and on a six-word
+// symbolic-cover-shaped domain (27 binary inputs, a 121-valued state
+// field, a 177-valued output field — scf's layout). The cube narrows the
+// field before the output field to one value, so the recursion runs
+// below the entry on both.
+func TestAllocsCoversCube(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
 	}
-	d := cube.New(append(repeatSizes(2, 27), 121, 177)...)
-	if d.Words() != 6 {
-		t.Fatalf("domain has %d words, want 6", d.Words())
-	}
 	rng := rand.New(rand.NewSource(5))
-	f := tautCover(rng, d, 40)
-	c := d.Universe()
-	d.Restrict(c, 27, 3)
-	f.CoversCube(c) // warm the pool
-	if n := testing.AllocsPerRun(100, func() { f.CoversCube(c) }); n != 0 {
-		t.Fatalf("warmed wide CoversCube allocates %.1f times per call, want 0", n)
+	for _, d := range []*cube.Domain{
+		cube.WithOutputs(6, 9),
+		cube.New(append(repeatSizes(2, 27), 121, 177)...),
+	} {
+		f := tautCover(rng, d, 40)
+		c := d.Universe()
+		d.Restrict(c, d.NumVars()-2, 1)
+		f.CoversCube(c) // warm the pool
+		if n := testing.AllocsPerRun(100, func() { f.CoversCube(c) }); n != 0 {
+			t.Fatalf("warmed CoversCube over %d words allocates %.1f times per call, want 0", d.Words(), n)
+		}
 	}
 }
 
@@ -361,7 +342,7 @@ func randNonEmptyCube(rng *rand.Rand, d *cube.Domain) cube.Cube {
 				d.Set(c, v, val)
 			}
 		}
-		if d.PartEmpty(c, v) {
+		if d.PartCount(c, v) == 0 {
 			d.Set(c, v, rng.Intn(d.Size(v)))
 		}
 	}
@@ -418,8 +399,7 @@ func TestDropCoveredValuesMatchesByValue(t *testing.T) {
 
 // TestAllocsDropCoveredValues is DropCoveredValues' allocation gate: on a
 // warmed pool, lowering the output field of a cube performs zero heap
-// allocations, both on a one-word domain (6 binary inputs, a 9-valued
-// output field) and on TestAllocsCoversCubeWide's six-word domain.
+// allocations, on TestAllocsCoversCube's one-word and six-word domains.
 func TestAllocsDropCoveredValues(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
@@ -472,9 +452,7 @@ func TestTautologyKernelKnownCases(t *testing.T) {
 }
 
 // BenchmarkCoversCubeOneWord runs CoversCube on single-word covers of an
-// espresso-sized shape (6 binary variables, up to 24 cubes) through the
-// single-word kernel and through the W-word kernel at W = 1, on the same
-// domain and cubes: the measurement that keeps taut1.
+// espresso-sized shape (6 binary variables, up to 24 cubes).
 func BenchmarkCoversCubeOneWord(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	d := cube.Binary(6)
@@ -491,18 +469,11 @@ func BenchmarkCoversCubeOneWord(b *testing.B) {
 		c := f.Cubes[rng.Intn(f.Len())]
 		qs = append(qs, query{f.Without(0), c})
 	}
-	b.Run("taut1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := qs[i%len(qs)]
-			benchSink = q.f.coversCube1(q.c)
-		}
-	})
-	b.Run("tautW", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := qs[i%len(qs)]
-			benchSink = q.f.coversCubeW(q.c)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		benchSink = q.f.CoversCube(q.c)
+	}
 }
 
 var benchSink bool

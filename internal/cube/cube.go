@@ -66,34 +66,20 @@ type Domain struct {
 	spans  [][]wordSpan // per-variable word/mask pairs covering its field
 	bitVar []int        // owning variable per absolute bit
 
-	// Single-word kernel state. When every field of a cube fits in word 0
-	// (nwords == 1), the per-variable span loops above collapse to direct
-	// uint64 operations against these precomputed masks. The selection is
-	// made once here, at construction; the generic span path remains the
-	// reference implementation (see Generic) and is cross-checked against
-	// the kernels in the package tests. Every wider domain runs the span
-	// loops for its per-variable operations (PartEmpty, PartFull,
-	// PartCount, SetAll, ClearAll, FullParts): on espresso's two- and
-	// three-word covers they take under 3 % of the time, too little for a
-	// fixed-width tier to pay for itself.
-	w1    bool
-	vmask []uint64 // per-variable field mask within word 0
-
-	// Word-parallel field tests, precomputed for every width. low[i]
-	// holds the low bit of each binary field lying inside word i, so for
-	// a cube word x, (x|x>>1)&low[i] == low[i] says every such field is
-	// non-empty and low[i]&^(x&(x>>1)) marks the ones that are not full:
-	// one test per word instead of one per field. Every other field —
-	// multi-valued, 1-valued, or binary but straddling a word boundary
-	// (a binary field at bit 63) — is listed in odd and takes one mask
-	// test. Every multi-word domain (multi) runs its whole-cube emptiness
-	// tests this way; at any width the tautology kernel of internal/cover
-	// reaches them through AddNonFull, and espresso's expand step through
-	// DisjointFields.
+	// Word-parallel field tests. low[i] holds the low bit of each binary
+	// field lying inside word i, so for a cube word x, (x|x>>1)&low[i] ==
+	// low[i] says every such field is non-empty and low[i]&^(x&(x>>1))
+	// marks the ones that are not full: one test per word instead of one
+	// per field. Every other field — multi-valued, 1-valued, or binary but
+	// straddling a word boundary (a binary field at bit 63) — is listed in
+	// odd and takes one mask test. The whole-cube operations (IsEmpty,
+	// Intersect, Intersects, Cofactor, FullParts) run this way at every
+	// width; the tautology kernel of internal/cover reaches them through
+	// AddNonFull, and espresso's expand step through DisjointFields. The
+	// per-variable operations take the span loops.
 	low   []uint64
 	odd   []int
 	fullw []uint64 // universe words
-	multi bool
 }
 
 // New creates a domain with the given number of values per variable.
@@ -135,44 +121,13 @@ func New(sizes ...int) *Domain {
 			d.fullw[s.word] |= s.mask
 		}
 	}
-	if d.nbits <= 64 {
-		d.w1 = true
-		d.vmask = make([]uint64, len(sizes))
-		for v := range sizes {
-			d.vmask[v] = d.spans[v][0].mask
-		}
-	}
-	d.multi = d.nwords > 1
 	return d
 }
-
-// SingleWord reports whether the domain's cubes fit in one uint64 word and
-// the single-word kernels are selected.
-func (d *Domain) SingleWord() bool { return d.w1 }
-
-// VarMasks returns the per-variable field masks within word 0, or nil when
-// the domain is not single-word. The slice is shared and must not be
-// modified.
-func (d *Domain) VarMasks() []uint64 { return d.vmask }
 
 // FullWords returns the universe cube's words — the union of every
 // variable's field masks, word by word — at every width. The slice is
 // shared and must not be modified.
 func (d *Domain) FullWords() []uint64 { return d.fullw }
-
-// Generic returns a copy of the domain with the single-word kernels and
-// the word-parallel whole-cube tests disabled, so every operation takes
-// the span-loop reference path. It exists for tests and benchmarks: the
-// generic path is the oracle the kernels are checked against.
-//
-//lint:ignore deadexport kernel oracle of the cube kernel tests, TestTautologyKernelMatchesGeneric (cover) and the bench_test.go kernel benchmarks
-func (d *Domain) Generic() *Domain {
-	g := *d
-	g.w1 = false
-	g.vmask = nil
-	g.multi = false
-	return &g
-}
 
 // Binary creates a domain of n binary variables.
 func Binary(n int) *Domain {
@@ -279,10 +234,6 @@ func (d *Domain) ClearVal(c Cube, v, val int) {
 
 // SetAll allows every value of variable v in c (a full field).
 func (d *Domain) SetAll(c Cube, v int) {
-	if d.w1 {
-		c[0] |= d.vmask[v]
-		return
-	}
 	for _, s := range d.spans[v] {
 		c[s.word] |= s.mask
 	}
@@ -290,12 +241,16 @@ func (d *Domain) SetAll(c Cube, v int) {
 
 // ClearAll disallows every value of variable v in c (an empty field).
 func (d *Domain) ClearAll(c Cube, v int) {
-	if d.w1 {
-		c[0] &^= d.vmask[v]
-		return
-	}
 	for _, s := range d.spans[v] {
 		c[s.word] &^= s.mask
+	}
+}
+
+// OrField allows in dst every value of variable v that src allows,
+// leaving dst's other fields as they are.
+func (d *Domain) OrField(dst, src Cube, v int) {
+	for _, s := range d.spans[v] {
+		dst[s.word] |= src[s.word] & s.mask
 	}
 }
 
@@ -305,25 +260,8 @@ func (d *Domain) Restrict(c Cube, v, val int) {
 	d.Set(c, v, val)
 }
 
-// PartEmpty reports whether variable v's field in c is empty.
-func (d *Domain) PartEmpty(c Cube, v int) bool {
-	if d.w1 {
-		return c[0]&d.vmask[v] == 0
-	}
-	for _, s := range d.spans[v] {
-		if c[s.word]&s.mask != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // PartFull reports whether variable v's field in c allows every value.
 func (d *Domain) PartFull(c Cube, v int) bool {
-	if d.w1 {
-		m := d.vmask[v]
-		return c[0]&m == m
-	}
 	for _, s := range d.spans[v] {
 		if c[s.word]&s.mask != s.mask {
 			return false
@@ -334,9 +272,6 @@ func (d *Domain) PartFull(c Cube, v int) bool {
 
 // PartCount returns the number of allowed values of variable v in c.
 func (d *Domain) PartCount(c Cube, v int) int {
-	if d.w1 {
-		return bits.OnesCount64(c[0] & d.vmask[v])
-	}
 	n := 0
 	for _, s := range d.spans[v] {
 		n += bits.OnesCount64(c[s.word] & s.mask)
@@ -347,9 +282,6 @@ func (d *Domain) PartCount(c Cube, v int) int {
 // SharedValues returns the number of values of variable v that both a and
 // b allow; zero means the two fields are disjoint.
 func (d *Domain) SharedValues(a, b Cube, v int) int {
-	if d.w1 {
-		return bits.OnesCount64(a[0] & b[0] & d.vmask[v])
-	}
 	n := 0
 	for _, s := range d.spans[v] {
 		n += bits.OnesCount64(a[s.word] & b[s.word] & s.mask)
@@ -396,24 +328,7 @@ func (d *Domain) SetBinLit(c Cube, v int, l Lit) {
 //
 //picola:hot
 func (d *Domain) IsEmpty(c Cube) bool {
-	if d.w1 {
-		w := c[0]
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	if d.multi {
-		return !d.meets(c, c)
-	}
-	for v := range d.sizes {
-		if d.PartEmpty(c, v) {
-			return true
-		}
-	}
-	return false
+	return !d.Intersects(c, c)
 }
 
 // Intersect stores a AND b into dst and reports whether the result is a
@@ -421,16 +336,6 @@ func (d *Domain) IsEmpty(c Cube) bool {
 //
 //picola:hot
 func (d *Domain) Intersect(dst, a, b Cube) bool {
-	if d.w1 {
-		w := a[0] & b[0]
-		dst[0] = w
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return false
-			}
-		}
-		return true
-	}
 	for i := range dst {
 		dst[i] = a[i] & b[i]
 	}
@@ -438,31 +343,22 @@ func (d *Domain) Intersect(dst, a, b Cube) bool {
 }
 
 // Intersects reports whether a and b have a non-empty intersection without
-// materializing it.
+// materializing it: whether every field of a AND b is non-empty.
 //
 //picola:hot
 func (d *Domain) Intersects(a, b Cube) bool {
-	if d.w1 {
-		w := a[0] & b[0]
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return false
-			}
+	for i, low := range d.low {
+		x := a[i] & b[i]
+		if (x|x>>1)&low != low {
+			return false
 		}
-		return true
 	}
-	if d.multi {
-		return d.meets(a, b)
-	}
-	for v := range d.sizes {
-		empty := true
+	for _, v := range d.odd {
+		var x uint64
 		for _, s := range d.spans[v] {
-			if a[s.word]&b[s.word]&s.mask != 0 {
-				empty = false
-				break
-			}
+			x |= a[s.word] & b[s.word] & s.mask
 		}
-		if empty {
+		if x == 0 {
 			return false
 		}
 	}
@@ -500,47 +396,27 @@ func (d *Domain) Contains(a, b Cube) bool {
 //
 //picola:hot
 func (d *Domain) Cofactor(dst, c, p Cube) bool {
-	if d.w1 {
-		w := c[0] & p[0]
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return false
-			}
-		}
-		full := d.fullw[0]
-		dst[0] = dst[0]&^full | (c[0]|^p[0])&full
-		return true
-	}
-	if d.multi {
-		return d.cofactorMulti(dst, c, p)
-	}
 	if !d.Intersects(c, p) {
 		return false
 	}
-	for v := range d.sizes {
-		for _, s := range d.spans[v] {
-			dst[s.word] = dst[s.word]&^s.mask | (c[s.word]|(^p[s.word]))&s.mask
-		}
+	for i, f := range d.fullw {
+		dst[i] = dst[i]&^f | (c[i]|^p[i])&f
 	}
 	return true
 }
 
 // FullParts returns the number of variables whose field is full. For a cube
 // over binary variables this is the cube's dimension (number of don't-care
-// positions).
+// positions). The binary fields inside a word are counted at once,
+// low&x&(x>>1) marking the full ones of cube word x; every other field
+// takes one mask test.
 func (d *Domain) FullParts(c Cube) int {
-	if d.w1 {
-		w := c[0]
-		n := 0
-		for _, m := range d.vmask {
-			if w&m == m {
-				n++
-			}
-		}
-		return n
-	}
 	n := 0
-	for v := range d.sizes {
+	for i, low := range d.low {
+		x := c[i]
+		n += bits.OnesCount64(low & x & (x >> 1))
+	}
+	for _, v := range d.odd {
 		if d.PartFull(c, v) {
 			n++
 		}

@@ -6,9 +6,85 @@ import (
 	"testing"
 )
 
-// The single-word kernels must agree with the generic span path on every
-// operation: the generic path is the oracle. These tests run each op on a
-// kernel-enabled domain and its Generic() twin over randomized cubes.
+// The whole-cube operations (IsEmpty, Intersect, Intersects, Cofactor,
+// FullParts) run the word-parallel field tests at every width. The span
+// loops they replaced are the oracle: the generic* functions below walk
+// every variable's word/mask spans, and the tests run each operation and
+// its oracle over randomized cubes.
+
+// PartEmpty reports whether variable v's field in c is empty, one span at
+// a time.
+func (d *Domain) PartEmpty(c Cube, v int) bool {
+	for _, s := range d.spans[v] {
+		if c[s.word]&s.mask != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// genericIntersects is the span-loop Intersects: every variable's field
+// of a AND b, one span at a time, must be non-empty.
+func genericIntersects(d *Domain, a, b Cube) bool {
+	for v := range d.sizes {
+		empty := true
+		for _, s := range d.spans[v] {
+			if a[s.word]&b[s.word]&s.mask != 0 {
+				empty = false
+				break
+			}
+		}
+		if empty {
+			return false
+		}
+	}
+	return true
+}
+
+// genericIsEmpty is the span-loop IsEmpty: some variable's field is empty.
+func genericIsEmpty(d *Domain, c Cube) bool {
+	for v := range d.sizes {
+		if d.PartEmpty(c, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// genericIntersect is the span-loop Intersect.
+func genericIntersect(d *Domain, dst, a, b Cube) bool {
+	for i := range dst {
+		dst[i] = a[i] & b[i]
+	}
+	return !genericIsEmpty(d, dst)
+}
+
+// genericCofactor is the span-loop Cofactor: false when c and p do not
+// intersect, else every variable's field of dst becomes c ∪ ¬p, span by
+// span, and dst's bits outside every field are left as they were.
+func genericCofactor(d *Domain, dst, c, p Cube) bool {
+	if !genericIntersects(d, c, p) {
+		return false
+	}
+	for v := range d.sizes {
+		for _, s := range d.spans[v] {
+			dst[s.word] = dst[s.word]&^s.mask | (c[s.word]|(^p[s.word]))&s.mask
+		}
+	}
+	return true
+}
+
+// genericFullParts is the span-loop FullParts: the variables whose field
+// is full, one PartFull each.
+func genericFullParts(d *Domain, c Cube) int {
+	n := 0
+	for v := range d.sizes {
+		if d.PartFull(c, v) {
+			n++
+		}
+	}
+	return n
+}
 
 // randKernelDomain builds a random single-word domain: either all-binary or
 // a mix of variable sizes totaling at most 64 bits.
@@ -78,84 +154,47 @@ func randMultiWordDomain(rng *rand.Rand, words int) *Domain {
 	return New(sizes...)
 }
 
-// checkOpsMatchOracle runs the full operation battery on a kernel-enabled
-// domain against its Generic() twin with fresh random cubes.
+// checkOpsMatchOracle runs the whole-cube operations on d against their
+// span-loop oracles with fresh random cubes.
 func checkOpsMatchOracle(t *testing.T, rng *rand.Rand, d *Domain) {
 	t.Helper()
-	g := d.Generic()
-	if g.SingleWord() || g.multi {
-		t.Fatal("Generic() did not disable the kernels")
-	}
 	a, b := randCube(rng, d), randCube(rng, d)
 
-	if got, want := d.IsEmpty(a), g.IsEmpty(a); got != want {
-		t.Fatalf("IsEmpty(%s): kernel %v oracle %v", g.String(a), got, want)
+	if got, want := d.IsEmpty(a), genericIsEmpty(d, a); got != want {
+		t.Fatalf("IsEmpty(%s): kernel %v oracle %v", d.String(a), got, want)
 	}
-	if got, want := d.Intersects(a, b), g.Intersects(a, b); got != want {
-		t.Fatalf("Intersects(%s,%s): kernel %v oracle %v", g.String(a), g.String(b), got, want)
+	if got, want := d.Intersects(a, b), genericIntersects(d, a, b); got != want {
+		t.Fatalf("Intersects(%s,%s): kernel %v oracle %v", d.String(a), d.String(b), got, want)
 	}
-	if got, want := d.FullParts(a), g.FullParts(a); got != want {
-		t.Fatalf("FullParts(%s): kernel %d oracle %d", g.String(a), got, want)
-	}
-	for v := 0; v < d.NumVars(); v++ {
-		if d.PartEmpty(a, v) != g.PartEmpty(a, v) ||
-			d.PartFull(a, v) != g.PartFull(a, v) ||
-			d.PartCount(a, v) != g.PartCount(a, v) {
-			t.Fatalf("Part ops disagree on %s var %d", g.String(a), v)
-		}
+	if got, want := d.FullParts(a), genericFullParts(d, a); got != want {
+		t.Fatalf("FullParts(%s): kernel %d oracle %d", d.String(a), got, want)
 	}
 
-	kdst, gdst := d.NewCube(), g.NewCube()
-	kok, gok := d.Intersect(kdst, a, b), g.Intersect(gdst, a, b)
+	kdst, gdst := d.NewCube(), d.NewCube()
+	kok, gok := d.Intersect(kdst, a, b), genericIntersect(d, gdst, a, b)
 	if kok != gok || !slices.Equal(kdst, gdst) {
 		t.Fatalf("Intersect(%s,%s): kernel (%s,%v) oracle (%s,%v)",
-			g.String(a), g.String(b), g.String(kdst), kok, g.String(gdst), gok)
+			d.String(a), d.String(b), d.String(kdst), kok, d.String(gdst), gok)
 	}
 
 	// Cofactor against a non-empty cube p; dst carries stale garbage
-	// bits to exercise the masked write.
+	// bits, outside the fields too, to exercise the masked write.
 	p := randCube(rng, d)
 	for v := 0; v < d.NumVars(); v++ {
 		if d.PartEmpty(p, v) {
 			d.Set(p, v, 0)
 		}
 	}
-	kdst, gdst = randCube(rng, d), d.NewCube()
+	for i := range kdst {
+		kdst[i] = rng.Uint64()
+	}
 	copy(gdst, kdst)
-	kok, gok = d.Cofactor(kdst, a, p), g.Cofactor(gdst, a, p)
+	kok, gok = d.Cofactor(kdst, a, p), genericCofactor(d, gdst, a, p)
 	if kok != gok {
-		t.Fatalf("Cofactor(%s,%s): kernel %v oracle %v", g.String(a), g.String(p), kok, gok)
+		t.Fatalf("Cofactor(%s,%s): kernel %v oracle %v", d.String(a), d.String(p), kok, gok)
 	}
 	if kok && !slices.Equal(kdst, gdst) {
-		t.Fatalf("Cofactor(%s,%s): kernel %s oracle %s", g.String(a), g.String(p), g.String(kdst), g.String(gdst))
-	}
-
-	v := rng.Intn(d.NumVars())
-	ka, ga := a.Clone(), a.Clone()
-	d.SetAll(ka, v)
-	g.SetAll(ga, v)
-	if !slices.Equal(ka, ga) {
-		t.Fatalf("SetAll(%s,%d): kernel %s oracle %s", g.String(a), v, g.String(ka), g.String(ga))
-	}
-	d.ClearAll(ka, v)
-	g.ClearAll(ga, v)
-	if !slices.Equal(ka, ga) {
-		t.Fatalf("ClearAll: kernel %s oracle %s", g.String(ka), g.String(ga))
-	}
-
-	if got, want := d.Minterms(a), g.Minterms(a); got != want {
-		t.Fatalf("Minterms(%s): kernel %d oracle %d", g.String(a), got, want)
-	}
-}
-
-func TestKernelsMatchGenericOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 2000; iter++ {
-		d := randKernelDomain(rng)
-		if !d.SingleWord() {
-			t.Fatalf("randKernelDomain produced a multi-word domain (%d bits)", d.Bits())
-		}
-		checkOpsMatchOracle(t, rng, d)
+		t.Fatalf("Cofactor(%s,%s): kernel %s oracle %s", d.String(a), d.String(p), d.String(kdst), d.String(gdst))
 	}
 }
 
@@ -182,23 +221,25 @@ func randBit63Domain(rng *rand.Rand, words int) *Domain {
 	return New(sizes...)
 }
 
-// Every multi-word domain must agree with the generic span path on every
-// operation. Only its word-parallel emptiness tests (wide.go) differ from
-// the oracle, at every width — fields straddling word boundaries and
-// binary fields at bit 63 included. Its per-variable operations run the
-// oracle's own span loops, so TestWordParallelFieldTests checks them
-// against their definitions instead.
-func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
+// TestKernelsMatchGenericOracle checks the whole-cube operations against
+// their span-loop oracles on random domains of one to six words: one-word
+// domains all-binary or mixing field sizes, and half of the wider ones
+// with a binary field at bit 63, fields straddling word boundaries
+// included.
+func TestKernelsMatchGenericOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 3000; iter++ {
-		words := 2 + rng.Intn(5)
-		d := randMultiWordDomain(rng, words)
-		if iter%2 == 1 {
+	for iter := 0; iter < 12000; iter++ {
+		var d *Domain
+		switch words := 1 + iter%6; {
+		case words == 1:
+			d = randKernelDomain(rng)
+		case iter/6%2 == 0:
 			d = randBit63Domain(rng, words)
+		default:
+			d = randMultiWordDomain(rng, words)
 		}
-		if d.Words() != words || d.SingleWord() || !d.multi || d.Generic().multi {
-			t.Fatalf("%d-word domain (%d bits): %d words, single-word %v, multi %v",
-				words, d.Bits(), d.Words(), d.SingleWord(), d.multi)
+		if want := 1 + iter%6; d.Words() != want {
+			t.Fatalf("%d-word domain generator built %d bits in %d words", want, d.Bits(), d.Words())
 		}
 		checkOpsMatchOracle(t, rng, d)
 	}
@@ -207,10 +248,10 @@ func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
 // TestWordParallelFieldTests checks the field operations at every width
 // against their per-field definitions, built one value at a time from Has
 // and Set: AddNonFull against PartFull, SharedValues against Has,
-// DisjointFields against SharedValues, meets against the generic
-// Intersects, and PartEmpty, PartFull, PartCount, FullParts, SetAll and
-// ClearAll — the span loops of every multi-word domain and the
-// single-word kernels — against Has and Set.
+// DisjointFields against SharedValues, and PartFull, PartCount,
+// FullParts, SetAll, ClearAll and OrField, and the oracle's PartEmpty,
+// against Has and Set. TestKernelsMatchGenericOracle checks the other
+// whole-cube operations against the span loops.
 func TestWordParallelFieldTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 3000; iter++ {
@@ -223,26 +264,34 @@ func TestWordParallelFieldTests(t *testing.T) {
 		default:
 			d = randMultiWordDomain(rng, words)
 		}
-		g := d.Generic()
 		a, b := randCube(rng, d), randCube(rng, d)
 		cnt := make([]int, d.NumVars())
 		d.AddNonFull(cnt, a)
 		for v := range cnt {
 			want := 0
-			if !g.PartFull(a, v) {
+			if !d.PartFull(a, v) {
 				want = 1
 			}
 			if cnt[v] != want {
-				t.Fatalf("AddNonFull(%s) counts var %d as %d, want %d", g.String(a), v, cnt[v], want)
+				t.Fatalf("AddNonFull(%s) counts var %d as %d, want %d", d.String(a), v, cnt[v], want)
 			}
 			shared := 0
+			or := a.Clone()
 			for val := 0; val < d.Size(v); val++ {
 				if d.Has(a, v, val) && d.Has(b, v, val) {
 					shared++
 				}
+				if d.Has(b, v, val) {
+					d.Set(or, v, val)
+				}
 			}
 			if got := d.SharedValues(a, b, v); got != shared {
-				t.Fatalf("SharedValues(%s,%s,%d) = %d, want %d", g.String(a), g.String(b), v, got, shared)
+				t.Fatalf("SharedValues(%s,%s,%d) = %d, want %d", d.String(a), d.String(b), v, got, shared)
+			}
+			got := a.Clone()
+			d.OrField(got, b, v)
+			if !slices.Equal(got, or) {
+				t.Fatalf("OrField(%s,%s,%d) = %s, want %s", d.String(a), d.String(b), v, d.String(got), d.String(or))
 			}
 		}
 		// A random pair is disjoint in many fields at once; the
@@ -257,9 +306,6 @@ func TestWordParallelFieldTests(t *testing.T) {
 		}
 		for _, o := range []Cube{b, one} {
 			checkDisjointFields(t, d, a, o)
-		}
-		if got, want := d.meets(a, b), g.Intersects(a, b); got != want {
-			t.Fatalf("meets(%s,%s) = %v, generic Intersects %v", g.String(a), g.String(b), got, want)
 		}
 		checkPartOpsByValue(t, d, a)
 	}
@@ -348,8 +394,8 @@ func TestBinaryFieldAtBit63(t *testing.T) {
 		for val := 0; val < 2; val++ {
 			c := d.Universe()
 			d.Restrict(c, 1, val)
-			if d.IsEmpty(c) || !d.meets(c, c) {
-				t.Fatalf("%d words: field at bit 63 holding value %d reads empty", words, val)
+			if d.IsEmpty(c) || d.FullParts(c) != d.NumVars()-1 {
+				t.Fatalf("%d words: field at bit 63 holding value %d reads empty or full", words, val)
 			}
 			cnt := make([]int, d.NumVars())
 			d.AddNonFull(cnt, c)
@@ -361,15 +407,16 @@ func TestBinaryFieldAtBit63(t *testing.T) {
 	}
 }
 
-// Kernel selection: a domain of up to 64 bits takes the single-word
-// kernels; every wider one, at any word count, takes the span loops and
-// the word-parallel emptiness tests.
+// Kernel selection: one path serves every width. A domain's cubes and
+// its word-parallel tables span exactly its words, on both sides of each
+// word boundary, and its universe reads non-empty and full in every
+// field.
 func TestKernelTierSelection(t *testing.T) {
 	cases := []struct {
 		nv, words int
 	}{
 		{8, 1},   // 16 bits
-		{32, 1},  // 64 bits, the last single-word width
+		{32, 1},  // 64 bits, the last one-word width
 		{33, 2},  // 66 bits
 		{40, 2},  // 80 bits
 		{64, 2},  // 128 bits
@@ -380,9 +427,9 @@ func TestKernelTierSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := Binary(c.nv)
-		if d.Words() != c.words || d.SingleWord() != (c.words == 1) || d.multi != (c.words > 1) {
-			t.Fatalf("Binary(%d) (%d bits): %d words, single-word %v, multi %v; want %d words",
-				c.nv, d.Bits(), d.Words(), d.SingleWord(), d.multi, c.words)
+		if d.Words() != c.words || len(d.NewCube()) != c.words || len(d.low) != c.words || len(d.fullw) != c.words {
+			t.Fatalf("Binary(%d) (%d bits): %d words, %d low and %d universe words; want %d",
+				c.nv, d.Bits(), d.Words(), len(d.low), len(d.fullw), c.words)
 		}
 		u := d.Universe()
 		if d.IsEmpty(u) || d.FullParts(u) != c.nv {
@@ -397,7 +444,7 @@ func TestBinaryInterned(t *testing.T) {
 	if d1 != d2 {
 		t.Fatal("BinaryInterned(7) returned distinct domains")
 	}
-	if d1.NumVars() != 7 || d1.Bits() != 14 || !d1.SingleWord() {
+	if d1.NumVars() != 7 || d1.Bits() != 14 || d1.Words() != 1 {
 		t.Fatalf("interned domain malformed: %d vars, %d bits", d1.NumVars(), d1.Bits())
 	}
 	if BinaryInterned(internMax+1).NumVars() != internMax+1 {

@@ -7,36 +7,10 @@ import "math/bits"
 // carries that answer to the field's low bit, and one compare against
 // low tests every such field of the word at once; x&(x>>1) does the same
 // for fullness. A binary field at bit 63 straddles two words and sits in
-// odd with the multi-valued fields, which take one mask test each.
-// These whole-cube tests (IsEmpty, Intersect, Intersects, Cofactor) are
-// the one fast path of every multi-word domain, whatever its width; its
-// per-variable operations take the span loops of cube.go. AddNonFull and
-// DisjointFields run the same tests at every width, one word included.
-// The generic span path (Domain.Generic) remains the reference these
-// tests are checked against in the package tests.
-
-// meets reports whether every field of a AND b is non-empty, without
-// materializing the intersection.
-//
-//picola:hot
-func (d *Domain) meets(a, b Cube) bool {
-	for i, low := range d.low {
-		x := a[i] & b[i]
-		if (x|x>>1)&low != low {
-			return false
-		}
-	}
-	for _, v := range d.odd {
-		var x uint64
-		for _, s := range d.spans[v] {
-			x |= a[s.word] & b[s.word] & s.mask
-		}
-		if x == 0 {
-			return false
-		}
-	}
-	return true
-}
+// odd with the multi-valued fields, which take one mask test each. The
+// whole-cube operations of cube.go (Intersects, and through it IsEmpty,
+// Intersect and Cofactor; FullParts) and the two below run these tests
+// at every width.
 
 // DisjointFields returns the number n of fields in which a and b share
 // no value and, when n is 1, that field's variable v. The binary fields
@@ -63,19 +37,6 @@ func (d *Domain) DisjointFields(a, b Cube) (n, v int) {
 		}
 	}
 	return n, v
-}
-
-// cofactorMulti is Cofactor for every multi-word domain.
-//
-//picola:hot
-func (d *Domain) cofactorMulti(dst, c, p Cube) bool {
-	if !d.meets(c, p) {
-		return false
-	}
-	for i, f := range d.fullw {
-		dst[i] = dst[i]&^f | (c[i]|^p[i])&f
-	}
-	return true
 }
 
 // AddNonFull adds one to cnt[v] for every variable v whose field in c is

@@ -34,7 +34,6 @@ type scratch struct {
 	conflictCount []int
 	conflictVar   []int
 	blockedMask   []uint64
-	varMask       []uint64
 	colCount      []int
 	covered       []bool
 	rest          cover.Cover
@@ -350,7 +349,6 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 		conflictCount[k], conflictVar[k] = d.DisjointFields(c, o)
 	}
 	blockedMask := sc.words(&sc.blockedMask, words)
-	varMask := sc.words(&sc.varMask, words) // scratch
 	for {
 		// Rebuild the blocked mask: bits of single-conflict OFF cubes'
 		// conflicting fields.
@@ -358,16 +356,8 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 			blockedMask[w] = 0
 		}
 		for k, o := range off.Cubes {
-			if conflictCount[k] != 1 {
-				continue
-			}
-			v := conflictVar[k]
-			for w := range varMask {
-				varMask[w] = 0
-			}
-			d.SetAll(cube.Cube(varMask), v)
-			for w := range blockedMask {
-				blockedMask[w] |= o[w] & varMask[w]
+			if conflictCount[k] == 1 {
+				d.OrField(blockedMask, o, conflictVar[k])
 			}
 		}
 		bestBit, bestScore := -1, -1

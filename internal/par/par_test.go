@@ -71,17 +71,20 @@ func TestMapError(t *testing.T) {
 // like a plain loop.
 // TestMapErrorLowestIndexWins: when several tasks fail, the error
 // returned is the lowest-index one regardless of completion order, and
-// the first failure to complete cancels the tasks not yet handed out.
+// the failures cancel the tasks not yet handed out.
 func TestMapErrorLowestIndexWins(t *testing.T) {
 	errLow := errors.New("low-index failure")
 	errHigh := errors.New("high-index failure")
 	// Task 6 is guaranteed to be running (task 7 waits for its start
 	// signal) but blocks until task 7 has already failed — so errHigh
-	// completes first, and errLow must still win the scan.
+	// completes first, and errLow must still win the scan. With two
+	// workers, one holds task 6 and the other task 7 until both have
+	// failed, and each worker cancels on its own failure before taking
+	// another task, so no task after 7 reaches fn: exactly tasks 0–7 run.
 	sixStarted := make(chan struct{})
 	release := make(chan struct{})
 	var ran atomic.Int64
-	_, err := Map(64, 4, func(i int) (int, error) {
+	_, err := Map(64, 2, func(i int) (int, error) {
 		ran.Add(1)
 		switch i {
 		case 6:
@@ -98,8 +101,8 @@ func TestMapErrorLowestIndexWins(t *testing.T) {
 	if !errors.Is(err, errLow) {
 		t.Fatalf("err = %v, want the lowest-index failure %v", err, errLow)
 	}
-	if n := ran.Load(); n >= 64 {
-		t.Errorf("first failure did not cancel any remaining tasks (%d ran)", n)
+	if n := ran.Load(); n != 8 {
+		t.Errorf("%d tasks ran, want tasks 0–7 only: the failures must cancel the rest", n)
 	}
 }
 

@@ -45,8 +45,8 @@ go test -race ./...
 
 # Allocation-regression gate: on a warmed arena, one exact constraint
 # scoring must perform zero heap allocations, on a warmed encoder one
-# classify column scan likewise, and on a warmed pool one CoversCube over
-# a six-word cover and one DropCoveredValues at one and at six words (the
+# classify column scan likewise, and on a warmed pool one CoversCube and
+# one DropCoveredValues at one and at six words (the
 # hot-path pooling contract; testing.AllocsPerRun-based, so a single
 # stray make fails it). The store lifecycle gates
 # bound cache import at about one allocation per inserted entry and a
