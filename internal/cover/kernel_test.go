@@ -205,41 +205,57 @@ func checkKernelParity(t *testing.T, rng *rand.Rand, f *Cover) {
 	}
 }
 
+// checkRandomCoverParity runs checkKernelParity on the k-th random cover
+// of at most maxCubes cubes over d: tautCover's for odd k, randCover's
+// otherwise, and holding a cube empty in a field at the top level
+// (addEmptyCube) when k is a multiple of three.
+func checkRandomCoverParity(t *testing.T, rng *rand.Rand, d *cube.Domain, k, maxCubes int) {
+	t.Helper()
+	f := randCover(rng, d, maxCubes)
+	if k%2 == 1 {
+		f = tautCover(rng, d, 1+rng.Intn(maxCubes))
+	}
+	if k%3 == 0 {
+		addEmptyCube(rng, f)
+	}
+	checkKernelParity(t, rng, f)
+}
+
 // TestTautologyKernelMatchesGeneric cross-checks the kernel against the
-// reference recursion on random domains of one to six words: results
-// must match and, because the kernel mirrors the reference decision
-// structure, so must the tautology_nodes metric increments. One-word
-// domains are up to six binary fields, a third of them behind a field of
-// one to four values; wider ones are randWideDomain's, with fields
-// straddling a word boundary and a binary field at bit 63 in a third of
-// them. Half the covers are tautCover's, and a third hold a cube empty
-// in a field at the top level (addEmptyCube).
+// reference recursion on random one-word domains: results must match
+// and, because the kernel mirrors the reference decision structure, so
+// must the tautology_nodes metric increments. The domains are up to six
+// binary fields, a third of them behind a field of one to four values.
+// TestTautologyKernelWideMatchesGeneric runs the same check at two to six
+// words.
 func TestTautologyKernelMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 1800; iter++ {
-		words, k := 1+iter%6, iter/6
-		var d *cube.Domain
-		maxCubes := 10
-		if words == 1 {
-			nv := 1 + rng.Intn(6)
-			d, maxCubes = cube.Binary(nv), 12
-			if rng.Intn(3) == 0 {
-				d = cube.New(append([]int{1 + rng.Intn(4)}, repeatSizes(2, nv)...)...)
-			}
-		} else {
-			d = randWideDomain(rng, words)
+	for iter := 0; iter < 500; iter++ {
+		nv := 1 + rng.Intn(6)
+		d := cube.Binary(nv)
+		if rng.Intn(3) == 0 {
+			d = cube.New(append([]int{1 + rng.Intn(4)}, repeatSizes(2, nv)...)...)
 		}
+		if d.Words() != 1 {
+			t.Fatalf("one-word test domain built %d words", d.Words())
+		}
+		checkRandomCoverParity(t, rng, d, iter, 12)
+	}
+}
+
+// TestTautologyKernelWideMatchesGeneric is the same cross-check on
+// randWideDomain's domains of two to six words: binary and multi-valued
+// fields, fields straddling a word boundary and a binary field at bit 63
+// in a third of them.
+func TestTautologyKernelWideMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for iter := 0; iter < 1500; iter++ {
+		words := 2 + iter%5
+		d := randWideDomain(rng, words)
 		if d.Words() != words {
-			t.Fatalf("%d-word domain built %d words", words, d.Words())
+			t.Fatalf("randWideDomain(%d) built %d words", words, d.Words())
 		}
-		f := randCover(rng, d, maxCubes)
-		if k%2 == 1 {
-			f = tautCover(rng, d, 1+rng.Intn(maxCubes))
-		}
-		if k%3 == 0 {
-			addEmptyCube(rng, f)
-		}
-		checkKernelParity(t, rng, f)
+		checkRandomCoverParity(t, rng, d, iter/5, 10)
 	}
 }
 

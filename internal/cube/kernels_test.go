@@ -222,24 +222,37 @@ func randBit63Domain(rng *rand.Rand, words int) *Domain {
 }
 
 // TestKernelsMatchGenericOracle checks the whole-cube operations against
-// their span-loop oracles on random domains of one to six words: one-word
-// domains all-binary or mixing field sizes, and half of the wider ones
-// with a binary field at bit 63, fields straddling word boundaries
-// included.
+// their span-loop oracles on random one-word domains, all-binary or
+// mixing field sizes. TestMultiWordKernelsMatchGenericOracle runs the
+// same check at two to six words.
 func TestKernelsMatchGenericOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 2000; iter++ {
+		d := randKernelDomain(rng)
+		if d.Words() != 1 {
+			t.Fatalf("randKernelDomain built %d bits in %d words", d.Bits(), d.Words())
+		}
+		checkOpsMatchOracle(t, rng, d)
+	}
+}
+
+// TestMultiWordKernelsMatchGenericOracle checks the whole-cube operations
+// against their span-loop oracles on random domains of two to six words,
+// half of them with a binary field at bit 63, fields straddling word
+// boundaries included. The same code runs at one word, where
+// TestKernelsMatchGenericOracle checks it.
+func TestMultiWordKernelsMatchGenericOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 12000; iter++ {
+	for iter := 0; iter < 10000; iter++ {
+		words := 2 + iter%5
 		var d *Domain
-		switch words := 1 + iter%6; {
-		case words == 1:
-			d = randKernelDomain(rng)
-		case iter/6%2 == 0:
+		if iter/5%2 == 0 {
 			d = randBit63Domain(rng, words)
-		default:
+		} else {
 			d = randMultiWordDomain(rng, words)
 		}
-		if want := 1 + iter%6; d.Words() != want {
-			t.Fatalf("%d-word domain generator built %d bits in %d words", want, d.Bits(), d.Words())
+		if d.Words() != words {
+			t.Fatalf("%d-word domain generator built %d bits in %d words", words, d.Bits(), d.Words())
 		}
 		checkOpsMatchOracle(t, rng, d)
 	}
@@ -250,8 +263,9 @@ func TestKernelsMatchGenericOracle(t *testing.T) {
 // and Set: AddNonFull against PartFull, SharedValues against Has,
 // DisjointFields against SharedValues, and PartFull, PartCount,
 // FullParts, SetAll, ClearAll and OrField, and the oracle's PartEmpty,
-// against Has and Set. TestKernelsMatchGenericOracle checks the other
-// whole-cube operations against the span loops.
+// against Has and Set. TestKernelsMatchGenericOracle and
+// TestMultiWordKernelsMatchGenericOracle check the other whole-cube
+// operations against the span loops.
 func TestWordParallelFieldTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 3000; iter++ {
