@@ -9,7 +9,8 @@ import (
 )
 
 // TestAffectedFilterSound: when affected() says a swap cannot change a
-// constraint's implementation, the exact cube count indeed stays equal.
+// constraint's implementation, the exact cube count indeed stays equal,
+// and the constraint's cached face still equals its supercube.
 func TestAffectedFilterSound(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 30; trial++ {
@@ -37,10 +38,8 @@ func TestAffectedFilterSound(t *testing.T) {
 			e.Codes[sym] = uint64(perm[sym])
 		}
 		s := &searcher{p: p, enc: e}
-		s.mask = uint64(1)<<uint(nv) - 1
 		s.cost = make([]int, len(p.Constraints))
-		s.agree = make([]uint64, len(p.Constraints))
-		s.vals = make([]uint64, len(p.Constraints))
+		s.sup = make([]face.Face, len(p.Constraints))
 		for i := range p.Constraints {
 			s.geom(i)
 		}
@@ -70,6 +69,10 @@ func TestAffectedFilterSound(t *testing.T) {
 				if k != before[j] {
 					t.Fatalf("swap(%d,%d) changed 'unaffected' constraint %d: %d -> %d",
 						a, b, i, before[j], k)
+				}
+				if f := e.Supercube(p.Constraints[i]); f != s.sup[i] {
+					t.Fatalf("swap(%d,%d) moved 'unaffected' constraint %d's face %+v -> %+v",
+						a, b, i, s.sup[i], f)
 				}
 			}
 			for i := range p.Constraints {

@@ -59,26 +59,15 @@ type Result struct {
 type searcher struct {
 	p       *face.Problem
 	enc     *face.Encoding
-	mask    uint64
 	cost    []int
-	agree   []uint64
-	vals    []uint64
+	sup     []face.Face // member-code supercube per constraint
 	budget  int
 	evals   int
 	workers int
 	cache   *eval.Cache
 }
 
-func (s *searcher) geom(i int) {
-	c := s.p.Constraints[i]
-	members := c.Members()
-	agree := s.mask
-	vals := s.enc.Codes[members[0]] & s.mask
-	for _, m := range members[1:] {
-		agree &^= (vals ^ s.enc.Codes[m]) & s.mask
-	}
-	s.agree[i], s.vals[i] = agree, vals&agree
-}
+func (s *searcher) geom(i int) { s.sup[i] = s.enc.Supercube(s.p.Constraints[i]) }
 
 func (s *searcher) minimize(i int) error {
 	k, err := s.cache.ConstraintCubesHeuristic(s.enc, s.p.Constraints[i])
@@ -144,9 +133,7 @@ func (s *searcher) affected(i, a, b int) bool {
 	if c.Has(a) || c.Has(b) {
 		return true
 	}
-	ina := (s.enc.Codes[a]^s.vals[i])&s.agree[i] == 0
-	inb := (s.enc.Codes[b]^s.vals[i])&s.agree[i] == 0
-	return ina != inb
+	return s.sup[i].Contains(s.enc.Codes[a]) != s.sup[i].Contains(s.enc.Codes[b])
 }
 
 // Encode runs the ENC-style search.
@@ -155,9 +142,9 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	n := p.N()
-	nv := o.NV
-	if nv == 0 {
-		nv = p.MinLength()
+	nv, err := p.CodeLength(o.NV)
+	if err != nil {
+		return nil, err
 	}
 	budget := o.Budget
 	if budget == 0 {
@@ -171,14 +158,9 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	s := &searcher{p: p, enc: e, budget: budget, workers: o.Workers, cache: o.Cache}
-	s.mask = uint64(1)<<uint(nv) - 1
-	if nv == 64 {
-		s.mask = ^uint64(0)
-	}
 	r := len(p.Constraints)
 	s.cost = make([]int, r)
-	s.agree = make([]uint64, r)
-	s.vals = make([]uint64, r)
+	s.sup = make([]face.Face, r)
 	// The initial costs are independent: fan them out, charging the same
 	// r budget units the sequential loop would.
 	if _, err := par.Map(r, s.workers, func(i int) (int, error) {

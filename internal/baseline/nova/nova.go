@@ -14,6 +14,7 @@ package nova
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"picola/internal/face"
@@ -56,11 +57,9 @@ type state struct {
 	enc   *face.Encoding
 	pairs []Pair
 	useIO bool
-	mask  uint64
 
-	agree  []uint64 // supercube agree mask per constraint
-	vals   []uint64 // supercube values on agreeing columns
-	intrs  []int    // intruder count per constraint
+	sup    []face.Face // member-code supercube per constraint
+	intrs  []int       // intruder count per constraint
 	weight []float64
 }
 
@@ -88,13 +87,8 @@ func newState(p *face.Problem, e *face.Encoding, o Options) *state {
 			s.pairs[i] = pr
 		}
 	}
-	s.mask = uint64(1)<<uint(e.NV) - 1
-	if e.NV == 64 {
-		s.mask = ^uint64(0)
-	}
 	r := len(p.Constraints)
-	s.agree = make([]uint64, r)
-	s.vals = make([]uint64, r)
+	s.sup = make([]face.Face, r)
 	s.intrs = make([]int, r)
 	s.weight = make([]float64, r)
 	for i := range p.Constraints {
@@ -107,27 +101,8 @@ func newState(p *face.Problem, e *face.Encoding, o Options) *state {
 // recompute rebuilds constraint i's supercube and intruder count.
 func (s *state) recompute(i int) {
 	c := s.p.Constraints[i]
-	members := c.Members()
-	agree := s.mask
-	vals := s.enc.Codes[members[0]] & s.mask
-	for _, m := range members[1:] {
-		agree &^= (vals ^ s.enc.Codes[m]) & s.mask
-	}
-	vals &= agree
-	intr := 0
-	for sym := 0; sym < s.enc.N(); sym++ {
-		if c.Has(sym) {
-			continue
-		}
-		if (s.enc.Codes[sym]^vals)&agree == 0 {
-			intr++
-		}
-	}
-	s.agree[i], s.vals[i], s.intrs[i] = agree, vals, intr
-}
-
-func (s *state) inside(i int, code uint64) bool {
-	return (code^s.vals[i])&s.agree[i] == 0
+	s.sup[i] = s.enc.Supercube(c)
+	s.intrs[i] = s.enc.IntruderCount(c, s.sup[i])
 }
 
 // objective returns the current total objective.
@@ -147,22 +122,11 @@ func (s *state) objective() float64 {
 func (s *state) pairBonus() float64 {
 	total := 0.0
 	for _, pr := range s.pairs {
-		d := hamming(s.enc.Codes[pr.A]&s.mask, s.enc.Codes[pr.B]&s.mask)
-		if d == 1 {
+		if bits.OnesCount64((s.enc.Codes[pr.A]^s.enc.Codes[pr.B])&s.enc.Mask()) == 1 {
 			total += pr.Weight
 		}
 	}
 	return total
-}
-
-func hamming(a, b uint64) int {
-	x := a ^ b
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // applySwap exchanges the codes of symbols a and b (b may be -1 with a
@@ -194,8 +158,8 @@ func (s *state) applyMove(a int, spare uint64) uint64 {
 			s.recompute(i)
 			continue
 		}
-		wasIn := (old^s.vals[i])&s.agree[i] == 0
-		isIn := s.inside(i, spare)
+		wasIn := s.sup[i].Contains(old)
+		isIn := s.sup[i].Contains(spare)
 		if wasIn != isIn {
 			if isIn {
 				s.intrs[i]++
@@ -213,9 +177,9 @@ func Encode(p *face.Problem, o Options) (*face.Encoding, error) {
 		return nil, err
 	}
 	n := p.N()
-	nv := o.NV
-	if nv == 0 {
-		nv = p.MinLength()
+	nv, err := p.CodeLength(o.NV)
+	if err != nil {
+		return nil, err
 	}
 	e := face.NewEncoding(n, nv)
 	for sym := 0; sym < n; sym++ {
@@ -228,17 +192,7 @@ func Encode(p *face.Problem, o Options) (*face.Encoding, error) {
 	r := rand.New(rand.NewSource(o.Seed + 1))
 
 	// Unused codes (when n < 2^nv) enable move moves.
-	var spares []uint64
-	used := make(map[uint64]bool, n)
-	for _, c := range e.Codes {
-		used[c] = true
-	}
-	total := uint64(1) << uint(nv)
-	for c := uint64(0); c < total; c++ {
-		if !used[c] {
-			spares = append(spares, c)
-		}
-	}
+	spares := e.SpareCodes()
 
 	sweeps := 40
 	if o.Sweeps > 0 {

@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"math/bits"
 	"testing"
 
 	"picola/internal/eval"
@@ -85,7 +86,7 @@ func TestIOHybridPairBonus(t *testing.T) {
 	if !e.Injective() {
 		t.Fatal("codes must stay distinct")
 	}
-	d := hamming(e.Codes[0], e.Codes[3])
+	d := bits.OnesCount64(e.Codes[0] ^ e.Codes[3])
 	if d != 1 {
 		t.Fatalf("pair distance = %d, want 1:\n%s", d, e)
 	}
@@ -116,11 +117,5 @@ func TestEvaluableOutput(t *testing.T) {
 	}
 	if _, err := eval.Evaluate(p, e); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHamming(t *testing.T) {
-	if hamming(0b1010, 0b0110) != 2 || hamming(5, 5) != 0 {
-		t.Fatal("hamming broken")
 	}
 }

@@ -67,13 +67,40 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 					t.Fatalf("step %d: constraint %d intruders=%d, want %d",
 						step, i, st.intrs[i], want.intrs[i])
 				}
-				if st.agree[i] != want.agree[i] || st.vals[i] != want.vals[i] {
-					t.Fatalf("step %d: constraint %d supercube cache diverged", step, i)
+				if st.sup[i] != want.sup[i] {
+					t.Fatalf("step %d: constraint %d cached face %+v, want %+v",
+						step, i, st.sup[i], want.sup[i])
 				}
 			}
 			if st.objective() != want.objective() {
 				t.Fatalf("step %d: objective diverged", step)
 			}
 		}
+	}
+}
+
+// TestAllocsAnneal is the annealer's allocation gate: on a warmed state,
+// a swap, a spare move and their undos rebuild the touched constraints'
+// faces and intruder counts without allocating.
+func TestAllocsAnneal(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	r := rand.New(rand.NewSource(5))
+	n := 24
+	p := randomProblem(r, n)
+	e := face.NewEncoding(n, 5)
+	for s := range e.Codes {
+		e.Codes[s] = uint64(s)
+	}
+	st := newState(p, e, Options{})
+	spare := e.SpareCodes()[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		st.applySwap(2, 17)
+		st.applySwap(2, 17)
+		st.applyMove(5, st.applyMove(5, spare))
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed applySwap/applyMove allocated %.1f objects, want 0", allocs)
 	}
 }

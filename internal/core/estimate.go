@@ -13,7 +13,6 @@ import (
 // partitions shared scratch arrays in place.
 type costModel struct {
 	enc     *face.Encoding
-	nv      int
 	mask    uint64
 	members [][]int
 	nonmem  [][]int
@@ -32,11 +31,7 @@ func (cm *costModel) flush() {
 }
 
 func newCostModel(enc *face.Encoding, cons []face.Constraint) *costModel {
-	cm := &costModel{enc: enc, nv: enc.NV}
-	cm.mask = uint64(1)<<uint(cm.nv) - 1
-	if cm.nv == 64 {
-		cm.mask = ^uint64(0)
-	}
+	cm := &costModel{enc: enc, mask: enc.Mask()}
 	cm.members = make([][]int, len(cons))
 	cm.nonmem = make([][]int, len(cons))
 	for i, c := range cons {
@@ -229,21 +224,28 @@ func partition(xs []uint64, bit uint64) int {
 // dim(super(L)) − dim(super(I)) product terms. It returns that count and
 // whether the theorem applies.
 func TheoremI(e *face.Encoding, L face.Constraint) (int, bool) {
-	sup, supDim := supercubeOf(e, L)
 	intr := e.Intruders(L)
 	if len(intr) == 0 {
 		return 1, true // satisfied: a single cube
 	}
-	iSet := face.FromMembers(L.N(), intr...)
-	iSup, iDim := supercubeOf(e, iSet)
-	// The theorem needs the intruder cube disjoint from every member code.
+	iSup, ok := intruderFace(e, L, intr)
+	if !ok {
+		return 0, false
+	}
+	// dim(super(L)) − dim(super(I)) = |fixed(super(I))| − |fixed(super(L))|.
+	return popcount(iSup.Agree) - popcount(e.Supercube(L).Agree), true
+}
+
+// intruderFace returns super(I), the supercube of the intruder codes intr
+// of L, and whether it holds no member code of L — Theorem I's condition.
+func intruderFace(e *face.Encoding, L face.Constraint, intr []int) (face.Face, bool) {
+	iSup := e.Supercube(face.FromMembers(L.N(), intr...))
 	for _, m := range L.Members() {
-		if codeInside(e, m, iSup) {
-			return 0, false
+		if iSup.Contains(e.Codes[m]) {
+			return iSup, false
 		}
 	}
-	_ = sup
-	return supDim - iDim, true
+	return iSup, true
 }
 
 // TheoremICover builds the constructive cover of Theorem I over the
@@ -253,104 +255,42 @@ func TheoremI(e *face.Encoding, L face.Constraint) (int, bool) {
 // apply.
 func TheoremICover(e *face.Encoding, L face.Constraint) (*cover.Cover, bool) {
 	d := cube.BinaryInterned(e.NV)
+	sup := e.Supercube(L)
+	// setLit fixes column k of c to bit k of v.
+	setLit := func(c cube.Cube, k int, v uint64) {
+		if v>>uint(k)&1 == 0 {
+			d.SetBinLit(c, k, cube.LitZero)
+		} else {
+			d.SetBinLit(c, k, cube.LitOne)
+		}
+	}
+	// supCube returns super(L) as a cube: its fixed columns set, the rest
+	// free.
+	supCube := func() cube.Cube {
+		c := d.Universe()
+		for fixed := sup.Agree; fixed != 0; fixed &= fixed - 1 {
+			setLit(c, bits.TrailingZeros64(fixed), sup.Vals)
+		}
+		return c
+	}
+	f := cover.New(d)
 	intr := e.Intruders(L)
 	if len(intr) == 0 {
 		// Satisfied constraint: its supercube is the single-cube cover.
-		sup, _ := supercubeOf(e, L)
-		f := cover.New(d)
-		f.Add(maskedCube(d, e.NV, sup))
+		f.Add(supCube())
 		return f, true
 	}
-	iSet := face.FromMembers(L.N(), intr...)
-	iSup, _ := supercubeOf(e, iSet)
-	for _, m := range L.Members() {
-		if codeInside(e, m, iSup) {
-			return nil, false
-		}
+	iSup, ok := intruderFace(e, L, intr)
+	if !ok {
+		return nil, false
 	}
-	lSup, _ := supercubeOf(e, L)
-	f := cover.New(d)
-	for col := 0; col < e.NV; col++ {
-		if !iSup.fixed(col) || lSup.fixed(col) {
-			continue // not a literal of super(I) exclusive to it
-		}
-		c := d.Universe()
-		// Keep super(I)'s other literals that are also in super(L); set
-		// this column to the complement of super(I)'s value; free the
-		// remaining exclusive literals.
-		for k := 0; k < e.NV; k++ {
-			switch {
-			case k == col:
-				if iSup.val(k) == 0 {
-					d.SetBinLit(c, k, cube.LitOne)
-				} else {
-					d.SetBinLit(c, k, cube.LitZero)
-				}
-			case lSup.fixed(k):
-				if lSup.val(k) == 0 {
-					d.SetBinLit(c, k, cube.LitZero)
-				} else {
-					d.SetBinLit(c, k, cube.LitOne)
-				}
-			}
-		}
+	// One cube per literal of super(I) exclusive to it: super(L)'s
+	// literals, that column complemented from super(I)'s value, and the
+	// other exclusive literals free.
+	for excl := iSup.Agree &^ sup.Agree; excl != 0; excl &= excl - 1 {
+		c := supCube()
+		setLit(c, bits.TrailingZeros64(excl), ^iSup.Vals)
 		f.Add(c)
 	}
 	return f, true
-}
-
-// bcube is a binary supercube summary: per column, fixed value or free.
-type bcube struct {
-	agree uint64 // bit set: column fixed
-	vals  uint64 // fixed value per column
-}
-
-func (b bcube) fixed(col int) bool { return b.agree>>uint(col)&1 == 1 }
-func (b bcube) val(col int) int    { return int(b.vals >> uint(col) & 1) }
-
-// supercubeOf computes the supercube of the codes of set's members and its
-// dimension (number of free columns).
-func supercubeOf(e *face.Encoding, set face.Constraint) (bcube, int) {
-	var b bcube
-	members := set.Members()
-	if len(members) == 0 {
-		return b, 0
-	}
-	mask := uint64(1)<<uint(e.NV) - 1
-	if e.NV == 64 {
-		mask = ^uint64(0)
-	}
-	b.agree = mask
-	b.vals = e.Codes[members[0]] & mask
-	for _, m := range members[1:] {
-		b.agree &^= (b.vals ^ e.Codes[m]) & mask
-	}
-	b.vals &= b.agree
-	return b, e.NV - bits.OnesCount64(b.agree)
-}
-
-// codeInside reports whether symbol sym's code lies in the supercube b.
-func codeInside(e *face.Encoding, sym int, b bcube) bool {
-	return wordInside(e.Codes[sym], b)
-}
-
-// wordInside is codeInside on a raw code word: the exact-polish carry uses
-// it to test codes a symbol is moving between, not just codes it holds.
-func wordInside(w uint64, b bcube) bool {
-	return (w^b.vals)&b.agree == 0
-}
-
-// maskedCube converts a bcube to a cube.Cube over a binary domain.
-func maskedCube(d *cube.Domain, nv int, b bcube) cube.Cube {
-	c := d.Universe()
-	for col := 0; col < nv; col++ {
-		if b.fixed(col) {
-			if b.val(col) == 0 {
-				d.SetBinLit(c, col, cube.LitZero)
-			} else {
-				d.SetBinLit(c, col, cube.LitOne)
-			}
-		}
-	}
-	return c
 }

@@ -47,12 +47,12 @@ func TestPolishCarryLemma(t *testing.T) {
 		}
 		for a := 0; a < n; a++ {
 			old := enc.Codes[a]
-			for _, nw := range spareCodes(enc) {
+			for _, nw := range enc.SpareCodes() {
 				for i, c := range p.Constraints {
 					aMem := c.Has(a)
-					var sup bcube
+					var sup face.Face
 					if !aMem {
-						sup, _ = supercubeOf(enc, c)
+						sup = enc.Supercube(c)
 					}
 					if !carryHolds(aMem, sup, old, nw) {
 						continue
@@ -169,27 +169,4 @@ func TestColumnCostIncrementalParity(t *testing.T) {
 		})
 	}
 	t.Logf("%d column costs cross-checked", checked)
-}
-
-// TestWordInside pins the raw-word supercube membership the carry
-// predicate relies on.
-func TestWordInside(t *testing.T) {
-	b := bcube{agree: 0b0101, vals: 0b0001} // col0 fixed 1, col2 fixed 0
-	cases := []struct {
-		w    uint64
-		want bool
-	}{
-		{0b0001, true},
-		{0b1011, true},  // free columns may differ
-		{0b0000, false}, // col0 wrong
-		{0b0101, false}, // col2 wrong
-	}
-	for _, c := range cases {
-		if got := wordInside(c.w, b); got != c.want {
-			t.Errorf("wordInside(%04b) = %v, want %v", c.w, got, c.want)
-		}
-	}
-	if !wordInside(0xFFFF, bcube{}) {
-		t.Error("empty supercube summary must contain every word")
-	}
 }

@@ -192,15 +192,9 @@ func EncodeContext(ctx context.Context, p *face.Problem, opts ...Options) (*Resu
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty problem")
 	}
-	nv := o.NV
-	if nv == 0 {
-		nv = p.MinLength()
-	}
-	if minNeeded := p.MinLength(); nv < minNeeded {
-		return nil, fmt.Errorf("core: %d columns cannot distinguish %d symbols", nv, n)
-	}
-	if nv > 64 {
-		return nil, fmt.Errorf("core: code length %d exceeds 64", nv)
+	nv, err := p.CodeLength(o.NV)
+	if err != nil {
+		return nil, err
 	}
 	mEncodes.Inc()
 	best, bestScore, bestVariant, err := runPortfolio(ctx, p, o, nv, o.affordsExactCost(n, nv))

@@ -38,7 +38,7 @@ func (e *encoder) exactPolish(budget int) error {
 		ps.cost[i] = k
 	}
 	ps.touched = newAffectedSet(e.p.Constraints, n)
-	ps.spares = spareCodes(e.enc)
+	ps.spares = e.enc.SpareCodes()
 	ps.commitSeq = 1
 	ps.pairTried = make([]int, n*n)
 	ps.moveTried = make([]int, n*len(ps.spares))
@@ -91,7 +91,7 @@ type polishState struct {
 	// records whether the moving symbol is a member and sup holds the
 	// members' code supercube (valid only when aMem is false).
 	newCost []int
-	sup     []bcube
+	sup     []face.Face
 	aMem    []bool
 
 	// Don't-look memory (see the estimate polish): a candidate rejected
@@ -116,7 +116,7 @@ func (ps *polishState) prepareSpareScan(a int) {
 	r := len(ps.e.p.Constraints)
 	if cap(ps.newCost) < r {
 		ps.newCost = make([]int, r)
-		ps.sup = make([]bcube, r)
+		ps.sup = make([]face.Face, r)
 		ps.aMem = make([]bool, r)
 	}
 	ps.newCost = ps.newCost[:r]
@@ -125,7 +125,7 @@ func (ps *polishState) prepareSpareScan(a int) {
 	for i, c := range ps.e.p.Constraints {
 		ps.aMem[i] = c.Has(a)
 		if !ps.aMem[i] {
-			ps.sup[i], _ = supercubeOf(ps.e.enc, c)
+			ps.sup[i] = ps.e.enc.Supercube(c)
 		}
 	}
 }
@@ -191,23 +191,6 @@ func (as *affectedSet) swap(a, b int) []int {
 	return as.idx
 }
 
-// spareCodes lists, in ascending order, the codes of the 2^nv space that
-// no symbol holds.
-func spareCodes(enc *face.Encoding) []uint64 {
-	mask := uint64(1)<<uint(enc.NV) - 1
-	used := make(map[uint64]bool, enc.N())
-	for _, c := range enc.Codes {
-		used[c&mask] = true
-	}
-	var spares []uint64
-	for code := 0; code < 1<<uint(enc.NV); code++ {
-		if !used[uint64(code)] {
-			spares = append(spares, uint64(code))
-		}
-	}
-	return spares
-}
-
 // carryHolds is the exact-polish carry's predicate. Moving symbol a from
 // code old to the spare code nw leaves the exact count of a constraint
 // unchanged when a is not a member (aMem false) and neither code lies in
@@ -215,8 +198,8 @@ func spareCodes(enc *face.Encoding) []uint64 {
 // restricts to that supercube (intersecting each cube with it preserves
 // coverage and OFF-set disjointness), so minterms outside it may switch
 // between OFF and don't-care freely.
-func carryHolds(aMem bool, sup bcube, old, nw uint64) bool {
-	return !aMem && !wordInside(old, sup) && !wordInside(nw, sup)
+func carryHolds(aMem bool, sup face.Face, old, nw uint64) bool {
+	return !aMem && !sup.Contains(old) && !sup.Contains(nw)
 }
 
 // swapDelta applies the swap and returns the exact cost change and the
@@ -407,8 +390,7 @@ func (e *encoder) polish(name string, maxPasses int) error {
 		before = weightedEst()
 	}
 	touched := newAffectedSet(e.p.Constraints, n)
-	mask := uint64(1)<<uint(e.nv) - 1
-	spares := spareCodes(e.enc)
+	spares := e.enc.SpareCodes()
 	// delta recomputes the listed constraints and returns the estimate
 	// change, mutating est.
 	delta := func(idx []int) int {
@@ -431,7 +413,7 @@ func (e *encoder) polish(name string, maxPasses int) error {
 	// candidate loop is the encoder's warm-path floor, so it must not
 	// allocate per candidate.
 	savedBuf := make([]int, r)
-	sup := make([]bcube, r)
+	sup := make([]face.Face, r)
 	// Don't-look memory: a candidate rejected at commitSeq is skipped
 	// until any candidate commits (every commit bumps commitSeq). A
 	// rejected evaluation has no side effects — codes and est are
@@ -441,22 +423,6 @@ func (e *encoder) polish(name string, maxPasses int) error {
 	commitSeq := 1
 	pairTried := make([]int, n*n)
 	moveTried := make([]int, n*len(spares))
-	// supOf is supercubeOf on the cached member lists, avoiding the
-	// per-call Members() allocation.
-	supOf := func(i int) bcube {
-		var b bcube
-		mem := cm.members[i]
-		if len(mem) == 0 {
-			return b
-		}
-		b.agree = mask
-		b.vals = e.enc.Codes[mem[0]] & mask
-		for _, m := range mem[1:] {
-			b.agree &^= (b.vals ^ e.enc.Codes[m]) & mask
-		}
-		b.vals &= b.agree
-		return b
-	}
 	passes := 0
 	for pass := 0; pass < maxPasses; pass++ {
 		if err := ctxutil.Check(e.runCtx(), "core.polish"); err != nil {
@@ -494,8 +460,8 @@ func (e *encoder) polish(name string, maxPasses int) error {
 			// listed unconditionally, so the supercubes consulted below are
 			// invariant across the scan — compute them once per symbol.
 			if len(spares) > 0 {
-				for i := range sup {
-					sup[i] = supOf(i)
+				for i, c := range e.p.Constraints {
+					sup[i] = e.enc.Supercube(c)
 				}
 			}
 			for si := range spares {
@@ -506,7 +472,7 @@ func (e *encoder) polish(name string, maxPasses int) error {
 				old := e.enc.Codes[a]
 				nw := spares[si]
 				for i := 0; i < r; i++ {
-					if wordInside(old, sup[i]) || wordInside(nw, sup[i]) {
+					if sup[i].Contains(old) || sup[i].Contains(nw) {
 						touched.add(i)
 					}
 				}

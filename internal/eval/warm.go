@@ -33,43 +33,10 @@ var (
 // single essential prime). This is the same single-cube contract
 // Evaluate's satisfied shortcut and the verify oracle already enforce;
 // here it answers the request without touching the cache or a minimizer.
-// The scan mirrors face.Encoding.Intruders without its allocations.
 //
 //picola:hot
 func satisfiedOne(e *face.Encoding, con face.Constraint) bool {
-	if con.N() != e.N() {
-		return false
-	}
-	n := e.N()
-	first := -1
-	var agreeMask, val uint64
-	for s := 0; s < n; s++ {
-		if !con.Has(s) {
-			continue
-		}
-		if first < 0 {
-			first = s
-			val = e.Codes[s]
-			agreeMask = ^uint64(0)
-			if e.NV < 64 {
-				agreeMask = uint64(1)<<uint(e.NV) - 1
-			}
-			continue
-		}
-		agreeMask &^= val ^ e.Codes[s]
-	}
-	if first < 0 {
-		return false
-	}
-	for s := 0; s < n; s++ {
-		if con.Has(s) {
-			continue
-		}
-		if (e.Codes[s]^val)&agreeMask == 0 {
-			return false
-		}
-	}
-	return true
+	return con.N() == e.N() && con.Count() > 0 && e.Satisfied(con)
 }
 
 // keyBuf is the pooled scratch of one cache lookup: the on/used bitset
@@ -137,7 +104,7 @@ func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool
 //
 //picola:hot
 func codeWords(e *face.Encoding, con face.Constraint, on, used []uint64) (uint64, bool) {
-	mask := uint64(1)<<uint(e.NV) - 1
+	mask := e.Mask()
 	for i := range on {
 		on[i], used[i] = 0, 0
 	}

@@ -1,6 +1,8 @@
 // Package face defines the shared vocabulary of the face-constrained
 // encoding problem: symbol subsets (group constraints), problems (a symbol
-// universe plus constraints), and encodings (code matrices).
+// universe plus constraints), encodings (code matrices), and the one face
+// geometry every encoder and the evaluator use — a constraint's
+// supercube (Face) and the intruders inside it.
 //
 // A group constraint on symbols S = {S1..Sn} is a subset S' ⊆ S whose
 // codes must span a Boolean cube that contains the code of no symbol
@@ -157,6 +159,21 @@ func (p *Problem) MinLength() int {
 	return bits.Len(uint(n - 1))
 }
 
+// CodeLength resolves a requested code length: 0 means MinLength, and a
+// length too short to distinguish the symbols or longer than an
+// Encoding's 64 bits is an error.
+func (p *Problem) CodeLength(nv int) (int, error) {
+	switch {
+	case nv == 0:
+		return p.MinLength(), nil
+	case nv < p.MinLength():
+		return 0, fmt.Errorf("face: %d columns cannot distinguish %d symbols", nv, p.N())
+	case nv > 64:
+		return 0, fmt.Errorf("face: code length %d exceeds 64", nv)
+	}
+	return nv, nil
+}
+
 // AddConstraint appends a constraint, dropping trivial constraints (fewer
 // than two members) and the full set. A duplicate of an existing
 // constraint increments that constraint's weight instead.
@@ -244,13 +261,16 @@ func (e *Encoding) CodeString(sym int) string {
 	return sb.String()
 }
 
+// Mask returns the word with the low NV bits set: the code columns.
+func (e *Encoding) Mask() uint64 {
+	// At NV = 64 the shift yields 0, so the mask is all ones.
+	return uint64(1)<<uint(e.NV) - 1
+}
+
 // Injective reports whether all codes are distinct.
 func (e *Encoding) Injective() bool {
 	seen := make(map[uint64]bool, len(e.Codes))
-	mask := uint64(1)<<uint(e.NV) - 1
-	if e.NV == 64 {
-		mask = ^uint64(0)
-	}
+	mask := e.Mask()
 	for _, c := range e.Codes {
 		c &= mask
 		if seen[c] {
@@ -261,38 +281,90 @@ func (e *Encoding) Injective() bool {
 	return true
 }
 
+// SpareCodes lists, in ascending order, the codes of the 2^NV code space
+// that no symbol holds.
+func (e *Encoding) SpareCodes() []uint64 {
+	used := make(map[uint64]bool, len(e.Codes))
+	mask := e.Mask()
+	for _, c := range e.Codes {
+		used[c&mask] = true
+	}
+	var spares []uint64
+	// At NV = 64 the bound is 0 and the list empty.
+	for code := uint64(0); code < uint64(1)<<uint(e.NV); code++ {
+		if !used[code] {
+			spares = append(spares, code)
+		}
+	}
+	return spares
+}
+
+// Face is a cube of the code space: the codes that hold Vals on every
+// column of Agree and anything on the free columns. Vals has no bit
+// outside Agree.
+type Face struct {
+	Agree uint64 // bit set: column fixed
+	Vals  uint64 // the fixed columns' values
+}
+
+// Contains reports whether code lies in the face.
+func (f Face) Contains(code uint64) bool { return (code^f.Vals)&f.Agree == 0 }
+
+// Supercube returns super(c), the smallest face holding the codes of c's
+// members: its fixed columns are those where every member code agrees. A
+// constraint with no member gets the zero Face, which holds every code.
+//
+//picola:hot
+func (e *Encoding) Supercube(c Constraint) Face {
+	var f Face
+	seen := false
+	for wi, w := range c.words {
+		for ; w != 0; w &= w - 1 {
+			code := e.Codes[wi*64+bits.TrailingZeros64(w)]
+			if !seen {
+				f = Face{Agree: e.Mask(), Vals: code}
+				seen = true
+			}
+			f.Agree &^= f.Vals ^ code // columns that ever differ stop agreeing
+		}
+	}
+	f.Vals &= f.Agree
+	return f
+}
+
+// IntruderCount returns how many non-members of c have codes inside f.
+//
+//picola:hot
+func (e *Encoding) IntruderCount(c Constraint, f Face) int {
+	k := 0
+	for s, code := range e.Codes {
+		if !c.Has(s) && f.Contains(code) {
+			k++
+		}
+	}
+	return k
+}
+
 // Satisfied reports whether the encoding satisfies constraint c: the
-// minimal cube spanned by the member codes contains no non-member code.
-// The spanned cube is characterized by the columns where all members
-// agree; a non-member is excluded iff it differs in one of those columns.
+// supercube of the member codes contains no non-member code. A constraint
+// with no member is satisfied.
+//
+//picola:hot
 func (e *Encoding) Satisfied(c Constraint) bool {
-	return len(e.Intruders(c)) == 0
+	return c.Count() == 0 || e.IntruderCount(c, e.Supercube(c)) == 0
 }
 
 // Intruders returns the non-members of c whose codes lie inside the
-// supercube of the member codes, ascending.
+// supercube of the member codes, ascending; nil for a constraint with no
+// member.
 func (e *Encoding) Intruders(c Constraint) []int {
-	members := c.Members()
-	if len(members) == 0 {
+	if c.Count() == 0 {
 		return nil
 	}
-	// agree: columns where all members share a value; val: that value.
-	var agreeMask, val uint64
-	first := e.Codes[members[0]]
-	agreeMask = (uint64(1)<<uint(e.NV) - 1)
-	if e.NV == 64 {
-		agreeMask = ^uint64(0)
-	}
-	val = first
-	for _, m := range members[1:] {
-		agreeMask &^= val ^ e.Codes[m] // columns that ever differ stop agreeing
-	}
+	f := e.Supercube(c)
 	var out []int
-	for s := 0; s < len(e.Codes); s++ {
-		if c.Has(s) {
-			continue
-		}
-		if (e.Codes[s]^val)&agreeMask == 0 {
+	for s, code := range e.Codes {
+		if !c.Has(s) && f.Contains(code) {
 			out = append(out, s)
 		}
 	}

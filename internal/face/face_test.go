@@ -144,23 +144,78 @@ func bruteIntruders(e *Encoding, c Constraint) []int {
 	return out
 }
 
+// bruteSupercube recomputes super(c) column by column: a column is fixed
+// when every member's bit there equals the first member's.
+func bruteSupercube(e *Encoding, c Constraint) Face {
+	var f Face
+	members := c.Members()
+	if len(members) == 0 {
+		return f
+	}
+	for col := 0; col < e.NV; col++ {
+		b0 := e.Bit(members[0], col)
+		allSame := true
+		for _, m := range members {
+			if e.Bit(m, col) != b0 {
+				allSame = false
+				break
+			}
+		}
+		if allSame {
+			f.Agree |= 1 << uint(col)
+			f.Vals |= uint64(b0) << uint(col)
+		}
+	}
+	return f
+}
+
+// TestIntrudersAgainstBruteForce checks Supercube, IntruderCount,
+// Intruders and Satisfied against the column-by-column references, over
+// member bitsets of one to three words and code lengths 1 to 64. Above
+// nv 8 the codes vary on a few columns only, so faces still hold
+// intruders, and some trials set stray bits above NV, which every answer
+// must ignore.
 func TestIntrudersAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + r.Intn(14)
-		nv := 1 + r.Intn(5)
+	words := map[int]bool{}
+	wideIntruded := 0 // trials above nv 8 whose face holds an intruder
+	for trial := 0; trial < 600; trial++ {
+		n := 2 + r.Intn(129)
+		nv := 1 + r.Intn(64)
+		switch {
+		case trial < 200:
+			n, nv = 2+r.Intn(14), 1+r.Intn(5)
+		case trial%20 == 0:
+			nv = 64 // the mask with every bit set
+		}
 		e := NewEncoding(n, nv)
+		mask := e.Mask()
+		vary := mask
+		if nv > 8 {
+			vary = r.Uint64() & r.Uint64() & r.Uint64() & mask
+		}
+		base := r.Uint64()
+		stray := r.Intn(4) == 0
 		for s := 0; s < n; s++ {
-			e.Codes[s] = uint64(r.Intn(1 << uint(nv)))
+			e.Codes[s] = (base ^ r.Uint64()&vary) & mask
+			if stray {
+				e.Codes[s] |= r.Uint64() &^ mask
+			}
 		}
 		c := NewConstraint(n)
+		density := 2 + r.Intn(8)
 		for s := 0; s < n; s++ {
-			if r.Intn(3) == 0 {
+			if r.Intn(density) == 0 {
 				c.Add(s)
 			}
 		}
 		if c.Count() == 0 {
 			continue
+		}
+		words[(n+63)/64] = true
+		f := e.Supercube(c)
+		if want := bruteSupercube(e, c); f != want {
+			t.Fatalf("trial %d (n=%d nv=%d): Supercube = %+v, want %+v", trial, n, nv, f, want)
 		}
 		got := e.Intruders(c)
 		want := bruteIntruders(e, c)
@@ -172,8 +227,112 @@ func TestIntrudersAgainstBruteForce(t *testing.T) {
 				t.Fatalf("intruders %v want %v", got, want)
 			}
 		}
+		if k := e.IntruderCount(c, f); k != len(want) {
+			t.Fatalf("trial %d: IntruderCount = %d, want %d", trial, k, len(want))
+		}
 		if e.Satisfied(c) != (len(want) == 0) {
 			t.Fatal("Satisfied disagrees with Intruders")
+		}
+		if nv > 8 && len(want) > 0 {
+			wideIntruded++
+		}
+	}
+	t.Logf("%d trials above nv 8 had intruders", wideIntruded)
+	if wideIntruded == 0 {
+		t.Fatal("no trial above nv 8 had an intruder")
+	}
+	if len(words) != 3 {
+		t.Fatalf("member bitsets of %d distinct word counts, want 1 to 3", len(words))
+	}
+}
+
+// TestEmptyConstraintFace pins a constraint with no member: its supercube
+// is the zero Face, which contains every code, and it is satisfied with no
+// intruders.
+func TestEmptyConstraintFace(t *testing.T) {
+	e := NewEncoding(5, 3)
+	for s := range e.Codes {
+		e.Codes[s] = uint64(s)
+	}
+	c := NewConstraint(5)
+	f := e.Supercube(c)
+	if f != (Face{}) {
+		t.Fatalf("Supercube of an empty constraint = %+v, want the zero Face", f)
+	}
+	for _, code := range []uint64{0, 5, 7, ^uint64(0)} {
+		if !f.Contains(code) {
+			t.Fatalf("zero Face must contain %b", code)
+		}
+	}
+	if !e.Satisfied(c) {
+		t.Fatal("an empty constraint must be satisfied")
+	}
+	if in := e.Intruders(c); in != nil {
+		t.Fatalf("Intruders of an empty constraint = %v, want nil", in)
+	}
+}
+
+// TestFaceContains pins membership of a raw code word, the test the
+// exact-polish carry and the encoders' inside checks rely on.
+func TestFaceContains(t *testing.T) {
+	f := Face{Agree: 0b0101, Vals: 0b0001} // col0 fixed 1, col2 fixed 0
+	cases := []struct {
+		w    uint64
+		want bool
+	}{
+		{0b0001, true},
+		{0b1011, true},  // free columns may differ
+		{0b0000, false}, // col0 wrong
+		{0b0101, false}, // col2 wrong
+	}
+	for _, c := range cases {
+		if got := f.Contains(c.w); got != c.want {
+			t.Errorf("Contains(%04b) = %v, want %v", c.w, got, c.want)
+		}
+	}
+	if !(Face{}).Contains(0xFFFF) {
+		t.Error("the zero Face must contain every word")
+	}
+}
+
+// TestAllocsFace is the geometry's allocation gate: Supercube,
+// IntruderCount and Satisfied allocate nothing, on one-word and on
+// three-word member bitsets.
+func TestAllocsFace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	for _, n := range []int{12, 130} {
+		e := NewEncoding(n, 8)
+		for s := range e.Codes {
+			e.Codes[s] = uint64(s * 7 % 256)
+		}
+		c := FromMembers(n, 0, 3, n/2, n-1)
+		var k int
+		var sat bool
+		allocs := testing.AllocsPerRun(100, func() {
+			k = e.IntruderCount(c, e.Supercube(c))
+			sat = e.Satisfied(c)
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: Supercube, IntruderCount and Satisfied allocated %.1f objects, want 0", n, allocs)
+		}
+		if sat != (k == 0) {
+			t.Fatalf("n=%d: Satisfied = %v with %d intruders", n, sat, k)
+		}
+	}
+}
+
+func TestCodeLength(t *testing.T) {
+	p := &Problem{Names: make([]string, 15)} // MinLength 4
+	for _, tc := range []struct{ nv, want int }{{0, 4}, {4, 4}, {9, 9}, {64, 64}} {
+		if got, err := p.CodeLength(tc.nv); err != nil || got != tc.want {
+			t.Errorf("CodeLength(%d) = %d, %v; want %d", tc.nv, got, err, tc.want)
+		}
+	}
+	for _, nv := range []int{-1, 3, 65} {
+		if got, err := p.CodeLength(nv); err == nil {
+			t.Errorf("CodeLength(%d) = %d, want an error", nv, got)
 		}
 	}
 }

@@ -48,10 +48,12 @@ go test -race ./...
 # classify column scan likewise, and on a warmed pool one CoversCube and
 # one DropCoveredValues at one and at six words (the
 # hot-path pooling contract; testing.AllocsPerRun-based, so a single
-# stray make fails it). The store lifecycle gates
+# stray make fails it), the face geometry (Supercube, IntruderCount,
+# Satisfied) allocates nothing, and neither does a warmed NOVA swap or
+# spare move. The store lifecycle gates
 # bound cache import at about one allocation per inserted entry and a
 # store append of known entries at a constant.
-go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/evalstore ./internal/cover
+go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/evalstore ./internal/cover ./internal/face ./internal/baseline/nova
 
 # Hot-path semantics gate: regenerate the Table I snapshot and require
 # zero cube-count deltas against the committed baseline — the kernel,
