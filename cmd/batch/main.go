@@ -32,14 +32,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"picola/internal/obs"
-	"picola/internal/obs/obshttp"
-	"picola/internal/par"
+	"picola/internal/cli"
 )
 
 func main() {
@@ -51,7 +48,6 @@ func main() {
 	flag.IntVar(&cfg.maxSymbols, "max-symbols", 10, "corpus maximum symbols per instance (-gen)")
 	flag.IntVar(&cfg.density, "density", 0, "corpus constraints per symbol (-gen; 0 = sparse default)")
 	shard := flag.String("shard", "0/1", "process shard `i/N`: run only instances hashing to shard i of N")
-	jFlag := par.RegisterFlag(flag.CommandLine)
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "resumable checkpoint journal `FILE`")
 	flag.StringVar(&cfg.storeDir, "store", "", "persistent minimization-cache store `DIR`")
 	flag.StringVar(&cfg.jsonOut, "json", "", "write the aggregate picola-bench/v1 snapshot to `FILE` (- for stdout)")
@@ -59,50 +55,13 @@ func main() {
 	flag.IntVar(&cfg.limit, "limit", 0, "stop after `N` newly computed instances with exit status 3 (0 = no limit)")
 	flag.Int64Var(&cfg.cacheBytes, "cache-bytes", 256<<20,
 		"in-memory minimization cache budget (0 = the 64 MiB library default; corpus sweeps want the working set resident)")
-	timeout := flag.Duration("timeout", 0, "bound the run's wall clock (0 = none)")
-	verbose := flag.Bool("v", false, "print a per-stage wall-clock summary to stderr")
-	var oc obs.Config
-	oc.Command = "batch"
-	oc.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	cfg.args = flag.Args()
-	cfg.workers = par.Workers(*jFlag)
-	if _, err := fmt.Sscanf(*shard, "%d/%d", &cfg.shardIdx, &cfg.shardN); err != nil {
-		fmt.Fprintf(os.Stderr, "batch: bad -shard %q, want i/N\n", *shard)
-		os.Exit(exitUsage)
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	session, err := oc.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(exitErr)
-	}
-	httpSrv, err := obshttp.StartContext(ctx, oc.HTTPAddr, obshttp.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(exitErr)
-	}
-	if httpSrv != nil {
-		fmt.Fprintf(os.Stderr, "batch: introspection server on http://%s\n", httpSrv.Addr())
-		defer func() { _ = httpSrv.Close() }()
-	}
-
-	code := run(ctx, cfg, os.Stdout, os.Stderr)
-
-	if *verbose {
-		obs.StageSummary(os.Stderr, obs.Default)
-	}
-	if cerr := session.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "batch:", cerr)
-		if code == exitOK {
-			code = exitErr
+	flag.Bool("v", false, "print a per-stage wall-clock summary to stderr")
+	os.Exit(cli.Main("batch", flag.CommandLine, os.Args[1:], func(env *cli.Env) error {
+		cfg.args = flag.Args()
+		cfg.workers = env.Workers
+		if _, err := fmt.Sscanf(*shard, "%d/%d", &cfg.shardIdx, &cfg.shardN); err != nil {
+			return cli.Exit(exitUsage, fmt.Errorf("bad -shard %q, want i/N", *shard))
 		}
-	}
-	os.Exit(code)
+		return cli.Exit(run(env.Ctx, cfg, os.Stdout, os.Stderr), nil)
+	}))
 }

@@ -38,12 +38,12 @@ import (
 	"picola/internal/baseline/nova"
 	"picola/internal/benchgen"
 	"picola/internal/benchsnap"
+	"picola/internal/cli"
 	"picola/internal/core"
 	"picola/internal/ctxutil"
 	"picola/internal/eval"
 	"picola/internal/face"
 	"picola/internal/obs"
-	"picola/internal/obs/obshttp"
 	"picola/internal/par"
 	"picola/internal/power"
 	"picola/internal/report"
@@ -57,76 +57,40 @@ func main() {
 	only := flag.String("fsm", "", "restrict to one benchmark by name")
 	seed := flag.Int64("seed", 1, "seed for the randomized baselines")
 	encBudget := flag.Int("encbudget", 40000, "ENC espresso-evaluation budget (table 1)")
-	jFlag := par.RegisterFlag(flag.CommandLine)
 	formatName := flag.String("format", "text", "output format: text, md or csv")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark snapshot to `FILE` (tables 1 and 2)")
 	check := flag.Bool("check", false, "run the semantic verification oracle on every encoding (tables 1 and 2); exit 1 with a shrunk repro on failure")
-	timeout := flag.Duration("timeout", 0, "bound the run's wall clock (0 = none)")
-	verbose := flag.Bool("v", false, "print a per-stage wall-clock summary to stderr")
-	var oc obs.Config
-	oc.Command = "tables"
-	oc.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	var ferr error
-	outFormat, ferr = report.ParseFormat(*formatName)
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "tables:", ferr)
-		os.Exit(2)
-	}
-	jWorkers = par.Workers(*jFlag)
-	memo = eval.NewCache()
-	checkEnabled = *check
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
-		defer cancel()
-	}
-	session, serr := oc.Start()
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, "tables:", serr)
-		os.Exit(1)
-	}
-	tracer = session.Tracer
-	httpSrv, herr := obshttp.StartContext(runCtx, oc.HTTPAddr, obshttp.Options{})
-	if herr != nil {
-		fmt.Fprintln(os.Stderr, "tables:", herr)
-		os.Exit(1)
-	}
-	if httpSrv != nil {
-		fmt.Fprintf(os.Stderr, "tables: introspection server on http://%s\n", httpSrv.Addr())
-		defer func() { _ = httpSrv.Close() }()
-	}
-	var err error
-	var snap *benchsnap.Snapshot
-	switch *table {
-	case 1:
-		snap, err = table1(*only, *seed, *encBudget)
-	case 2:
-		snap, err = table2(*only, *seed)
-	case 3:
-		err = table3(*only)
-	case 4:
-		err = table4(*only)
-	default:
-		err = fmt.Errorf("unknown table %d", *table)
-	}
-	if err == nil && *jsonOut != "" {
-		if snap == nil {
-			err = fmt.Errorf("-json supports tables 1 and 2 only")
-		} else {
-			err = benchsnap.Write(*jsonOut, snap, os.Stdout)
+	flag.Bool("v", false, "print a per-stage wall-clock summary to stderr")
+	os.Exit(cli.Main("tables", flag.CommandLine, os.Args[1:], func(env *cli.Env) error {
+		var err error
+		if outFormat, err = report.ParseFormat(*formatName); err != nil {
+			return cli.Exit(2, err)
 		}
-	}
-	if *verbose {
-		obs.StageSummary(os.Stderr, obs.Default)
-	}
-	if cerr := session.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
-	}
+		runCtx, jWorkers, tracer = env.Ctx, env.Workers, env.Tracer
+		memo = eval.NewCache()
+		checkEnabled = *check
+		var snap *benchsnap.Snapshot
+		switch *table {
+		case 1:
+			snap, err = table1(*only, *seed, *encBudget)
+		case 2:
+			snap, err = table2(*only, *seed)
+		case 3:
+			err = table3(*only)
+		case 4:
+			err = table4(*only)
+		default:
+			err = fmt.Errorf("unknown table %d", *table)
+		}
+		if err == nil && *jsonOut != "" {
+			if snap == nil {
+				err = fmt.Errorf("-json supports tables 1 and 2 only")
+			} else {
+				err = benchsnap.Write(*jsonOut, snap, os.Stdout)
+			}
+		}
+		return err
+	}))
 }
 
 // tracer is the -trace sink (nil when untraced); threaded into the PICOLA
@@ -149,73 +113,59 @@ func table1Compute(spec benchgen.Spec, seed int64, encBudget int) (*table1Row, e
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	row := &table1Row{name: spec.Name, constraints: len(prob.Constraints)}
-	evalOpts := eval.Options{Cache: memo, Workers: jWorkers}
+	names := [3]string{"nova", "enc", "picola"}
+	cubes := [3]*int{&row.novaCubes, &row.encCubes, &row.picCubes}
+	walls := [3]*time.Duration{&row.tNova, &row.tEnc, &row.tPic}
+	// Each encoder is written once: its timed run and its -check shrink
+	// (untraced) both call it. ENC returns its own cube count and
+	// completion; the evaluator scores the other two.
+	encoders := [3]func(q *face.Problem, tr obs.Tracer) (*face.Encoding, *enc.Result, error){
+		func(q *face.Problem, _ obs.Tracer) (*face.Encoding, *enc.Result, error) {
+			e, err := nova.Encode(q, nova.Options{Variant: nova.IHybrid, Seed: seed})
+			return e, nil, err
+		},
+		func(q *face.Problem, _ obs.Tracer) (*face.Encoding, *enc.Result, error) {
+			r, err := enc.Encode(q, enc.Options{Seed: seed, Budget: encBudget, Workers: jWorkers, Cache: memo})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Encoding, r, nil
+		},
+		func(q *face.Problem, tr obs.Tracer) (*face.Encoding, *enc.Result, error) {
+			r, err := core.EncodeContext(runCtx, q, core.Options{Trace: tr, Workers: jWorkers, Cache: memo})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Encoding, nil, nil
+		},
+	}
 	// The three encoders are independent given the extracted problem and
 	// each writes disjoint fields of row, so they fan out as one unit per
 	// encoder. Under -j > 1 the wall-time columns overlap and are only
 	// meaningful relative to each other within one run.
 	_, err = par.MapContext(runCtx, 3, jWorkers, func(k int) (struct{}, error) {
 		var z struct{}
-		switch k {
-		case 0:
-			t0 := time.Now()
-			novaEnc, err := nova.Encode(prob, nova.Options{Variant: nova.IHybrid, Seed: seed})
-			if err != nil {
-				return z, fmt.Errorf("%s nova: %w", spec.Name, err)
-			}
-			row.tNova = time.Since(t0)
-			if err := checkEncoded(spec.Name, "nova", prob, novaEnc, func(q *face.Problem) (*face.Encoding, error) {
-				return nova.Encode(q, nova.Options{Variant: nova.IHybrid, Seed: seed})
-			}); err != nil {
-				return z, err
-			}
-			novaCost, err := eval.EvaluateContext(runCtx, prob, novaEnc, evalOpts)
-			if err != nil {
-				return z, err
-			}
-			row.novaCubes = novaCost.Total
-		case 1:
-			t0 := time.Now()
-			encRes, err := enc.Encode(prob, enc.Options{
-				Seed: seed, Budget: encBudget, Workers: jWorkers, Cache: memo})
-			if err != nil {
-				return z, fmt.Errorf("%s enc: %w", spec.Name, err)
-			}
-			row.tEnc = time.Since(t0)
-			if err := checkEncoded(spec.Name, "enc", prob, encRes.Encoding, func(q *face.Problem) (*face.Encoding, error) {
-				r, err := enc.Encode(q, enc.Options{Seed: seed, Budget: encBudget, Workers: jWorkers, Cache: memo})
-				if err != nil {
-					return nil, err
-				}
-				return r.Encoding, nil
-			}); err != nil {
-				return z, err
-			}
-			row.encCubes = encRes.Cost
-			row.encCompleted = encRes.Completed
-		case 2:
-			t0 := time.Now()
-			picRes, err := core.EncodeContext(runCtx, prob, core.Options{
-				Trace: tracer, Workers: jWorkers, Cache: memo})
-			if err != nil {
-				return z, fmt.Errorf("%s picola: %w", spec.Name, err)
-			}
-			row.tPic = time.Since(t0)
-			if err := checkEncoded(spec.Name, "picola", prob, picRes.Encoding, func(q *face.Problem) (*face.Encoding, error) {
-				r, err := core.Encode(q, core.Options{Workers: jWorkers, Cache: memo})
-				if err != nil {
-					return nil, err
-				}
-				return r.Encoding, nil
-			}); err != nil {
-				return z, err
-			}
-			picCost, err := eval.EvaluateContext(runCtx, prob, picRes.Encoding, evalOpts)
-			if err != nil {
-				return z, err
-			}
-			row.picCubes = picCost.Total
+		t0 := time.Now()
+		e, encRes, err := encoders[k](prob, tracer)
+		if err != nil {
+			return z, fmt.Errorf("%s %s: %w", spec.Name, names[k], err)
 		}
+		*walls[k] = time.Since(t0)
+		if err := checkEncoded(spec.Name, names[k], prob, e, func(q *face.Problem) (*face.Encoding, error) {
+			e, _, err := encoders[k](q, nil)
+			return e, err
+		}); err != nil {
+			return z, err
+		}
+		if encRes != nil {
+			*cubes[k], row.encCompleted = encRes.Cost, encRes.Completed
+			return z, nil
+		}
+		cost, err := eval.EvaluateContext(runCtx, prob, e, eval.Options{Cache: memo, Workers: jWorkers})
+		if err != nil {
+			return z, err
+		}
+		*cubes[k] = cost.Total
 		return z, nil
 	})
 	if err != nil {
@@ -317,20 +267,13 @@ func table2Compute(spec benchgen.Spec, seed int64) (*table2Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.Name, err)
 			}
-			// The shrink re-encoder approximates NovaIOH with the
-			// input-hybrid objective: output pairs need the machine, which
-			// a shrunk constraint instance no longer has.
-			reEncode := func(q *face.Problem) (*face.Encoding, error) {
-				if encoders[k] == stassign.Picola {
-					r, err := core.Encode(q, core.Options{ExactPolishBudget: -1, Workers: jWorkers, Cache: memo})
-					if err != nil {
-						return nil, err
-					}
-					return r.Encoding, nil
-				}
-				return nova.Encode(q, nova.Options{Variant: nova.IHybrid, Seed: seed})
-			}
-			if err := checkEncoded(spec.Name, fmt.Sprint(encoders[k]), prob, rep.Encoding, reEncode); err != nil {
+			// A shrunk constraint instance has no machine around it, so
+			// NovaIOH re-encodes it without output pairs.
+			o.Trace = nil
+			if err := checkEncoded(spec.Name, fmt.Sprint(encoders[k]), prob, rep.Encoding, func(q *face.Problem) (*face.Encoding, error) {
+				e, _, err := stassign.EncodeProblem(runCtx, nil, q, o)
+				return e, err
+			}); err != nil {
 				return nil, err
 			}
 		}

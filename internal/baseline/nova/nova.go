@@ -191,8 +191,16 @@ func Encode(p *face.Problem, o Options) (*face.Encoding, error) {
 	s := newState(p, e, o)
 	r := rand.New(rand.NewSource(o.Seed + 1))
 
-	// Unused codes (when n < 2^nv) enable move moves.
-	spares := e.SpareCodes()
+	// Unused codes (when n < 2^nv) enable move moves. The codes start as
+	// the identity, so spare slot i holds code n+i until an accepted move
+	// leaves a symbol's old code there; only those slots are stored, and
+	// no code length pays for listing its 2^nv − n spare codes. At nv 64
+	// the count overflows and there are no moves.
+	nSpare := 0
+	if nv < 64 {
+		nSpare = int(uint64(1)<<uint(nv) - uint64(n))
+	}
+	moved := map[int]uint64{}
 
 	sweeps := 40
 	if o.Sweeps > 0 {
@@ -214,15 +222,19 @@ func Encode(p *face.Problem, o Options) (*face.Encoding, error) {
 	for sweep := 0; sweep < sweeps; sweep++ {
 		moves := 4 * n
 		for mv := 0; mv < moves; mv++ {
-			useMove := len(spares) > 0 && r.Intn(4) == 0
+			useMove := nSpare > 0 && r.Intn(4) == 0
 			if useMove {
 				a := r.Intn(n)
-				si := r.Intn(len(spares))
-				old := s.applyMove(a, spares[si])
+				si := r.Intn(nSpare)
+				spare, ok := moved[si]
+				if !ok {
+					spare = uint64(n + si)
+				}
+				old := s.applyMove(a, spare)
 				next := s.objective()
 				if next >= cur || r.Float64() < math.Exp((next-cur)/t) {
 					cur = next
-					spares[si] = old
+					moved[si] = old
 				} else {
 					s.applyMove(a, old)
 					// spare stays as it was

@@ -50,21 +50,6 @@ type Result struct {
 	TheoremICubes []int
 }
 
-// reclassifyFromScratch rebuilds every row's constraint-matrix state from
-// the (possibly polished) final encoding so the reported diagnostics match
-// the returned codes.
-func (e *encoder) reclassifyFromScratch() {
-	for _, t := range e.rows {
-		t.agree = 0
-		t.satisfied = false
-		t.infeasible = false
-		t.unsat = t.outsiders.Clone()
-		for col := 0; col < e.nv; col++ {
-			e.creditColumn(t, col)
-		}
-	}
-}
-
 func newTracked(members face.Constraint, depth int, weight float64) *tracked {
 	t := &tracked{
 		depth:     depth,
@@ -138,21 +123,6 @@ func (e *encoder) apply(col face.Constraint, j int) {
 	}
 }
 
-// finalClassify settles the satisfied/infeasible status after the last
-// column.
-func (e *encoder) finalClassify() {
-	for _, t := range e.rows {
-		if t.satisfied || t.infeasible {
-			continue
-		}
-		if t.unsat.Count() == 0 {
-			t.satisfied = true
-		} else {
-			t.infeasible = true
-		}
-	}
-}
-
 func (e *encoder) result() *Result {
 	r := &Result{
 		Encoding:      e.enc,
@@ -160,12 +130,15 @@ func (e *encoder) result() *Result {
 		Infeasible:    make([]bool, e.nOri),
 		TheoremICubes: make([]int, e.nOri),
 	}
-	for i := 0; i < e.nOri; i++ {
-		t := e.rows[i]
-		r.Satisfied[i] = t.satisfied
-		r.Infeasible[i] = !t.satisfied
-		if !t.satisfied {
-			if k, ok := TheoremI(e.enc, e.p.Constraints[i]); ok {
+	// The verdicts come from the final codes: the rows' matrix state
+	// predates the polish, and face.Encoding.Satisfied is the one rule
+	// (a constraint with no member is satisfied).
+	for i, c := range e.p.Constraints {
+		sat := e.enc.Satisfied(c)
+		r.Satisfied[i] = sat
+		r.Infeasible[i] = !sat
+		if !sat {
+			if k, ok := TheoremI(e.enc, c); ok {
 				r.TheoremICubes[i] = k
 			}
 		}

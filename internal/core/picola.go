@@ -220,8 +220,6 @@ func EncodeContext(ctx context.Context, p *face.Problem, opts ...Options) (*Resu
 		}
 	}
 	stopFinalize := tFinalize.Start()
-	best.reclassifyFromScratch()
-	best.finalClassify()
 	r := best.result()
 	stopFinalize()
 	return r, nil

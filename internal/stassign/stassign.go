@@ -103,8 +103,11 @@ type Report struct {
 	// SatisfiedConstraints under the chosen encoding.
 	SatisfiedConstraints int
 	Encoding             *face.Encoding
-	// Products is the minimized two-level product-term count of the
-	// encoded machine; Area is Products × (2·(inputs+bits) + bits+outputs).
+	// Cover is the minimized two-level cover of the encoded machine
+	// (inputs ++ state bits -> next-state bits ++ outputs; its domain is
+	// Cover.D). Products is its product-term count and Area is
+	// Products × (2·(inputs+bits) + bits+outputs).
+	Cover    *cover.Cover
 	Products int
 	Area     int
 	// EncodeTime covers constraint extraction + encoding; TotalTime adds
@@ -135,42 +138,58 @@ func AssignContext(ctx context.Context, m *kiss.FSM, o Options) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
+	stopEncode := tEncode.Start()
+	e, completed, err := EncodeProblem(ctx, m, prob, o)
+	stopEncode()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Name:         m.Name,
 		Encoder:      o.Encoder,
 		States:       m.NumStates(),
 		Constraints:  len(prob.Constraints),
-		EncCompleted: true,
+		Encoding:     e,
+		EncodeTime:   time.Since(start),
+		EncCompleted: completed,
 	}
-	stopEncode := tEncode.Start()
-	e, err := encodeStates(ctx, m, prob, o, rep)
-	stopEncode()
-	if err != nil {
-		return nil, err
-	}
-	rep.Encoding = e
-	rep.EncodeTime = time.Since(start)
 	for _, c := range prob.Constraints {
 		if e.Satisfied(c) {
 			rep.SatisfiedConstraints++
 		}
 	}
 	stopMin := tMinimize.Start()
-	min, d, err := MinimizeEncodedContext(ctx, m, e)
+	min, _, err := MinimizeEncodedContext(ctx, m, e)
 	stopMin()
 	if err != nil {
 		return nil, err
 	}
+	rep.Cover = min
 	rep.Products = min.Len()
 	ni := m.NumInputs + e.NV
 	no := e.NV + m.NumOutputs
 	rep.Area = rep.Products * (2*ni + no)
 	rep.TotalTime = time.Since(start)
-	_ = d
 	return rep, nil
 }
 
-func encodeStates(ctx context.Context, m *kiss.FSM, prob *face.Problem, o Options, rep *Report) (*face.Encoding, error) {
+// ParseEncoder returns the encoder whose String is name.
+func ParseEncoder(name string) (Encoder, error) {
+	for e := Picola; e <= Optimal; e++ {
+		if e.String() == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown encoder %q", name)
+}
+
+// EncodeProblem encodes the states with o.Encoder, given prob, the face
+// constraints extracted from m. It is the flow's one encoder dispatch:
+// AssignContext runs it on a machine, and a -check shrink runs it on
+// constraint-level instances with m nil, where NovaIOH has no output
+// pairs and so anneals on the input-hybrid objective alone. The bool is
+// false when the ENC baseline ran out of budget.
+func EncodeProblem(ctx context.Context, m *kiss.FSM, prob *face.Problem, o Options) (*face.Encoding, bool, error) {
 	switch o.Encoder {
 	case Picola:
 		// The exact-cost polish optimizes the constraint-cube metric,
@@ -180,39 +199,40 @@ func encodeStates(ctx context.Context, m *kiss.FSM, prob *face.Problem, o Option
 		r, err := core.EncodeContext(ctx, prob, core.Options{ExactPolishBudget: -1, Trace: o.Trace,
 			Workers: o.Workers, Cache: o.Cache})
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return r.Encoding, nil
+		return r.Encoding, true, nil
 	case NovaIH:
-		return nova.Encode(prob, nova.Options{Variant: nova.IHybrid, Seed: o.Seed})
+		e, err := nova.Encode(prob, nova.Options{Variant: nova.IHybrid, Seed: o.Seed})
+		return e, true, err
 	case NovaIOH:
-		return nova.Encode(prob, nova.Options{
-			Variant:     nova.IOHybrid,
-			Seed:        o.Seed,
-			OutputPairs: OutputPairs(m),
-		})
+		var pairs []nova.Pair
+		if m != nil {
+			pairs = OutputPairs(m)
+		}
+		e, err := nova.Encode(prob, nova.Options{Variant: nova.IOHybrid, Seed: o.Seed, OutputPairs: pairs})
+		return e, true, err
 	case Enc:
 		r, err := enc.Encode(prob, enc.Options{Seed: o.Seed, Budget: o.EncBudget,
 			Workers: o.Workers, Cache: o.Cache})
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		rep.EncCompleted = r.Completed
-		return r.Encoding, nil
+		return r.Encoding, r.Completed, nil
 	case Natural:
 		e := face.NewEncoding(prob.N(), prob.MinLength())
 		for s := 0; s < prob.N(); s++ {
 			e.Codes[s] = uint64(s)
 		}
-		return e, nil
+		return e, true, nil
 	case Optimal:
 		r, err := optenc.Optimal(prob)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return r.Encoding, nil
+		return r.Encoding, true, nil
 	default:
-		return nil, fmt.Errorf("stassign: unknown encoder %v", o.Encoder)
+		return nil, false, fmt.Errorf("stassign: unknown encoder %v", o.Encoder)
 	}
 }
 

@@ -1,13 +1,17 @@
 package stassign
 
 import (
+	"context"
 	"testing"
 
+	"picola/internal/baseline/nova"
 	"picola/internal/benchgen"
 	"picola/internal/cover"
 	"picola/internal/espresso"
 	"picola/internal/face"
 	"picola/internal/kiss"
+	"picola/internal/optenc"
+	"picola/internal/symbolic"
 )
 
 const toyFSM = `
@@ -230,5 +234,62 @@ func TestEncoderString(t *testing.T) {
 	}
 	if Encoder(99).String() == "" {
 		t.Fatal("unknown encoder must still render")
+	}
+	for e := Picola; e <= Optimal; e++ {
+		if got, err := ParseEncoder(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEncoder(%q) = %v, %v", e, got, err)
+		}
+	}
+	if _, err := ParseEncoder("nova"); err == nil {
+		t.Fatal("ParseEncoder accepted an unknown name")
+	}
+}
+
+// TestEncodeProblemWithoutMachine pins the -check shrink's contract:
+// every encoder encodes a constraint-level instance with no machine
+// around it, and NovaIOH, having no output pairs there, gives exactly
+// the input-hybrid encoding — while with the machine it anneals on the
+// machine's output pairs.
+func TestEncodeProblemWithoutMachine(t *testing.T) {
+	spec, _ := benchgen.ByName("bbara")
+	m := benchgen.Generate(spec)
+	prob, _, err := symbolic.ExtractConstraints(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPairs, _, err := EncodeProblem(context.Background(), m, prob, Options{Encoder: NovaIOH, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := nova.Encode(prob, nova.Options{Variant: nova.IOHybrid, Seed: 3, OutputPairs: OutputPairs(m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range want.Codes {
+		if withPairs.Codes[s] != want.Codes[s] {
+			t.Fatalf("NovaIOH with the machine ignores its output pairs:\n%s\nvs\n%s", withPairs, want)
+		}
+	}
+	for e := Picola; e <= Optimal; e++ {
+		if e == Optimal && prob.N() > optenc.MaxSymbols {
+			continue
+		}
+		enc, _, err := EncodeProblem(context.Background(), nil, prob, Options{Encoder: e, Seed: 3})
+		if err != nil || !enc.Injective() {
+			t.Fatalf("%v without a machine: %v", e, err)
+		}
+	}
+	ioh, _, err := EncodeProblem(context.Background(), nil, prob, Options{Encoder: NovaIOH, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih, err := nova.Encode(prob, nova.Options{Variant: nova.IHybrid, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range ih.Codes {
+		if ioh.Codes[s] != ih.Codes[s] {
+			t.Fatalf("NovaIOH without output pairs differs from IHybrid:\n%s\nvs\n%s", ioh, ih)
+		}
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"testing"
 
+	"picola/internal/core"
 	"picola/internal/face"
 )
 
 // TestEncodeEmptyConstraint runs every algorithm on a problem carrying a
 // constraint with no member — picola-ir/v1 accepts one — and requires a
-// valid encoding that implements that constraint with no cube.
+// valid encoding that implements that constraint with no cube. The
+// other constraint is satisfiable at the minimum length, so "all" must
+// stop there, and core's own verdicts must agree with face's.
 func TestEncodeEmptyConstraint(t *testing.T) {
 	p := &Problem{Name: "empty", Names: []string{"a", "b", "c", "d", "e"},
 		Constraints: []Constraint{face.FromMembers(5, 0, 1), face.NewConstraint(5)}}
@@ -33,7 +36,24 @@ func TestEncodeEmptyConstraint(t *testing.T) {
 				t.Fatalf("empty constraint: satisfied %v, %d cubes; want satisfied with 0 cubes",
 					res.Satisfied[1], res.Cost.Cubes[1])
 			}
+			if res.Encoding.NV != p.MinLength() {
+				t.Fatalf("%d bits, want the minimum %d", res.Encoding.NV, p.MinLength())
+			}
 		})
+	}
+	for name, encode := range map[string]func(*face.Problem, ...core.Options) (*core.Result, error){
+		"Encode": core.Encode, "EncodeAll": core.EncodeAll,
+	} {
+		r, err := encode(p, core.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range p.Constraints {
+			if r.Satisfied[i] != r.Encoding.Satisfied(c) || r.Infeasible[i] == r.Satisfied[i] {
+				t.Errorf("core.%s constraint %d: Satisfied %v, Infeasible %v; face says satisfied %v",
+					name, i, r.Satisfied[i], r.Infeasible[i], r.Encoding.Satisfied(c))
+			}
+		}
 	}
 }
 

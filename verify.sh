@@ -154,6 +154,19 @@ rm -f "$obs_bin" "$obs_log" "$obs_metrics"
 # every encoding re-proved valid from first principles, minimizations
 # cross-checked against the exact cover, metamorphic invariants intact.
 go run ./cmd/verify -random 8 -seed 1 testdata/figure1.cons testdata/infeasible.cons
+# Error-path smoke: a run cut short by its -timeout must still close its
+# observability session (DESIGN.md §14) — picola exits 1 and leaves the
+# metrics snapshot and the ledger record complete.
+err_bin=$(mktemp /tmp/picola-cli.XXXXXX)
+err_dir=$(mktemp -d /tmp/picola-errpath.XXXXXX)
+go build -o "$err_bin" ./cmd/picola
+rc=0
+"$err_bin" -timeout 1ns -metrics "$err_dir/metrics.json" -ledger "$err_dir/ledger.json" \
+  testdata/figure1.cons 2>/dev/null || rc=$?
+[ "$rc" -eq 1 ] || { echo "picola -timeout 1ns exited $rc, want 1" >&2; exit 1; }
+grep -q '"schema": "picola-ledger/v1"' "$err_dir/ledger.json"
+grep -q '"counters"' "$err_dir/metrics.json"
+rm -rf "$err_bin" "$err_dir"
 
 # The parallel execution layer must be bit-deterministic at every worker
 # count, and cancellation all-or-nothing (DESIGN.md §14): run the
