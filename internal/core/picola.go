@@ -150,6 +150,10 @@ type encoder struct {
 	lastMoves int
 	lastCost  float64
 
+	// front answers the encoder's repeated exact requests (eval.Local);
+	// nil until the first one.
+	front *eval.Local
+
 	// polishConverged: the last polish pass ended at a local optimum and
 	// the codes have not moved since. A polish from there would re-evaluate
 	// and re-reject every candidate — the winning variant's full
@@ -201,6 +205,7 @@ func EncodeContext(ctx context.Context, p *face.Problem, opts ...Options) (*Resu
 	if err != nil {
 		return nil, err
 	}
+	defer best.flushFront()
 	if o.Trace != nil {
 		obs.Emit(o.Trace, obs.Event{Kind: obs.KindEvent, Stage: "select", Name: "winner",
 			Attrs: map[string]float64{
@@ -273,12 +278,8 @@ func runPortfolio(ctx context.Context, p *face.Problem, o Options, nv int, exact
 		}
 		score := 0
 		if exactSelect {
-			for i, c := range p.Constraints {
-				k, err := o.Cache.ConstraintCubesContext(ctx, e.enc, c)
-				if err != nil {
-					return variantRun{}, err
-				}
-				score += p.Weight(i) * k
+			if score, err = e.exactScore(); err != nil {
+				return variantRun{}, err
 			}
 		} else {
 			cm := newCostModel(e.enc, p.Constraints)
@@ -366,14 +367,37 @@ func encodeOnce(ctx context.Context, p *face.Problem, o Options, nv int, gw floa
 	return e, nil
 }
 
-// exactCubes is the exact-cost evaluator of the polish and selection
-// passes: the memoized ConstraintCubes when Options.Cache is set, the
-// direct minimizer otherwise. Evaluation budgets count requests, not
-// minimizer runs, so a cache hit and a miss consume budget identically
-// and the search trajectory is independent of the cache.
-func (e *encoder) exactCubes(c face.Constraint) (int, error) {
-	return e.opts.Cache.ConstraintCubesContext(e.runCtx(), e.enc, c)
+// exactScore is the variant's selection score under the exact count:
+// the weighted sum of every constraint's cubes. The variant's goroutine
+// ends with it, so it flushes the front's tallies.
+func (e *encoder) exactScore() (int, error) {
+	defer e.flushFront()
+	score := 0
+	for i, c := range e.p.Constraints {
+		k, err := e.exactCubes(c)
+		if err != nil {
+			return 0, err
+		}
+		score += e.p.Weight(i) * k
+	}
+	return score, nil
 }
+
+// exactCubes is the exact-cost evaluator of the polish and selection
+// passes: the exact count through the encoder's front of Options.Cache
+// (eval.Local), which memoizes when the cache is set and computes every
+// request otherwise. Evaluation budgets count requests,
+// not minimizer runs, so a repeat, a hit and a miss consume budget
+// identically and the search trajectory is independent of the cache.
+func (e *encoder) exactCubes(c face.Constraint) (int, error) {
+	if e.front == nil {
+		e.front = e.opts.Cache.Local()
+	}
+	return e.front.ConstraintCubes(e.runCtx(), e.enc, c)
+}
+
+// flushFront adds the front's tallied answers to the registry.
+func (e *encoder) flushFront() { e.front.Flush() }
 
 // runCtx is the encoder's run context; encoders built outside
 // EncodeContext (tests constructing the struct directly) fall back to

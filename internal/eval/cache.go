@@ -19,11 +19,13 @@ import (
 // non-injective encoding whose function a bitset key cannot
 // canonicalize). The hit-rate gauge is exported in whole percent for
 // -metrics snapshots. The lookup histogram records the caller-visible
-// latency of the memoizable requests the map could not answer —
+// latency of the memoizable espresso requests the map could not answer —
 // certificate checks plus any minimization they had to run. Map hits are
 // deliberately untimed: the hot path runs millions of times per corpus
 // sweep and two wall-clock reads per hit would cost more than the lookup
-// itself.
+// itself. Exact requests are untimed here too: exact.Counter.Count times
+// each exact count once, and a certificate answer costs less than the
+// clock.
 var (
 	mCacheHits   = obs.Default.Counter("eval.cache.hits")
 	mCacheMisses = obs.Default.Counter("eval.cache.misses")
@@ -250,13 +252,6 @@ func (c *Cache) ConstraintCubes(e *face.Encoding, con face.Constraint) (int, err
 	return c.constraintCubes(context.Background(), e, con, false)
 }
 
-// ConstraintCubesContext is ConstraintCubes under a run context: the
-// deadline is checked at the minimization boundary and a cancelled call
-// returns a wrapped context error instead of a count.
-func (c *Cache) ConstraintCubesContext(ctx context.Context, e *face.Encoding, con face.Constraint) (int, error) {
-	return c.constraintCubes(ctx, e, con, false)
-}
-
 // ConstraintCubesHeuristic is ConstraintCubes evaluated with the
 // espresso heuristic regardless of size. The ENC baseline uses it: the
 // published ENC is slow precisely because it runs full logic
@@ -290,9 +285,36 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		}
 		return minimize(ctx, e, con, heuristic, c, kb)
 	}
+	k, _, err := c.memoized(ctx, e, con, heuristic, kb)
+	return k, err
+}
+
+// answer is how memoized answered a request. A repeat of the same key
+// gets the same answer for as long as the shard keeps the entry: a
+// count that was in the map, or that memoized inserted, is a hit, and a
+// certified one is certified again.
+type answer uint8
+
+const (
+	// answerComputed: minimized but not inserted (the key arrived
+	// meanwhile, or one entry exceeds the shard budget), so a repeat
+	// computes again.
+	answerComputed answer = iota
+	// answerHit: the shard map held the count.
+	answerHit
+	// answerCertified: the satisfied certificate answered, with one cube.
+	answerCertified
+	// answerInserted: minimized and inserted.
+	answerInserted
+)
+
+// memoized answers a memoizable request whose key and bitsets kb holds
+// (nv ≤ memoMaxNV): the shard map first, then the satisfied
+// certificate, then the minimizer, whose count it inserts. It reports
+// how it answered.
+func (c *Cache) memoized(ctx context.Context, e *face.Encoding, con face.Constraint, heuristic bool, kb *keyBuf) (int, answer, error) {
 	sh := &c.shards[kb.hash%cacheShards]
-	v, hit := sh.getLocked(kb.key)
-	if hit {
+	if v, ok := sh.getLocked(kb.key); ok {
 		// Hot path: corpus re-runs take this branch millions of times per
 		// sweep, so it pays for nothing but the lookup — no wall clocks,
 		// and the diagnostic hit-rate gauge refreshes on a sample.
@@ -300,10 +322,12 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		if mCacheHits.Value()&1023 == 0 {
 			updateRate()
 		}
-		return int(v.cubes), nil
+		return int(v.cubes), answerHit, nil
 	}
-	t0 := time.Now()
-	defer func() { hCacheLookup.Observe(int64(time.Since(t0))) }()
+	if minimizerFor(heuristic, e.NV) == byEspresso {
+		// An exact count is timed once, by exact.Counter.Count.
+		defer observeSince(hCacheLookup, time.Now())
+	}
 	if satisfiedOne(e, con) {
 		// Warm certificate: the member-code supercube contains no OFF
 		// code, so the minimum cover is provably that single cube — the
@@ -312,19 +336,24 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		// inserted, so they can only reach the map branch above through
 		// an imported store that already vouched for the same count.
 		mWarmHits.Inc()
-		return 1, nil
+		return 1, answerCertified, nil
 	}
 	k, err := minimize(ctx, e, con, heuristic, c, kb)
 	if err != nil {
-		return 0, err
+		return 0, answerComputed, err
 	}
 	mCacheMisses.Inc()
 	updateRate()
-	if inserted, evicted := sh.insertLocked(kb.key, k, c.shardBudget); inserted {
-		noteInsert(evicted)
+	ok, evicted := sh.insertLocked(kb.key, k, c.shardBudget)
+	if !ok {
+		return k, answerComputed, nil
 	}
-	return k, nil
+	noteInsert(evicted)
+	return k, answerInserted, nil
 }
+
+// observeSince records the time since t0 in h.
+func observeSince(h *obs.Histogram, t0 time.Time) { h.Observe(int64(time.Since(t0))) }
 
 // noteInsert updates the size gauges and eviction counter after one
 // successful shard insert that displaced evicted older entries. The

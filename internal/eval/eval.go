@@ -24,7 +24,8 @@ import (
 // which minimizer, and how many minimizer calls Evaluate skipped because
 // the constraint was satisfied (one cube by construction). The latency
 // histograms feed the percentile snapshots of the run ledger: one whole
-// evaluation, and one per-constraint minimization (exact or heuristic).
+// evaluation, and one per-constraint espresso minimization (an exact
+// count is timed by exact.Counter.Count alone).
 var (
 	mConstraintCubes = obs.Default.Counter("eval.constraint_cubes")
 	mExact           = obs.Default.Counter("eval.exact")
@@ -103,8 +104,6 @@ func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristi
 		return 0, err
 	}
 	mConstraintCubes.Inc()
-	t0 := time.Now()
-	defer func() { hMinimize.Observe(int64(time.Since(t0))) }()
 	s := scorerPool.Get().(*scorer)
 	defer scorerPool.Put(s)
 	if minimizerFor(heuristic, e.NV) == byExact {
@@ -130,6 +129,7 @@ func minimize(ctx context.Context, e *face.Encoding, c face.Constraint, heuristi
 		return s.counter.Count(ctx, e.NV, on, used)
 	}
 	mHeuristic.Inc()
+	defer observeSince(hMinimize, time.Now())
 	var dc *cover.Cover
 	if kb != nil {
 		dc = dcm.dcCover(kb, e)

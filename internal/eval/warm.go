@@ -87,14 +87,24 @@ func (kb *keyBuf) cacheKey(e *face.Encoding, con face.Constraint, heuristic bool
 	}
 	kb.injective = usedCount == e.N()
 	if nv <= memoMaxNV {
-		hdr := uint64(nv)
-		if minimizerFor(heuristic, nv) == byEspresso {
-			hdr |= 1 << 8
-		}
-		kb.key = memoKey{hdr, bits.ReverseBytes64(used[0]), bits.ReverseBytes64(on[0])}
-		kb.hash = keyHash(hdr, used, on)
+		kb.setKey(heuristic, nv)
 	}
 	return true
+}
+
+// setKey sets the memo key and its hash from the one-word ON and used
+// bitsets in kb.words, for a request of the given policy at nv ≤
+// memoMaxNV.
+//
+//picola:hot
+func (kb *keyBuf) setKey(heuristic bool, nv int) {
+	hdr := uint64(nv)
+	if minimizerFor(heuristic, nv) == byEspresso {
+		hdr |= 1 << 8
+	}
+	on, used := kb.words[0:1], kb.words[1:2]
+	kb.key = memoKey{hdr, bits.ReverseBytes64(used[0]), bits.ReverseBytes64(on[0])}
+	kb.hash = keyHash(hdr, used, on)
 }
 
 // codeWords fills the bitsets on and used, each ⌈2^nv/64⌉ words over the
