@@ -41,13 +41,17 @@ import (
 // being factorial and capped at optenc.MaxSymbols symbols).
 var algorithms = []string{"picola", "nova", "enc", "optimal"}
 
-func main() {
-	algo := flag.String("algo", "picola,nova,enc", "comma-separated encoders to audit: picola, nova, enc, optimal")
-	random := flag.Int("random", 0, "additionally audit this many random benchgen instances")
-	maxSyms := flag.Int("maxsymbols", 10, "symbol-count bound for -random instances")
-	seed := flag.Int64("seed", 1, "seed for random instances and randomized encoders")
-	meta := flag.Bool("meta", true, "also check the metamorphic invariants")
-	os.Exit(cli.Main("verify", flag.CommandLine, os.Args[1:], func(env *cli.Env) error {
+func main() { os.Exit(run(flag.CommandLine, os.Args[1:])) }
+
+// run registers verify's flags on fs, runs the audit that args ask for
+// and returns the exit status.
+func run(fs *flag.FlagSet, args []string) int {
+	algo := fs.String("algo", "picola,nova,enc", "comma-separated encoders to audit: picola, nova, enc, optimal")
+	random := fs.Int("random", 0, "additionally audit this many random benchgen instances")
+	maxSyms := fs.Int("maxsymbols", 10, "symbol-count bound for -random instances")
+	seed := fs.Int64("seed", 1, "seed for random instances and randomized encoders")
+	meta := fs.Bool("meta", true, "also check the metamorphic invariants")
+	return cli.Main("verify", fs, args, func(env *cli.Env) error {
 		selected, err := selectAlgorithms(*algo)
 		if err != nil {
 			return err
@@ -57,7 +61,7 @@ func main() {
 			p     *face.Problem
 		}
 		var instances []instance
-		for _, path := range flag.Args() {
+		for _, path := range fs.Args() {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return err
@@ -80,7 +84,7 @@ func main() {
 		}
 
 		a := &auditor{ctx: env.Ctx, meta: *meta, out: os.Stdout, errOut: os.Stderr,
-			opts: picola.Options{Seed: *seed, Workers: env.Workers, Cache: picola.NewCache()}}
+			opts: picola.Options{Seed: *seed, Workers: env.Workers, Cache: picola.NewCache(), Trace: env.Tracer}}
 		checks, failures := 0, 0
 		for _, inst := range instances {
 			for _, name := range selected {
@@ -104,11 +108,12 @@ func main() {
 			return cli.Exit(1, nil)
 		}
 		return nil
-	}))
+	})
 }
 
 // auditor runs the oracle stack on instance/encoder pairs, encoding
-// through picola.Encode with opts (Algorithm set per pair).
+// through picola.Encode with opts (Algorithm set per pair), which carry
+// the session's tracer.
 type auditor struct {
 	ctx         context.Context
 	opts        picola.Options
@@ -152,8 +157,11 @@ func (a *auditor) check(label string, p *face.Problem, algo string) (bool, error
 	}
 	fmt.Fprintf(a.out, "%-28s %-8s FAIL\n", label, algo)
 	fmt.Fprintln(a.errOut, "verify:", rep.Err())
+	// The shrink's re-runs are not traced, as cmd/picola's are not.
+	quiet := *a
+	quiet.opts.Trace = nil
 	shrunk := verify.Shrink(p, func(q *face.Problem) bool {
-		rep, err := a.audit(q, algo)
+		rep, err := quiet.audit(q, algo)
 		return err == nil && !rep.Ok()
 	}, 0)
 	fmt.Fprintf(a.errOut, "verify: shrunk repro (%s):\n%s", algo, verify.Repro(shrunk))

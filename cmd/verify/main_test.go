@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -49,5 +54,44 @@ func TestEncodeErrors(t *testing.T) {
 	}
 	if out.Len() != 0 || errOut.Len() != 0 {
 		t.Fatalf("a cancelled audit printed a verdict:\n%s\n%s", out.String(), errOut.String())
+	}
+}
+
+// TestTraceReachesEncoder: -trace records the audited encodes' spans.
+// Before the audit handed the session's tracer to the encoder, the trace
+// file was left empty.
+func TestTraceReachesEncoder(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+	if code := run(fs, []string{"-algo", "picola", "-trace", trace,
+		filepath.Join("..", "..", "testdata", "figure1.cons")}); code != 0 {
+		t.Fatalf("verify exited %d, want 0", code)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 {
+		t.Fatal("-trace left an empty file")
+	}
+	restarts := 0
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var rec struct {
+			Kind  string `json:"kind"`
+			Stage string `json:"stage"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("trace line %q: %v", sc.Text(), err)
+		}
+		if rec.Kind == "span" && rec.Stage == "restart" {
+			restarts++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if restarts == 0 {
+		t.Fatalf("no restart span in the trace:\n%s", data)
 	}
 }
