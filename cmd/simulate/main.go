@@ -61,13 +61,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		min, d, err := stassign.MinimizeEncoded(m, rep.Encoding)
-		if err != nil {
-			fatal(err)
-		}
-		mod = blif.FromEncoded(m, rep.Encoding, d, min)
+		mod = blif.FromEncoded(m, rep.Encoding, rep.Cover.D, rep.Cover)
 		st = mod.ResetState()
-		fmt.Printf("# netlist: %d product terms, %d state bits\n", min.Len(), rep.Encoding.NV)
+		fmt.Printf("# netlist: %d product terms, %d state bits\n", rep.Cover.Len(), rep.Encoding.NV)
 	}
 
 	ms := sim.NewMachine(m)

@@ -2,6 +2,7 @@ package stassign
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"picola/internal/baseline/nova"
@@ -290,6 +291,41 @@ func TestEncodeProblemWithoutMachine(t *testing.T) {
 	for s := range ih.Codes {
 		if ioh.Codes[s] != ih.Codes[s] {
 			t.Fatalf("NovaIOH without output pairs differs from IHybrid:\n%s\nvs\n%s", ioh, ih)
+		}
+	}
+}
+
+// TestAssignCoverIsMinimizeEncoded: Report.Cover, the cover cmd/stassign
+// writes and cmd/simulate -verify co-simulates, is the cover a fresh
+// MinimizeEncoded of the report's encoding returns, over the same
+// domain shape and cube for cube in the same order.
+func TestAssignCoverIsMinimizeEncoded(t *testing.T) {
+	for _, name := range []string{"bbara", "keyb"} {
+		spec, ok := benchgen.ByName(name)
+		if !ok {
+			t.Fatalf("no benchmark %s", name)
+		}
+		m := benchgen.Generate(spec)
+		rep, err := Assign(m, Options{Encoder: Picola})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		min, d, err := MinimizeEncoded(m, rep.Encoding)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(rep.Cover.D.Sizes(), d.Sizes()) {
+			t.Fatalf("%s: report domain %v, fresh minimization's %v", name, rep.Cover.D.Sizes(), d.Sizes())
+		}
+		if rep.Cover.Len() != min.Len() || rep.Products != min.Len() {
+			t.Fatalf("%s: report cover %d cubes (Products %d), fresh minimization %d",
+				name, rep.Cover.Len(), rep.Products, min.Len())
+		}
+		for i, c := range min.Cubes {
+			if !slices.Equal(rep.Cover.Cubes[i], c) {
+				t.Fatalf("%s: cube %d: report %s, fresh minimization %s",
+					name, i, d.String(rep.Cover.Cubes[i]), d.String(c))
+			}
 		}
 	}
 }
