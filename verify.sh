@@ -154,6 +154,17 @@ rm -f "$obs_bin" "$obs_log" "$obs_metrics"
 # every encoding re-proved valid from first principles, minimizations
 # cross-checked against the exact cover, metamorphic invariants intact.
 go run ./cmd/verify -random 8 -seed 1 testdata/figure1.cons testdata/infeasible.cons
+# verify -trace smoke: the audited encodes report to the session's
+# tracer, so the trace holds the encoder's spans, a restart span among
+# them.
+vtrace_dir=$(mktemp -d /tmp/picola-vtrace.XXXXXX)
+go run ./cmd/verify -algo picola -trace "$vtrace_dir/trace.jsonl" testdata/figure1.cons >/dev/null
+[ -s "$vtrace_dir/trace.jsonl" ] || { echo "verify -trace left an empty trace" >&2; exit 1; }
+grep -q '"kind":"span","stage":"restart"' "$vtrace_dir/trace.jsonl" || {
+  echo "verify -trace recorded no restart span" >&2
+  exit 1
+}
+rm -rf "$vtrace_dir"
 # Error-path smoke: a run cut short by its -timeout must still close its
 # observability session (DESIGN.md §14) — picola exits 1 and leaves the
 # metrics snapshot and the ledger record complete.
