@@ -386,9 +386,9 @@ func (e *encoder) exactScore() (int, error) {
 // exactCubes is the exact-cost evaluator of the polish and selection
 // passes: the exact count through the encoder's front of Options.Cache
 // (eval.Local), which memoizes when the cache is set and computes every
-// request otherwise. Evaluation budgets count requests,
-// not minimizer runs, so a repeat, a hit and a miss consume budget
-// identically and the search trajectory is independent of the cache.
+// request otherwise. Evaluation budgets count requests, not minimizer
+// runs, so a repeat, a hit and a miss consume budget identically and the
+// search trajectory is independent of the cache.
 func (e *encoder) exactCubes(c face.Constraint) (int, error) {
 	if e.front == nil {
 		e.front = e.opts.Cache.Local()
@@ -396,7 +396,9 @@ func (e *encoder) exactCubes(c face.Constraint) (int, error) {
 	return e.front.ConstraintCubes(e.runCtx(), e.enc, c)
 }
 
-// flushFront adds the front's tallied answers to the registry.
+// flushFront adds the front's tallied answers to the registry. Deferred,
+// it reads e.front when it runs: the front may not exist yet when the
+// defer is set up.
 func (e *encoder) flushFront() { e.front.Flush() }
 
 // runCtx is the encoder's run context; encoders built outside

@@ -289,10 +289,8 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 	return k, err
 }
 
-// answer is how memoized answered a request. A repeat of the same key
-// gets the same answer for as long as the shard keeps the entry: a
-// count that was in the map, or that memoized inserted, is a hit, and a
-// certified one is certified again.
+// answer is how memoized answered a request, and so how it answers a
+// repeat of the key for as long as the shard keeps the entry.
 type answer uint8
 
 const (
@@ -300,12 +298,12 @@ const (
 	// meanwhile, or one entry exceeds the shard budget), so a repeat
 	// computes again.
 	answerComputed answer = iota
-	// answerHit: the shard map held the count.
-	answerHit
-	// answerCertified: the satisfied certificate answered, with one cube.
+	// answerCertified: the satisfied certificate answered, with one
+	// cube; it answers a repeat too.
 	answerCertified
-	// answerInserted: minimized and inserted.
-	answerInserted
+	// answerMapped: the shard map held the count, or now holds the one
+	// just minimized, so a repeat is a hit.
+	answerMapped
 )
 
 // memoized answers a memoizable request whose key and bitsets kb holds
@@ -322,7 +320,7 @@ func (c *Cache) memoized(ctx context.Context, e *face.Encoding, con face.Constra
 		if mCacheHits.Value()&1023 == 0 {
 			updateRate()
 		}
-		return int(v.cubes), answerHit, nil
+		return int(v.cubes), answerMapped, nil
 	}
 	if minimizerFor(heuristic, e.NV) == byEspresso {
 		// An exact count is timed once, by exact.Counter.Count.
@@ -349,7 +347,7 @@ func (c *Cache) memoized(ctx context.Context, e *face.Encoding, con face.Constra
 		return k, answerComputed, nil
 	}
 	noteInsert(evicted)
-	return k, answerInserted, nil
+	return k, answerMapped, nil
 }
 
 // observeSince records the time since t0 in h.

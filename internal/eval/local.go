@@ -11,11 +11,11 @@ import (
 // Local is one goroutine's front of a Cache for exact requests under a
 // run context: it answers a request it has answered before from a
 // private map, and sends every first sight down the shared path
-// unchanged and in the same order. An encoder's exact polish asks for
-// the same few hundred functions tens of thousands of times; a repeat
-// here builds the two bitset words and probes one map, with no lock,
-// atomic, clock, pool or context check. A repeat runs no minimization,
-// so it needs no deadline check.
+// unchanged and in the same order. About half of a core encoder's exact
+// requests repeat a key it asked for before; a repeat here builds the
+// two bitset words and probes one map, with no lock, atomic, clock, pool
+// or context check. A repeat runs no minimization, so it needs no
+// deadline check.
 //
 // The front memoizes what the shared cache memoizes (nv ≤ memoMaxNV,
 // injective codes) and records how the shared path first answered each
@@ -63,7 +63,7 @@ func (c *Cache) Local() *Local { return &Local{c: c} }
 // cancelled call returns a wrapped context error instead of a count.
 func (l *Local) ConstraintCubes(ctx context.Context, e *face.Encoding, con face.Constraint) (int, error) {
 	if l.c == nil {
-		return minimize(ctx, e, con, false, nil, nil)
+		return l.c.constraintCubes(ctx, e, con, false)
 	}
 	on, used, ok := requestWords(e, con)
 	if !ok {
