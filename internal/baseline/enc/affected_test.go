@@ -9,10 +9,21 @@ import (
 )
 
 // TestAffectedFilterSound: when affected() says a swap cannot change a
-// constraint's implementation, the exact cube count indeed stays equal,
-// and the constraint's cached face still equals its supercube.
+// constraint's implementation, its exact cube count and the espresso
+// count ENC minimizes indeed stay equal.
 func TestAffectedFilterSound(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
+	counts := func(e *face.Encoding, c face.Constraint) [2]int {
+		k, err := (*eval.Cache)(nil).ConstraintCubes(e, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := (*eval.Cache)(nil).ConstraintCubesHeuristic(e, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]int{k, h}
+	}
 	for trial := 0; trial < 30; trial++ {
 		n := 5 + r.Intn(8)
 		nv := 0
@@ -38,45 +49,25 @@ func TestAffectedFilterSound(t *testing.T) {
 			e.Codes[sym] = uint64(perm[sym])
 		}
 		s := &searcher{p: p, enc: e}
-		s.cost = make([]int, len(p.Constraints))
-		s.sup = make([]face.Face, len(p.Constraints))
-		for i := range p.Constraints {
-			s.geom(i)
-		}
 		for step := 0; step < 30; step++ {
 			a, b := r.Intn(n), r.Intn(n)
 			if a == b {
 				continue
 			}
-			var before []int
+			var before [][2]int
 			var unaffected []int
 			for i := range p.Constraints {
 				if !s.affected(i, a, b) {
-					k, err := (*eval.Cache)(nil).ConstraintCubes(e, p.Constraints[i])
-					if err != nil {
-						t.Fatal(err)
-					}
 					unaffected = append(unaffected, i)
-					before = append(before, k)
+					before = append(before, counts(e, p.Constraints[i]))
 				}
 			}
 			e.Codes[a], e.Codes[b] = e.Codes[b], e.Codes[a]
 			for j, i := range unaffected {
-				k, err := (*eval.Cache)(nil).ConstraintCubes(e, p.Constraints[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if k != before[j] {
-					t.Fatalf("swap(%d,%d) changed 'unaffected' constraint %d: %d -> %d",
+				if k := counts(e, p.Constraints[i]); k != before[j] {
+					t.Fatalf("swap(%d,%d) changed 'unaffected' constraint %d: exact and espresso %v -> %v",
 						a, b, i, before[j], k)
 				}
-				if f := e.Supercube(p.Constraints[i]); f != s.sup[i] {
-					t.Fatalf("swap(%d,%d) moved 'unaffected' constraint %d's face %+v -> %+v",
-						a, b, i, s.sup[i], f)
-				}
-			}
-			for i := range p.Constraints {
-				s.geom(i)
 			}
 		}
 	}

@@ -54,20 +54,17 @@ type Result struct {
 	Evaluations int
 }
 
-// searcher caches per-constraint exact costs plus supercube geometry so a
-// swap only re-minimizes the constraints it can affect.
+// searcher caches per-constraint costs so a swap only re-minimizes the
+// constraints it can affect.
 type searcher struct {
 	p       *face.Problem
 	enc     *face.Encoding
 	cost    []int
-	sup     []face.Face // member-code supercube per constraint
 	budget  int
 	evals   int
 	workers int
 	cache   *eval.Cache
 }
-
-func (s *searcher) geom(i int) { s.sup[i] = s.enc.Supercube(s.p.Constraints[i]) }
 
 func (s *searcher) minimize(i int) error {
 	k, err := s.cache.ConstraintCubesHeuristic(s.enc, s.p.Constraints[i])
@@ -79,7 +76,7 @@ func (s *searcher) minimize(i int) error {
 	return nil
 }
 
-// rescore refreshes the geometry and cost of the touched constraints
+// rescore refreshes the cost of the touched constraints
 // after a swap, charging one budget unit each. When strictly more budget
 // remains than constraints touched, the minimizations fan out over the
 // pool: the sequential loop's mid-loop break can only fire on budget
@@ -89,9 +86,7 @@ func (s *searcher) minimize(i int) error {
 func (s *searcher) rescore(touched []int, oldTotal int) (newTotal int, exhausted bool, err error) {
 	if s.workers > 1 && s.evals+len(touched) < s.budget {
 		costs, err := par.Map(len(touched), s.workers, func(j int) (int, error) {
-			i := touched[j]
-			s.geom(i)
-			return s.cache.ConstraintCubesHeuristic(s.enc, s.p.Constraints[i])
+			return s.cache.ConstraintCubesHeuristic(s.enc, s.p.Constraints[touched[j]])
 		})
 		if err != nil {
 			return 0, false, err
@@ -104,7 +99,6 @@ func (s *searcher) rescore(touched []int, oldTotal int) (newTotal int, exhausted
 		return newTotal, false, nil
 	}
 	for _, i := range touched {
-		s.geom(i)
 		if err := s.minimize(i); err != nil {
 			return 0, false, err
 		}
@@ -124,16 +118,13 @@ func (s *searcher) total() int {
 	return t
 }
 
-// affected reports whether swapping the codes now held by symbols a and b
-// can change constraint i's implementation: always when a or b is a
-// member; otherwise only when exactly one of the two codes lies inside
-// the constraint's supercube (their inside/outside pattern changes).
+// affected reports whether swapping the codes of symbols a and b can
+// change constraint i's implementation: only when a or b is a member. A
+// swap of two non-members leaves the member codes and the non-member
+// code multiset as they were, so the minimized function is the same.
 func (s *searcher) affected(i, a, b int) bool {
 	c := s.p.Constraints[i]
-	if c.Has(a) || c.Has(b) {
-		return true
-	}
-	return s.sup[i].Contains(s.enc.Codes[a]) != s.sup[i].Contains(s.enc.Codes[b])
+	return c.Has(a) || c.Has(b)
 }
 
 // Encode runs the ENC-style search.
@@ -160,11 +151,9 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 	s := &searcher{p: p, enc: e, budget: budget, workers: o.Workers, cache: o.Cache}
 	r := len(p.Constraints)
 	s.cost = make([]int, r)
-	s.sup = make([]face.Face, r)
 	// The initial costs are independent: fan them out, charging the same
 	// r budget units the sequential loop would.
 	if _, err := par.Map(r, s.workers, func(i int) (int, error) {
-		s.geom(i)
 		k, err := s.cache.ConstraintCubesHeuristic(s.enc, s.p.Constraints[i])
 		if err != nil {
 			return 0, err
@@ -215,7 +204,6 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 				// Revert.
 				e.Codes[a], e.Codes[b] = e.Codes[b], e.Codes[a]
 				for j, i := range touched {
-					s.geom(i)
 					s.cost[i] = oldCosts[j]
 				}
 				if failed {

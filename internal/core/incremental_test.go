@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,15 +29,25 @@ func randomCarryProblem(r *rand.Rand) *face.Problem {
 	return p
 }
 
-// TestPolishCarryLemma checks the lemma behind the exact-polish carry on
-// every move the carry would answer: over random small encodings with
-// spare codes, for every symbol, every spare code and every constraint
-// where carryHolds, the exact count before and after the move is equal.
-// descend decides each carry with carryHolds, so equal carried values
-// give the same search trajectory as re-minimizing every constraint.
-func TestPolishCarryLemma(t *testing.T) {
+// TestAffectedSetLemma checks the move rule both polishes run on:
+// over random small encodings with spare codes, for every swap and every
+// spare move, each constraint left off the candidate's list keeps its
+// exact count, and under a spare move its estimate too. Equal values
+// off the list give the trajectory of scoring every constraint. Some
+// moves are kept mid-scan without a new snapshot, as the polishes keep
+// them. The estimate is not checked under swaps: it reads the intruder
+// list after splitPre has compacted it in place, so a swap of two
+// non-members can move it (ROADMAP item 1).
+func TestAffectedSetLemma(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	carried := 0
+	exact := func(enc *face.Encoding, c face.Constraint) int {
+		k, err := (*eval.Cache)(nil).ConstraintCubes(enc, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	swaps, moves, off := 0, 0, 0
 	for trial := 0; trial < 100; trial++ {
 		p := randomCarryProblem(r)
 		n := p.N()
@@ -45,41 +56,59 @@ func TestPolishCarryLemma(t *testing.T) {
 		for s, code := range r.Perm(1 << uint(nv))[:n] {
 			enc.Codes[s] = uint64(code)
 		}
-		for a := 0; a < n; a++ {
-			old := enc.Codes[a]
-			for _, nw := range enc.SpareCodes() {
-				for i, c := range p.Constraints {
-					aMem := c.Has(a)
-					var sup face.Face
-					if !aMem {
-						sup = enc.Supercube(c)
-					}
-					if !carryHolds(aMem, sup, old, nw) {
-						continue
-					}
-					before, err := (*eval.Cache)(nil).ConstraintCubes(enc, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					enc.Codes[a] = nw
-					after, err := (*eval.Cache)(nil).ConstraintCubes(enc, c)
-					enc.Codes[a] = old
-					if err != nil {
-						t.Fatal(err)
-					}
-					if before != after {
-						t.Fatalf("trial %d: moving symbol %d from %b to %b changes constraint %d from %d to %d cubes",
-							trial, a, old, nw, i, before, after)
-					}
-					carried++
+		cm := newCostModel(enc, p.Constraints)
+		as := newAffectedSet(enc, p.Constraints)
+		cubes := make([]int, len(p.Constraints))
+		est := make([]int, len(p.Constraints))
+		listed := make([]bool, len(p.Constraints))
+		// check applies a candidate, requires every constraint off its
+		// list to keep its count (and estimate, when withEst), and keeps
+		// the candidate with probability 1/4; undo reverts it.
+		check := func(idx []int, apply, undo func(), withEst bool, what string) {
+			for i, c := range p.Constraints {
+				cubes[i], est[i], listed[i] = exact(enc, c), cm.estimate(i), false
+			}
+			for _, i := range idx {
+				listed[i] = true
+			}
+			apply()
+			for i, c := range p.Constraints {
+				if listed[i] {
+					continue
 				}
+				off++
+				if k := exact(enc, c); k != cubes[i] {
+					t.Fatalf("trial %d: %s changes unlisted constraint %d from %d to %d cubes", trial, what, i, cubes[i], k)
+				}
+				if k := cm.estimate(i); withEst && k != est[i] {
+					t.Fatalf("trial %d: %s changes unlisted constraint %d's estimate from %d to %d", trial, what, i, est[i], k)
+				}
+			}
+			if r.Intn(4) != 0 {
+				undo()
+			}
+		}
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				swap := func() { enc.Codes[a], enc.Codes[b] = enc.Codes[b], enc.Codes[a] }
+				check(as.swap(a, b), swap, swap, false, fmt.Sprintf("swapping %d and %d", a, b))
+				swaps++
+			}
+			spares := enc.SpareCodes()
+			as.snapshot()
+			for si := range spares {
+				old, nw := enc.Codes[a], spares[si]
+				check(as.move(a, old, nw), func() { enc.Codes[a], spares[si] = nw, old },
+					func() { enc.Codes[a], spares[si] = old, nw }, true,
+					fmt.Sprintf("moving %d from %b to %b", a, old, nw))
+				moves++
 			}
 		}
 	}
-	if carried == 0 {
-		t.Fatal("the carry predicate never held")
+	if swaps == 0 || moves == 0 || off == 0 {
+		t.Fatalf("%d swaps, %d moves, %d unlisted constraints checked", swaps, moves, off)
 	}
-	t.Logf("%d carried moves checked", carried)
+	t.Logf("%d swaps and %d spare moves, %d unlisted constraints checked", swaps, moves, off)
 }
 
 // TestPolishCarryFires guards against the carry silently dying: on the
@@ -92,6 +121,49 @@ func TestPolishCarryFires(t *testing.T) {
 	}
 	if mPolishCarried.Value() == before {
 		t.Fatal("exact-polish carry never fired on the paper problem")
+	}
+}
+
+// TestAllocsPolishCandidate is the polishes' allocation gate: on a
+// warmed estimate-polish search over the paper problem, one swap
+// candidate and one spare-move candidate (list the constraints, apply,
+// score, then revert or keep) each allocate nothing. commitSeq moves
+// before every candidate, so the don't-look memory never skips one.
+func TestAllocsPolishCandidate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	p := paperProblem()
+	n, nv := p.N(), p.MinLength()
+	e := &encoder{p: p, n: n, nv: nv, enc: face.NewEncoding(n, nv)}
+	for s := range e.enc.Codes {
+		e.enc.Codes[s] = uint64(s)
+	}
+	cm := newCostModel(e.enc, p.Constraints)
+	s, err := e.newSearch(func(i int) (int, error) { return cm.estimate(i), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.spares) == 0 {
+		t.Fatal("the paper problem has no spare code at minimum length")
+	}
+	// Symbols 1 and 5 share L1; 1 is in L2 and 5 in L4.
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.commitSeq++
+		if _, _, err := s.trySwap(1, 5); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a swap candidate allocated %.1f objects, want 0", allocs)
+	}
+	s.aff.snapshot()
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.commitSeq++
+		if _, err := s.tryMove(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a spare-move candidate allocated %.1f objects, want 0", allocs)
 	}
 }
 

@@ -37,10 +37,11 @@ var (
 	mInfeasible  = obs.Default.Counter("core.classify.infeasible")
 	mGuides      = obs.Default.Counter("core.guides")
 	mEstimates   = obs.Default.Counter("core.estimates")
-	// mPolishCarried counts exact-polish constraint evaluations answered by
-	// the dirty-set carry instead of a minimizer request. The carry decision
-	// is a pure function of the current codes, so the count is deterministic
-	// and identical at every cache/worker configuration.
+	// mPolishCarried counts the constraints the exact polish's spare moves
+	// leave off their lists (affectedSet.move) and so carry without a
+	// minimizer request. The lists are a pure function of the current
+	// codes, so the count is deterministic and identical at every
+	// cache/worker configuration.
 	mPolishCarried = obs.Default.Counter("core.polish.carried")
 	tPortfolio     = obs.Default.Timer("core.stage.portfolio")
 	tPolish        = obs.Default.Timer("core.stage.polish")
@@ -66,6 +67,10 @@ const (
 	// stay far inside both bounds (Table III peaks at nv = 10).
 	polishMaxSymbols = 64
 	polishMaxNV      = 12
+	// variants is the portfolio's size: runPortfolio gives each variant
+	// index its own parameters, so it is both the default and the largest
+	// Options.Restarts.
+	variants = 4
 )
 
 // Options tune the encoder.
@@ -90,7 +95,8 @@ type Options struct {
 	ExactPolishBudget int
 	// Restarts is the number of column-generation variants tried (guide
 	// weight and start-column perturbations); the best by cube estimate is
-	// kept. 0 means the default 4, 1 disables the portfolio.
+	// kept. 0 means the default 4, 1 disables the portfolio, and a value
+	// outside [0, 4] is an error.
 	Restarts int
 	// Workers bounds how many portfolio variants run concurrently; ≤ 1
 	// runs the portfolio sequentially. The variants are independent and
@@ -113,7 +119,7 @@ func (o Options) withDefaults() Options {
 		o.ExactPolishBudget = 8000
 	}
 	if o.Restarts == 0 {
-		o.Restarts = 4
+		o.Restarts = variants
 	}
 	return o
 }
@@ -189,6 +195,9 @@ func EncodeContext(ctx context.Context, p *face.Problem, opts ...Options) (*Resu
 		o = opts[0]
 	}
 	o = o.withDefaults()
+	if o.Restarts < 0 || o.Restarts > variants {
+		return nil, fmt.Errorf("core: Restarts %d outside [0, %d]", o.Restarts, variants)
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

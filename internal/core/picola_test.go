@@ -296,6 +296,22 @@ func TestEncodeNVOverride(t *testing.T) {
 	}
 }
 
+// TestEncodeRestartsOutOfRange: the portfolio has four variants, so
+// Encode and EncodeAll refuse any Restarts outside [0, 4] (at −1
+// runPortfolio used to index an empty run list; above 4 the extra
+// variants repeated variant 0 and could never win).
+func TestEncodeRestartsOutOfRange(t *testing.T) {
+	p := paperProblem()
+	for _, restarts := range []int{-1, 5} {
+		if _, err := Encode(p, Options{Restarts: restarts}); err == nil {
+			t.Errorf("Encode with Restarts %d: no error", restarts)
+		}
+		if _, err := EncodeAll(p, Options{Restarts: restarts}); err == nil {
+			t.Errorf("EncodeAll with Restarts %d: no error", restarts)
+		}
+	}
+}
+
 func TestEncodeSingleSymbol(t *testing.T) {
 	p := &face.Problem{Names: []string{"only"}}
 	r, err := Encode(p)

@@ -8,48 +8,170 @@ import (
 	"picola/internal/obs"
 )
 
+// search is the local-search core both polishes run on. It holds each
+// constraint's committed cost under one objective, scratch for a
+// candidate's costs, the lists of constraints a candidate can change,
+// the spare codes and the don't-look memory. A candidate is a swap of
+// two symbols' codes or a spare move, which gives a symbol a code no
+// symbol holds; it is applied to the codes, scored on its list alone and
+// kept only when it lowers the weighted total. Each polish keeps its own
+// loop over the candidates.
+type search struct {
+	e         *encoder
+	objective func(i int) (int, error) // constraint i's cost under the current codes
+	cost      []int                    // committed cost per constraint
+	next      []int                    // the scored candidate's costs, in list order
+	aff       *affectedSet
+	spares    []uint64
+
+	// Don't-look memory: a candidate rejected at commitSeq is skipped
+	// until any commit bumps commitSeq. A rejected candidate leaves the
+	// codes and costs as they were, so scoring it again under the same
+	// state would reject it again: skipping keeps the first-improvement
+	// trajectory while making the final convergence passes nearly free.
+	// tried holds the swaps (a·n+b) first, then the spare moves.
+	commitSeq int
+	tried     []int
+
+	// carried counts the constraints spare moves left off their lists;
+	// the exact polish reports it as core.polish.carried.
+	carried int
+}
+
+// newSearch scores every constraint under objective and sets up the
+// search over the encoder's codes.
+func (e *encoder) newSearch(objective func(i int) (int, error)) (*search, error) {
+	r := len(e.p.Constraints)
+	s := &search{e: e, objective: objective, cost: make([]int, r), next: make([]int, r),
+		aff: newAffectedSet(e.enc, e.p.Constraints), spares: e.enc.SpareCodes(), commitSeq: 1}
+	for i := range s.cost {
+		k, err := objective(i)
+		if err != nil {
+			return nil, err
+		}
+		s.cost[i] = k
+	}
+	s.tried = make([]int, e.n*e.n+e.n*len(s.spares))
+	return s, nil
+}
+
+func (s *search) total() int {
+	t := 0
+	for i, k := range s.cost {
+		t += s.e.p.Weight(i) * k
+	}
+	return t
+}
+
+func (s *search) swapCodes(a, b int) {
+	c := s.e.enc.Codes
+	c[a], c[b] = c[b], c[a]
+}
+
+// score evaluates the objective on the listed constraints under the
+// current codes into s.next and returns the weighted change from their
+// committed costs.
+func (s *search) score(idx []int) (int, error) {
+	d := 0
+	for j, i := range idx {
+		k, err := s.objective(i)
+		if err != nil {
+			return 0, err
+		}
+		s.next[j] = k
+		d += s.e.p.Weight(i) * (k - s.cost[i])
+	}
+	return d, nil
+}
+
+// commit makes the scored candidate's costs the committed ones.
+func (s *search) commit(idx []int) {
+	for j, i := range idx {
+		s.cost[i] = s.next[j]
+	}
+	s.commitSeq++
+}
+
+// trySwap scores the swap of a's and b's codes and keeps it when it
+// lowers the weighted total. It returns the length of the swap's list,
+// scored or skipped.
+func (s *search) trySwap(a, b int) (listed int, kept bool, err error) {
+	idx := s.aff.swap(a, b)
+	id := a*s.e.n + b
+	if len(idx) == 0 || s.tried[id] == s.commitSeq {
+		return len(idx), false, nil
+	}
+	s.swapCodes(a, b)
+	d, err := s.score(idx)
+	if err != nil {
+		return 0, false, err
+	}
+	if d < 0 {
+		s.commit(idx)
+		return len(idx), true, nil
+	}
+	s.swapCodes(a, b)
+	s.tried[id] = s.commitSeq
+	return len(idx), false, nil
+}
+
+// tryMove scores moving a to the spare code spares[si] and keeps the move
+// when it lowers the weighted total; a's old code then takes that spare's
+// place. The move's list reads the supercubes of the last snapshot, which
+// must be of a's spare scan.
+func (s *search) tryMove(a, si int) (bool, error) {
+	id := s.e.n*s.e.n + a*len(s.spares) + si
+	if s.tried[id] == s.commitSeq {
+		return false, nil
+	}
+	codes := s.e.enc.Codes
+	old, nw := codes[a], s.spares[si]
+	idx := s.aff.move(a, old, nw)
+	s.carried += len(s.cost) - len(idx)
+	codes[a] = nw
+	d, err := s.score(idx)
+	if err != nil {
+		return false, err
+	}
+	if d < 0 {
+		s.commit(idx)
+		s.spares[si] = old
+		return true, nil
+	}
+	codes[a] = old
+	s.tried[id] = s.commitSeq
+	return false, nil
+}
+
 // exactPolish refines the encoding under the exact minimized cube count:
-// first-improvement descent over code swaps and spare-code moves, followed
+// first-improvement descent over spare moves and code swaps, followed
 // by deterministic basin hopping — at a local optimum, apply the
 // least-damaging swap and descend again, keeping the best encoding seen.
-// A swap exchanges codes between two symbols, so the function of any
-// constraint containing neither symbol is literally unchanged (same
-// member codes, same non-member code multiset) — only the touched
-// memberships are re-minimized. The evaluation budget bounds the pass.
+// The evaluation budget bounds the pass.
 func (e *encoder) exactPolish(budget int) error {
 	defer tExactPolish.Start()()
 	// This pass moves codes, so an earlier estimate-polish optimum no
 	// longer holds.
 	e.polishConverged = false
 	t0 := time.Now()
-	n := e.n
 	r := len(e.p.Constraints)
 	if r == 0 {
 		return nil
 	}
-	ps := &polishState{e: e, budget: budget}
-	ps.cost = make([]int, r)
-	for i, c := range e.p.Constraints {
-		k, err := e.exactCubes(c)
-		if err != nil {
-			return err
-		}
-		ps.evals++
-		ps.cost[i] = k
+	s, err := e.newSearch(func(i int) (int, error) { return e.exactCubes(e.p.Constraints[i]) })
+	if err != nil {
+		return err
 	}
-	ps.touched = newAffectedSet(e.p.Constraints, n)
-	ps.spares = e.enc.SpareCodes()
-	ps.commitSeq = 1
-	ps.pairTried = make([]int, n*n)
-	ps.moveTried = make([]int, n*len(ps.spares))
-	before := ps.total()
+	defer func() { mPolishCarried.Add(int64(s.carried)) }()
+	ps := &polishState{search: s, evals: r, budget: budget}
+	before := s.total()
 	if err := ps.descend(); err != nil {
 		return err
 	}
 	// Basin hopping: remember the best encoding; kick with the cheapest
 	// non-improving swap and descend again.
 	bestCodes := append([]uint64(nil), e.enc.Codes...)
-	bestTotal := ps.total()
+	bestTotal := s.total()
 	for hop := 0; hop < 3 && ps.evals < ps.budget; hop++ {
 		if err := ps.kick(); err != nil {
 			return err
@@ -57,7 +179,7 @@ func (e *encoder) exactPolish(budget int) error {
 		if err := ps.descend(); err != nil {
 			return err
 		}
-		if t := ps.total(); t < bestTotal {
+		if t := s.total(); t < bestTotal {
 			bestTotal = t
 			copy(bestCodes, e.enc.Codes)
 		}
@@ -77,81 +199,189 @@ func (e *encoder) exactPolish(budget int) error {
 	return nil
 }
 
-// polishState carries the exact-polish bookkeeping.
+// polishState is the exact polish's search with its request budget. The
+// budget counts requests, and a constraint a list leaves out or a
+// candidate the don't-look memory skips charges exactly like a request,
+// so the trajectory is independent of both.
 type polishState struct {
-	e       *encoder
-	cost    []int
-	touched *affectedSet
-	spares  []uint64
-	evals   int
-	budget  int
-
-	// Spare-move scan scratch, refreshed per symbol by prepareSpareScan:
-	// newCost is the candidate cost vector; for each constraint, aMem
-	// records whether the moving symbol is a member and sup holds the
-	// members' code supercube (valid only when aMem is false).
-	newCost []int
-	sup     []face.Face
-	aMem    []bool
-
-	// Don't-look memory (see the estimate polish): a candidate rejected
-	// at commitSeq is skipped — but still charged the evals it would
-	// have spent, so the budget trajectory is byte-identical — until any
-	// commit bumps commitSeq. kick never skips: its evaluations rank
-	// candidates rather than reject them.
-	commitSeq int
-	pairTried []int
-	moveTried []int
-
-	// swapDelta scratch, reused across candidates.
-	swapCost []int
+	*search
+	evals  int
+	budget int
 }
 
-// prepareSpareScan sizes the scan scratch and snapshots, for the symbol a
-// about to be moved, each constraint's membership bit and — for the
-// constraints a does not belong to — the supercube of its member codes.
-// Those supercubes stay valid across the whole spare scan of a: only a's
-// own code changes, and a is not a member of any constraint they describe.
-func (ps *polishState) prepareSpareScan(a int) {
-	r := len(ps.e.p.Constraints)
-	if cap(ps.newCost) < r {
-		ps.newCost = make([]int, r)
-		ps.sup = make([]face.Face, r)
-		ps.aMem = make([]bool, r)
-	}
-	ps.newCost = ps.newCost[:r]
-	ps.sup = ps.sup[:r]
-	ps.aMem = ps.aMem[:r]
-	for i, c := range ps.e.p.Constraints {
-		ps.aMem[i] = c.Has(a)
-		if !ps.aMem[i] {
-			ps.sup[i] = ps.e.enc.Supercube(c)
+// descend runs first-improvement passes over spare moves and swaps until
+// a local optimum or the budget.
+func (ps *polishState) descend() error {
+	n, r := ps.e.n, len(ps.cost)
+	for pass := 0; pass < 8 && ps.evals < ps.budget; pass++ {
+		if err := ctxutil.Check(ps.e.runCtx(), "core.exact_polish"); err != nil {
+			return err
+		}
+		improved := false
+		for a := 0; a < n && ps.evals < ps.budget; a++ {
+			if len(ps.spares) > 0 {
+				ps.aff.snapshot()
+			}
+			for si := range ps.spares {
+				if ps.evals+r > ps.budget {
+					break
+				}
+				ps.evals += r
+				kept, err := ps.tryMove(a, si)
+				if err != nil {
+					return err
+				}
+				improved = improved || kept
+			}
+			for b := a + 1; b < n && ps.evals < ps.budget; b++ {
+				listed, kept, err := ps.trySwap(a, b)
+				if err != nil {
+					return err
+				}
+				ps.evals += listed
+				improved = improved || kept
+			}
+		}
+		if !improved {
+			break
 		}
 	}
+	return nil
 }
 
-func (ps *polishState) total() int {
-	t := 0
-	for i, k := range ps.cost {
-		t += ps.e.p.Weight(i) * k
+// kick commits the least-damaging swap among a deterministic sample so the
+// next descent explores a different basin. It never skips: its
+// evaluations rank candidates rather than reject them.
+func (ps *polishState) kick() error {
+	if err := ctxutil.Check(ps.e.runCtx(), "core.exact_polish"); err != nil {
+		return err
 	}
-	return t
+	n := ps.e.n
+	bestA, bestB, bestD := -1, -1, 1<<30
+	var bestCost []int
+	for a := 0; a < n && ps.evals < ps.budget; a++ {
+		b := (a + 1 + n/2) % n
+		if a == b {
+			continue
+		}
+		idx := ps.aff.swap(a, b)
+		if len(idx) == 0 {
+			continue
+		}
+		ps.swapCodes(a, b)
+		d, err := ps.score(idx)
+		ps.swapCodes(a, b)
+		if err != nil {
+			return err
+		}
+		ps.evals += len(idx)
+		if d != 0 && d < bestD {
+			bestA, bestB, bestD = a, b, d
+			bestCost = append(bestCost[:0], ps.next[:len(idx)]...)
+		}
+	}
+	if bestA < 0 {
+		return nil
+	}
+	idx := ps.aff.swap(bestA, bestB)
+	ps.swapCodes(bestA, bestB)
+	copy(ps.next, bestCost)
+	ps.commit(idx)
+	return nil
 }
 
-// affectedSet lists the constraints a candidate move of either local
-// search can change. The list is scratch, valid until the next candidate;
-// each constraint carries an epoch stamp instead of being cleared, so the
-// O(n²·passes) candidate loops do not allocate per candidate.
+// polish is a deterministic first-improvement hill climb over code swaps
+// and spare moves, minimizing the weighted cube estimate; it never calls
+// espresso. name labels the trace span: "light" for a variant's polish
+// inside its restart, "full" for the winning variant's after the
+// portfolio.
+func (e *encoder) polish(name string, maxPasses int) error {
+	defer tPolish.Start()()
+	if err := ctxutil.Check(e.runCtx(), "core.polish"); err != nil {
+		return err
+	}
+	if e.polishConverged {
+		return nil
+	}
+	t0 := time.Now()
+	cm := newCostModel(e.enc, e.p.Constraints)
+	defer cm.flush()
+	// The candidate loop is the encoder's warm-path floor, so it must not
+	// allocate per candidate (TestAllocsPolishCandidate).
+	s, err := e.newSearch(func(i int) (int, error) { return cm.estimate(i), nil })
+	if err != nil {
+		return err
+	}
+	before := s.total()
+	passes := 0
+	for pass := 0; pass < maxPasses; pass++ {
+		if err := ctxutil.Check(e.runCtx(), "core.polish"); err != nil {
+			return err
+		}
+		passes++
+		improved := false
+		for a := 0; a < e.n; a++ {
+			for b := a + 1; b < e.n; b++ {
+				_, kept, err := s.trySwap(a, b)
+				if err != nil {
+					return err
+				}
+				improved = improved || kept
+			}
+			if len(s.spares) > 0 {
+				s.aff.snapshot()
+			}
+			for si := range s.spares {
+				kept, err := s.tryMove(a, si)
+				if err != nil {
+					return err
+				}
+				improved = improved || kept
+			}
+		}
+		if !improved {
+			// Local optimum: every candidate was just rejected at the
+			// current codes, so an immediate re-polish has nothing to do.
+			e.polishConverged = true
+			break
+		}
+		e.polishConverged = false
+	}
+	if e.tr != nil {
+		after := s.total()
+		obs.Emit(e.tr, obs.Event{Kind: obs.KindSpan, Stage: "polish", Name: name,
+			DurMS: obs.MS(time.Since(t0)),
+			Attrs: map[string]float64{
+				"variant": float64(e.variant),
+				"passes":  float64(passes),
+				"before":  float64(before),
+				"after":   float64(after),
+				"delta":   float64(after - before),
+			}})
+	}
+	return nil
+}
+
+// affectedSet states the move rule of both polishes: which constraints a
+// candidate can change. The list is scratch, valid until the next
+// candidate; each constraint carries an epoch stamp instead of being
+// cleared, so listing allocates nothing.
 type affectedSet struct {
-	memberOf [][]int // memberOf[s]: the constraints having s as a member
+	enc      *face.Encoding
+	cons     []face.Constraint
+	memberOf [][]int     // memberOf[s]: the constraints having s as a member
+	sup      []face.Face // each constraint's members' supercube at the last snapshot
 	stamp    []int
 	epoch    int
 	idx      []int
 }
 
-func newAffectedSet(cons []face.Constraint, n int) *affectedSet {
+func newAffectedSet(enc *face.Encoding, cons []face.Constraint) *affectedSet {
 	as := &affectedSet{
-		memberOf: make([][]int, n),
+		enc:      enc,
+		cons:     cons,
+		memberOf: make([][]int, enc.N()),
+		sup:      make([]face.Face, len(cons)),
 		stamp:    make([]int, len(cons)),
 		idx:      make([]int, 0, len(cons)),
 	}
@@ -181,8 +411,9 @@ func (as *affectedSet) add(i int) {
 	}
 }
 
-// swap lists the constraints with a or b as a member: the only ones a
-// swap of their codes can change.
+// swap lists the constraints with a or b as a member. A swap leaves every
+// other constraint's member codes and non-member code multiset as they
+// were, so neither its exact count nor its estimate can change.
 func (as *affectedSet) swap(a, b int) []int {
 	as.begin(a)
 	for _, i := range as.memberOf[b] {
@@ -191,327 +422,30 @@ func (as *affectedSet) swap(a, b int) []int {
 	return as.idx
 }
 
-// carryHolds is the exact-polish carry's predicate. Moving symbol a from
-// code old to the spare code nw leaves the exact count of a constraint
-// unchanged when a is not a member (aMem false) and neither code lies in
-// the supercube sup of the members' codes: a minimum cover of the members
-// restricts to that supercube (intersecting each cube with it preserves
-// coverage and OFF-set disjointness), so minterms outside it may switch
-// between OFF and don't-care freely.
-func carryHolds(aMem bool, sup face.Face, old, nw uint64) bool {
-	return !aMem && !sup.Contains(old) && !sup.Contains(nw)
+// snapshot records every constraint's members' supercube for move. It
+// stays valid across one symbol's spare scan: a committed move changes
+// only that symbol's code, and move lists the constraints holding it
+// whatever their supercube.
+func (as *affectedSet) snapshot() {
+	for i, c := range as.cons {
+		as.sup[i] = as.enc.Supercube(c)
+	}
 }
 
-// swapDelta applies the swap and returns the exact cost change and the
-// touched constraints' new costs (without committing ps.cost). The cost
-// slice is scratch, valid until the next call.
-func (ps *polishState) swapDelta(a, b int, idx []int) (int, []int, error) {
-	ps.e.enc.Codes[a], ps.e.enc.Codes[b] = ps.e.enc.Codes[b], ps.e.enc.Codes[a]
-	d := 0
-	if cap(ps.swapCost) < len(idx) {
-		ps.swapCost = make([]int, len(ps.e.p.Constraints))
-	}
-	newCost := ps.swapCost[:len(idx)]
-	for j, i := range idx {
-		k, err := ps.e.exactCubes(ps.e.p.Constraints[i])
-		if err != nil {
-			return 0, nil, err
-		}
-		ps.evals++
-		newCost[j] = k
-		d += ps.e.p.Weight(i) * (k - ps.cost[i])
-	}
-	return d, newCost, nil
-}
-
-// descend runs first-improvement passes over swaps and spare moves until
-// a local optimum or the budget.
-func (ps *polishState) descend() error {
-	e := ps.e
-	n := e.n
-	r := len(e.p.Constraints)
-	for pass := 0; pass < 8 && ps.evals < ps.budget; pass++ {
-		if err := ctxutil.Check(e.runCtx(), "core.exact_polish"); err != nil {
-			return err
-		}
-		improved := false
-		for a := 0; a < n && ps.evals < ps.budget; a++ {
-			ps.prepareSpareScan(a)
-			for si := range ps.spares {
-				if ps.evals+r > ps.budget {
-					break
-				}
-				if ps.moveTried[a*len(ps.spares)+si] == ps.commitSeq {
-					// Already rejected under this exact state; charge the
-					// scan it would have cost and move on.
-					ps.evals += r
-					continue
-				}
-				old := e.enc.Codes[a]
-				nw := ps.spares[si]
-				e.enc.Codes[a] = nw
-				d := 0
-				for i := range e.p.Constraints {
-					// The budget counts evaluation requests, and a carried
-					// constraint charges exactly like a recomputed one, so
-					// the search trajectory is independent of the carry.
-					ps.evals++
-					if carryHolds(ps.aMem[i], ps.sup[i], old, nw) {
-						ps.newCost[i] = ps.cost[i]
-						mPolishCarried.Inc()
-						continue
-					}
-					k, err := e.exactCubes(e.p.Constraints[i])
-					if err != nil {
-						return err
-					}
-					ps.newCost[i] = k
-					d += e.p.Weight(i) * (k - ps.cost[i])
-				}
-				if d < 0 {
-					copy(ps.cost, ps.newCost)
-					ps.spares[si] = old
-					improved = true
-					ps.commitSeq++
-				} else {
-					e.enc.Codes[a] = old
-					ps.moveTried[a*len(ps.spares)+si] = ps.commitSeq
-				}
-			}
-			for b := a + 1; b < n && ps.evals < ps.budget; b++ {
-				idx := ps.touched.swap(a, b)
-				if len(idx) == 0 {
-					continue
-				}
-				if ps.pairTried[a*n+b] == ps.commitSeq {
-					ps.evals += len(idx)
-					continue
-				}
-				d, newCost, err := ps.swapDelta(a, b, idx)
-				if err != nil {
-					return err
-				}
-				if d < 0 {
-					for j, i := range idx {
-						ps.cost[i] = newCost[j]
-					}
-					improved = true
-					ps.commitSeq++
-				} else {
-					e.enc.Codes[a], e.enc.Codes[b] = e.enc.Codes[b], e.enc.Codes[a]
-					ps.pairTried[a*n+b] = ps.commitSeq
-				}
-			}
-		}
-		if !improved {
-			break
+// move lists the constraints moving a from code old to the unused code nw
+// can change: those having a as a member, and those whose members'
+// supercube contains old or nw. Any other constraint keeps its exact
+// count: a minimum cover of the members restricts to their supercube
+// (intersecting each cube with it keeps the members covered and the
+// non-members out), so codes outside it may switch between non-member
+// and unused freely. It keeps its estimate too, which reads only the
+// codes inside the supercube.
+func (as *affectedSet) move(a int, old, nw uint64) []int {
+	as.begin(a)
+	for i, f := range as.sup {
+		if f.Contains(old) || f.Contains(nw) {
+			as.add(i)
 		}
 	}
-	return nil
-}
-
-// kick commits the least-damaging swap among a deterministic sample so the
-// next descent explores a different basin.
-func (ps *polishState) kick() error {
-	e := ps.e
-	if err := ctxutil.Check(e.runCtx(), "core.exact_polish"); err != nil {
-		return err
-	}
-	n := e.n
-	bestA, bestB, bestD := -1, -1, 1<<30
-	var bestCost []int
-	for a := 0; a < n && ps.evals < ps.budget; a++ {
-		b := (a + 1 + n/2) % n
-		if a == b {
-			continue
-		}
-		idx := ps.touched.swap(a, b)
-		if len(idx) == 0 {
-			continue
-		}
-		d, newCost, err := ps.swapDelta(a, b, idx)
-		if err != nil {
-			return err
-		}
-		// Undo; the chosen kick is re-applied below.
-		e.enc.Codes[a], e.enc.Codes[b] = e.enc.Codes[b], e.enc.Codes[a]
-		if d != 0 && d < bestD {
-			bestA, bestB, bestD = a, b, d
-			// newCost is swapDelta scratch — snapshot it.
-			bestCost = append(bestCost[:0], newCost...)
-		}
-	}
-	if bestA < 0 {
-		return nil
-	}
-	idx := ps.touched.swap(bestA, bestB)
-	e.enc.Codes[bestA], e.enc.Codes[bestB] = e.enc.Codes[bestB], e.enc.Codes[bestA]
-	for j, i := range idx {
-		ps.cost[i] = bestCost[j]
-	}
-	ps.commitSeq++
-	return nil
-}
-
-// polish is a deterministic first-improvement hill climb over code swaps
-// and moves to spare codes, minimizing the weighted cube estimate. The
-// estimate of a constraint depends only on its member codes and the
-// multiset of non-member codes, so a swap of two symbols can only change
-// constraints having one of them as a member — the evaluation is
-// incremental and never calls espresso. name labels the trace span:
-// "light" for a variant's polish inside its restart, "full" for the
-// winning variant's after the portfolio.
-func (e *encoder) polish(name string, maxPasses int) error {
-	defer tPolish.Start()()
-	if err := ctxutil.Check(e.runCtx(), "core.polish"); err != nil {
-		return err
-	}
-	if e.polishConverged {
-		return nil
-	}
-	t0 := time.Now()
-	n := e.n
-	r := len(e.p.Constraints)
-	cm := newCostModel(e.enc, e.p.Constraints)
-	defer cm.flush()
-	est := make([]int, r)
-	for i := range e.p.Constraints {
-		est[i] = cm.estimate(i)
-	}
-	weightedEst := func() int {
-		t := 0
-		for i, k := range est {
-			t += e.p.Weight(i) * k
-		}
-		return t
-	}
-	before := 0
-	if e.tr != nil {
-		before = weightedEst()
-	}
-	touched := newAffectedSet(e.p.Constraints, n)
-	spares := e.enc.SpareCodes()
-	// delta recomputes the listed constraints and returns the estimate
-	// change, mutating est.
-	delta := func(idx []int) int {
-		d := 0
-		for _, i := range idx {
-			k := cm.estimate(i)
-			d += e.p.Weight(i) * (k - est[i])
-			est[i] = k
-		}
-		return d
-	}
-	restore := func(idx []int, saved []int) {
-		for j, i := range idx {
-			est[i] = saved[j]
-		}
-	}
-	// The scan buffers are reused across every candidate swap and move:
-	// savedBuf holds the estimates to restore on rollback, and sup the
-	// per-constraint supercubes for the spare scan. The O(n²·passes)
-	// candidate loop is the encoder's warm-path floor, so it must not
-	// allocate per candidate.
-	savedBuf := make([]int, r)
-	sup := make([]face.Face, r)
-	// Don't-look memory: a candidate rejected at commitSeq is skipped
-	// until any candidate commits (every commit bumps commitSeq). A
-	// rejected evaluation has no side effects — codes and est are
-	// restored — so re-evaluating it under the identical global state
-	// would reject identically: skipping preserves the exact search
-	// trajectory while making the final convergence passes nearly free.
-	commitSeq := 1
-	pairTried := make([]int, n*n)
-	moveTried := make([]int, n*len(spares))
-	passes := 0
-	for pass := 0; pass < maxPasses; pass++ {
-		if err := ctxutil.Check(e.runCtx(), "core.polish"); err != nil {
-			return err
-		}
-		passes++
-		improved := false
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if pairTried[a*n+b] == commitSeq {
-					continue
-				}
-				idx := touched.swap(a, b)
-				if len(idx) == 0 {
-					continue
-				}
-				saved := savedBuf[:len(idx)]
-				for j, i := range idx {
-					saved[j] = est[i]
-				}
-				e.enc.Codes[a], e.enc.Codes[b] = e.enc.Codes[b], e.enc.Codes[a]
-				if delta(idx) < 0 {
-					improved = true
-					commitSeq++
-				} else {
-					e.enc.Codes[a], e.enc.Codes[b] = e.enc.Codes[b], e.enc.Codes[a]
-					restore(idx, saved)
-					pairTried[a*n+b] = commitSeq
-				}
-			}
-			// Moves to spare codes change the non-member code multiset, so
-			// they can affect a's memberships plus any constraint whose
-			// supercube contains the departing or arriving code. Committing
-			// a move changes only a's code, and a's member constraints are
-			// listed unconditionally, so the supercubes consulted below are
-			// invariant across the scan — compute them once per symbol.
-			if len(spares) > 0 {
-				for i, c := range e.p.Constraints {
-					sup[i] = e.enc.Supercube(c)
-				}
-			}
-			for si := range spares {
-				if moveTried[a*len(spares)+si] == commitSeq {
-					continue
-				}
-				touched.begin(a)
-				old := e.enc.Codes[a]
-				nw := spares[si]
-				for i := 0; i < r; i++ {
-					if sup[i].Contains(old) || sup[i].Contains(nw) {
-						touched.add(i)
-					}
-				}
-				idx := touched.idx
-				saved := savedBuf[:len(idx)]
-				for j, i := range idx {
-					saved[j] = est[i]
-				}
-				e.enc.Codes[a] = nw
-				if delta(idx) < 0 {
-					spares[si] = old
-					improved = true
-					commitSeq++
-				} else {
-					e.enc.Codes[a] = old
-					restore(idx, saved)
-					moveTried[a*len(spares)+si] = commitSeq
-				}
-			}
-		}
-		if !improved {
-			// Local optimum: every candidate was just rejected at the
-			// current codes, so an immediate re-polish has nothing to do.
-			e.polishConverged = true
-			break
-		}
-		e.polishConverged = false
-	}
-	if e.tr != nil {
-		after := weightedEst()
-		obs.Emit(e.tr, obs.Event{Kind: obs.KindSpan, Stage: "polish", Name: name,
-			DurMS: obs.MS(time.Since(t0)),
-			Attrs: map[string]float64{
-				"variant": float64(e.variant),
-				"passes":  float64(passes),
-				"before":  float64(before),
-				"after":   float64(after),
-				"delta":   float64(after - before),
-			}})
-	}
-	return nil
+	return as.idx
 }

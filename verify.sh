@@ -45,8 +45,9 @@ go test -race ./...
 
 # Allocation-regression gate: on a warmed arena, one exact constraint
 # scoring must perform zero heap allocations, on a warmed encoder one
-# classify column scan likewise, and on a warmed pool one CoversCube and
-# one DropCoveredValues at one and at six words (the
+# classify column scan likewise, on a warmed polish search one swap
+# candidate and one spare-move candidate, and on a warmed pool one
+# CoversCube and one DropCoveredValues at one and at six words (the
 # hot-path pooling contract; testing.AllocsPerRun-based, so a single
 # stray make fails it), the face geometry (Supercube, IntruderCount,
 # Satisfied) allocates nothing, and neither does a warmed NOVA swap or
@@ -68,6 +69,13 @@ ledger_tmp=$(mktemp /tmp/picola-ledger.XXXXXX.json)
 go run ./cmd/tables -table 1 -json "$tables_tmp" -ledger "$ledger_tmp" >/dev/null
 go run ./cmd/obsdiff -wall-pct inf BENCH_4.json "$tables_tmp"
 grep -q '"schema": "picola-ledger/v1"' "$ledger_tmp"
+
+# ENC reproduction gate: the paper reports that ENC fails on scf. Ours
+# completes scf at the default budget, and EXPERIMENTS.md names
+# -encbudget 2000 as the budget that reproduces the failure, so that run
+# must report it.
+go run ./cmd/tables -table 1 -fsm scf -encbudget 2000 |
+  grep -F 'ENC failed (budget exhausted) on 1 instance(s)' >/dev/null
 
 # Table II product gate: the state-assignment table runs espresso on
 # every symbolic cover width (one to six words) and must reproduce the
