@@ -76,9 +76,9 @@ func (s *searcher) minimize(i int) error {
 	return nil
 }
 
-// rescore refreshes the cost of the touched constraints
-// after a swap, charging one budget unit each. When strictly more budget
-// remains than constraints touched, the minimizations fan out over the
+// rescore refreshes the cost of the touched constraints after a swap,
+// charging one budget unit each. When strictly more budget remains than
+// constraints touched, the minimizations fan out over the
 // pool: the sequential loop's mid-loop break can only fire on budget
 // exhaustion, which the guard rules out, so the parallel path follows
 // the exact sequential trajectory. Near the budget edge it stays

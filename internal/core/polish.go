@@ -413,7 +413,9 @@ func (as *affectedSet) add(i int) {
 
 // swap lists the constraints with a or b as a member. A swap leaves every
 // other constraint's member codes and non-member code multiset as they
-// were, so neither its exact count nor its estimate can change.
+// were, so its exact count cannot change. costModel.estimate can still
+// move: its Theorem I test reads the intruder list after splitPre has
+// compacted it in place, so it depends on the non-members' order.
 func (as *affectedSet) swap(a, b int) []int {
 	as.begin(a)
 	for _, i := range as.memberOf[b] {
