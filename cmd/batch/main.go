@@ -8,7 +8,8 @@
 //	batch -gen -seed 1 -count 1000 -max-symbols 10 DIR
 //	    generate a fixed-seed corpus (plus manifest.txt) under DIR
 //	batch -checkpoint run.ckpt -store cache/ -json out.json DIR
-//	    run the corpus; re-invoking resumes from the checkpoint
+//	    run the corpus; re-invoking resumes from the checkpoint every
+//	    instance whose frame holds the problem the instance holds now
 //	batch -merge -json all.json shard0.json shard1.json ...
 //	    union per-shard snapshots into one corpus snapshot
 //

@@ -78,13 +78,14 @@ type instance struct {
 }
 
 // row is one completed instance: what the aggregate snapshot and the
-// wall summary need.
+// wall summary need. A row read back from the checkpoint also carries
+// the consfile form of the problem its frame was computed for.
 type row struct {
 	name        string
 	constraints int
 	cubes       int
 	wallNS      int64
-	resumed     bool
+	problem     string
 }
 
 // run executes one batch invocation and returns its exit code. All
@@ -152,7 +153,7 @@ func run(ctx context.Context, cfg config, w, errw io.Writer) int {
 	var pending []instance
 	rows := make(map[string]*row, len(instances))
 	for _, in := range instances {
-		if r, ok := done[in.name]; ok {
+		if r, ok := done[in.name]; ok && checkpointed(in, r) {
 			rows[in.name] = r
 			mResumed.Inc()
 			continue
@@ -265,6 +266,16 @@ func computeInstance(ctx context.Context, in instance, memo *eval.Cache, audit b
 		}
 	}
 	return r, nil
+}
+
+// checkpointed reports whether a checkpoint row was computed for the
+// instance's problem as it loads now. A frame of the same name from
+// another corpus, or from an edited file, fails the check: the instance
+// is recomputed, and its fresh frame wins at the next open. An instance
+// that no longer loads is recomputed too, which reports its error.
+func checkpointed(in instance, r *row) bool {
+	prob, err := loadProblem(in)
+	return err == nil && consfile.String(prob) == r.problem
 }
 
 // loadProblem parses one instance file; .kiss machines go through
@@ -393,9 +404,10 @@ type journal struct {
 }
 
 // openJournal opens (creating if needed) the checkpoint at path and
-// returns the rows recoverable from it, keyed by instance name. Each
-// recovered frame also carries the marshalled problem it was computed
-// for, so resume can reject checkpoints from a different corpus.
+// returns the rows recoverable from it, keyed by instance name; of two
+// frames with one name, the later wins. Each row carries the problem
+// its frame was computed for, so resume can reject a frame from a
+// different corpus (checkpointed).
 func openJournal(path string) (*journal, map[string]*row, error) {
 	b, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -413,7 +425,7 @@ func openJournal(path string) (*journal, map[string]*row, error) {
 			constraints: len(f.Problem.Constraints),
 			cubes:       f.Audit.Total,
 			wallNS:      f.Batch.WallNS,
-			resumed:     true,
+			problem:     consfile.String(f.Problem),
 		}
 	}
 	fh, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)

@@ -12,9 +12,15 @@ import (
 // genCorpus writes a small fixed-seed corpus and returns its directory.
 func genCorpus(t *testing.T, count int) string {
 	t.Helper()
+	return genSeeded(t, 11, count, 8)
+}
+
+// genSeeded writes a generated corpus and returns its directory.
+func genSeeded(t *testing.T, seed int64, count, maxSymbols int) string {
+	t.Helper()
 	dir := t.TempDir()
 	var errw bytes.Buffer
-	cfg := config{gen: true, seed: 11, count: count, maxSymbols: 8, args: []string{dir}}
+	cfg := config{gen: true, seed: seed, count: count, maxSymbols: maxSymbols, args: []string{dir}}
 	if code := run(context.Background(), cfg, &errw, &errw); code != exitOK {
 		t.Fatalf("gen exited %d: %s", code, errw.String())
 	}
@@ -112,6 +118,37 @@ func TestBatchKillResume(t *testing.T) {
 	}
 	if !bytes.Equal(againSnap, fullSnap) {
 		t.Fatal("second resumed snapshot differs from an uninterrupted run's")
+	}
+}
+
+// TestBatchResumeOtherCorpus: a checkpoint written for one corpus
+// restores nothing into a run of another whose instances carry the same
+// names. Every instance is recomputed, the snapshot equals a fresh
+// run's, and the fresh frames win when the checkpoint is opened again.
+func TestBatchResumeOtherCorpus(t *testing.T) {
+	a, b := genSeeded(t, 1, 5, 12), genSeeded(t, 2, 5, 12)
+	out := t.TempDir()
+	ckpt := filepath.Join(out, "run.ckpt")
+	runBatch(t, config{checkpoint: ckpt}, a)
+
+	code, snap, stdout := runBatch(t, config{checkpoint: ckpt, jsonOut: filepath.Join(out, "b.json")}, b)
+	if code != exitOK {
+		t.Fatalf("run on the second corpus exited %d", code)
+	}
+	if !strings.Contains(stdout, "computed=5 resumed=0") {
+		t.Fatalf("summary %q, want computed=5 resumed=0", stdout)
+	}
+	_, fresh, _ := runBatch(t, config{jsonOut: filepath.Join(out, "fresh.json")}, b)
+	if !bytes.Equal(snap, fresh) {
+		t.Fatalf("snapshot differs from a fresh run's:\n%s\nfresh:\n%s", snap, fresh)
+	}
+
+	code, again, stdout := runBatch(t, config{checkpoint: ckpt, jsonOut: filepath.Join(out, "again.json")}, b)
+	if code != exitOK || !strings.Contains(stdout, "computed=0 resumed=5") {
+		t.Fatalf("resume exited %d with summary %q, want computed=0 resumed=5", code, stdout)
+	}
+	if !bytes.Equal(again, fresh) {
+		t.Fatal("resumed snapshot differs from a fresh run's")
 	}
 }
 

@@ -1,4 +1,4 @@
-// Command picolint runs the repo's static-analysis suite — the twelve
+// Command picolint runs the repo's static-analysis suite — the eleven
 // determinism / tracing / error-handling / concurrency / dead-export
 // invariants in internal/analysis — over module packages, with the
 // interprocedural call-graph layer built once per run and shared by
@@ -10,20 +10,17 @@
 //	picolint -j 1 ./...                     sequential (byte-identical to any -j)
 //	picolint -json ./...                    findings as a JSON array
 //	picolint -sarif findings.sarif ./...    SARIF 2.1.0 for code-scanning UIs
-//	picolint -write-baseline ./...          accept current findings
 //	picolint -list                          describe the analyzers
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load failure. Findings
-// can be suppressed two ways: line by line with a justified directive
+// Exit status: 0 clean, 1 findings, 2 usage or load failure. A finding
+// is suppressed only by a justified directive
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the flagged line or the line directly above it, or via the
-// checked-in baseline (default <module>/picolint.baseline), which
-// accepts findings wholesale but reports entries that stop matching —
-// the baseline only shrinks. A directive or baseline entry of an
-// analyzer that did not run is out of scope, not stale. See DESIGN.md
-// §12.
+// on the flagged line or the line directly above it. A directive that
+// suppresses nothing is itself a finding, unless an analyzer it names
+// did not run (a subset run, or deadexport outside ./...). See
+// DESIGN.md §12.
 package main
 
 import (
@@ -43,8 +40,8 @@ func main() {
 }
 
 // run is the testable driver: it parses args, loads and analyzes the
-// packages, applies the baseline, renders output, and returns the exit
-// code (0 clean, 1 findings, 2 usage/load error).
+// packages, renders output, and returns the exit code (0 clean,
+// 1 findings, 2 usage/load error).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("picolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -52,11 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to `file` (\"-\" for stdout); written even when clean")
-	basePath := fs.String("baseline", "", "baseline `file` of accepted findings (default <module>/picolint.baseline)")
-	writeBase := fs.Bool("write-baseline", false, "write the current findings to the baseline file and exit 0")
 	workers := par.RegisterFlag(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: picolint [-list] [-analyzers a,b] [-json] [-sarif file] [-baseline file] [-write-baseline] [-j n] [packages]\n")
+		fmt.Fprintf(stderr, "usage: picolint [-list] [-analyzers a,b] [-json] [-sarif file] [-j n] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -108,30 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = append(diags, ds...)
 	}
 
-	bp := *basePath
-	if bp == "" {
-		bp = filepath.Join(loader.ModuleDir, "picolint.baseline")
-	}
-	if *writeBase {
-		if err := os.WriteFile(bp, []byte(analysis.FormatBaseline(loader.ModuleDir, diags)), 0o644); err != nil {
-			fmt.Fprintln(stderr, "picolint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "picolint: wrote %d finding(s) to %s\n", len(diags), bp)
-		return 0
-	}
-	base, err := analysis.LoadBaseline(bp)
-	if err != nil {
-		fmt.Fprintln(stderr, "picolint:", err)
-		return 2
-	}
-	diags = base.Filter(loader.ModuleDir, diags)
-	// Stale entries are only meaningful when everything was analyzed: on
-	// a partial run an unmatched entry is out of scope, not fixed.
-	if prog.WholeModule {
-		diags = append(diags, base.Stale(analyzers)...)
-	}
-
 	if *sarifPath != "" {
 		if err := writeSARIF(*sarifPath, stdout, loader.ModuleDir, diags); err != nil {
 			fmt.Fprintln(stderr, "picolint:", err)
@@ -163,8 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // wholeModule reports whether the patterns cover the entire module
-// (the "./..." wildcard), making baseline staleness and deadexport
-// decidable.
+// (the "./..." wildcard), making deadexport decidable.
 func wholeModule(patterns []string) bool {
 	for _, p := range patterns {
 		if p == "./..." || p == "..." {

@@ -12,7 +12,7 @@ import (
 // result per finding. The schema subset here is what code-scanning UIs
 // (GitHub's included) need to render findings inline; everything else
 // is omitted. Artifact URIs are module-relative so the log is stable
-// across checkouts, matching the baseline's path convention.
+// across checkouts, matching -json's path convention.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -72,14 +72,11 @@ type sarifRegion struct {
 // writeSARIF renders the findings (possibly none — CI uploads the file
 // unconditionally) to path, or to stdout when path is "-".
 func writeSARIF(path string, stdout io.Writer, moduleDir string, diags []analysis.Diagnostic) error {
-	rules := make([]sarifRule, 0, len(analysis.All())+2)
+	rules := make([]sarifRule, 0, len(analysis.All())+1)
 	for _, a := range analysis.All() {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
 	}
-	rules = append(rules,
-		sarifRule{ID: "lint", ShortDescription: sarifMessage{Text: "malformed or stale lint:ignore directive"}},
-		sarifRule{ID: "baseline", ShortDescription: sarifMessage{Text: "stale baseline entry"}},
-	)
+	rules = append(rules, sarifRule{ID: "lint", ShortDescription: sarifMessage{Text: "malformed or stale lint:ignore directive"}})
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		r := sarifResult{

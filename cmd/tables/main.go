@@ -10,6 +10,10 @@
 // Absolute values differ from the paper's (the suite is synthetic; see
 // DESIGN.md §4) — the comparisons are the reproduction target.
 //
+// -fsm NAME runs one machine: a row of Table I or II, or any benchmark
+// on the extension tables 3 and 4. A name that selects nothing is a
+// usage error (exit 2).
+//
 // -json FILE additionally writes a machine-readable picola-bench/v1
 // snapshot of the run (per-benchmark cube counts / product terms and
 // encode wall time, tables 1 and 2; internal/benchsnap) so BENCH_*.json
@@ -66,6 +70,9 @@ func main() {
 		if outFormat, err = report.ParseFormat(*formatName); err != nil {
 			return cli.Exit(2, err)
 		}
+		if *only != "" && !selects(*table, *only) {
+			return cli.Exit(2, fmt.Errorf("-fsm %s selects no row of table %d", *only, *table))
+		}
 		runCtx, jWorkers, tracer = env.Ctx, env.Workers, env.Tracer
 		memo = eval.NewCache()
 		checkEnabled = *check
@@ -93,8 +100,22 @@ func main() {
 	}))
 }
 
+// selects reports whether -fsm name picks a row of the table: a row of
+// Table I or II, or any benchmark on the extension tables, which run
+// whichever machine they are given.
+func selects(table int, name string) bool {
+	spec, ok := benchgen.ByName(name)
+	switch table {
+	case 1:
+		return ok && spec.Table1
+	case 2:
+		return ok && spec.Table2
+	}
+	return ok
+}
+
 // tracer is the -trace sink (nil when untraced); threaded into the PICOLA
-// encoder runs.
+// encoder runs of every table.
 var tracer obs.Tracer
 
 type table1Row struct {
@@ -371,7 +392,7 @@ func table3(only string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		full, err := core.EncodeAllContext(runCtx, prob, core.Options{Workers: jWorkers, Cache: memo})
+		full, err := core.EncodeAllContext(runCtx, prob, core.Options{Trace: tracer, Workers: jWorkers, Cache: memo})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -381,7 +402,7 @@ func table3(only string) error {
 			if nv == maxNV {
 				r = full
 			} else {
-				r, err = core.EncodeContext(runCtx, prob, core.Options{NV: nv, Workers: jWorkers, Cache: memo})
+				r, err = core.EncodeContext(runCtx, prob, core.Options{NV: nv, Trace: tracer, Workers: jWorkers, Cache: memo})
 				if err != nil {
 					return fmt.Errorf("%s nv=%d: %w", name, nv, err)
 				}
@@ -517,7 +538,7 @@ func table4(only string) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		rep, err := stassign.AssignContext(runCtx, m, stassign.Options{Encoder: stassign.Picola,
-			Workers: jWorkers, Cache: memo})
+			Trace: tracer, Workers: jWorkers, Cache: memo})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"picola/internal/benchgen"
@@ -62,5 +66,41 @@ func TestForEachCancelMidSweep(t *testing.T) {
 	}
 	if ran != 1 {
 		t.Fatalf("ran %d rows after cancelling on the first, want 1", ran)
+	}
+}
+
+// TestFSMSelectsNothing: on every table, an -fsm that selects no row is
+// a usage error (exit 2) that prints no table and writes no snapshot.
+// bbara is a Table I machine but not a Table II one.
+func TestFSMSelectsNothing(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "tables")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	snap := filepath.Join(dir, "snap.json")
+	for _, args := range [][]string{
+		{"-table", "1", "-fsm", "nosuch"},
+		{"-table", "2", "-fsm", "bbara", "-json", snap},
+		{"-table", "3", "-fsm", "nosuch"},
+		{"-table", "4", "-fsm", "nosuch"},
+	} {
+		var stdout bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout = &stdout
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("tables %v: %v, want exit status 2", args, err)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("tables %v printed output:\n%s", args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("-table 2 -fsm bbara wrote a snapshot (stat: %v)", err)
 	}
 }

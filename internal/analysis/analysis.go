@@ -6,13 +6,14 @@
 // The framework deliberately avoids golang.org/x/tools: packages are
 // loaded with go/parser, type-checked with go/types (stdlib sources come
 // from the source importer), and each Analyzer is a pure function from a
-// type-checked package to diagnostics. Findings can be suppressed line
-// by line with a justified directive:
+// type-checked package to diagnostics. The one way to suppress a
+// finding is a justified directive:
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // placed on the flagged line or the line directly above it. A directive
-// without a reason does not suppress anything — it is itself reported.
+// without a reason does not suppress anything — it is itself reported,
+// and so is one that suppresses nothing, so suppressions only shrink.
 package analysis
 
 import (
@@ -66,7 +67,7 @@ func (d Diagnostic) String() string {
 // All returns the registered analyzers in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrange, Seedrand, Spanend, Dropperr, Tracenil, Poolput, Metricname,
+		Seedrand, Spanend, Dropperr, Tracenil, Poolput, Metricname,
 		Dettaint, Lockcheck, Leakcheck, Hotalloc, Deadexport,
 	}
 }

@@ -91,7 +91,6 @@ func checkFixture(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestDetrangeFixture(t *testing.T) { checkFixture(t, Detrange) }
 func TestSeedrandFixture(t *testing.T) { checkFixture(t, Seedrand) }
 func TestSpanendFixture(t *testing.T)  { checkFixture(t, Spanend) }
 func TestDropperrFixture(t *testing.T) { checkFixture(t, Dropperr) }
@@ -119,9 +118,9 @@ func TestDeadexportPublicAPI(t *testing.T) {
 	}
 }
 
-// TestDetrangeScope: map ranges outside the deterministic package set
-// are not detrange's business (blif writes files, never tables).
-func TestDetrangeScope(t *testing.T) {
+// TestDettaintScope: map order outside the deterministic package set is
+// not dettaint's business (blif writes files, never tables).
+func TestDettaintScope(t *testing.T) {
 	l, err := NewLoader("")
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestDetrangeScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run([]*Analyzer{Detrange}, pkgs[0]) {
+	for _, d := range Run([]*Analyzer{Dettaint}, pkgs[0]) {
 		t.Errorf("unexpected diagnostic outside deterministic set: %s", d)
 	}
 }
@@ -152,7 +151,7 @@ func TestWholeTreeClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	// detrange names its packages by string, so an entry can outlive
+	// dettaint names its packages by string, so an entry can outlive
 	// its package.
 	loaded := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -163,19 +162,12 @@ func TestWholeTreeClean(t *testing.T) {
 			t.Errorf("DeterministicPackages names %s, which is not a module package", path)
 		}
 	}
-	base, err := LoadBaseline(filepath.Join(l.ModuleDir, "picolint.baseline"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog := BuildProgram(pkgs)
 	prog.WholeModule = true
-	var all []Diagnostic
 	for _, pkg := range pkgs {
-		all = append(all, RunProgram(prog, All(), pkg)...)
-	}
-	rest := base.Filter(l.ModuleDir, all)
-	for _, d := range append(rest, base.Stale(All())...) {
-		t.Errorf("%s", d)
+		for _, d := range RunProgram(prog, All(), pkg) {
+			t.Errorf("%s", d)
+		}
 	}
 }
 
@@ -219,7 +211,7 @@ func TestSuppressionSubset(t *testing.T) {
 	for _, d := range Run([]*Analyzer{Spanend}, pkg) {
 		got = append(got, fmt.Sprintf("%d:%s:%s", d.Pos.Line, d.Analyzer, shortMsg(d.Message)))
 	}
-	// Only the malformed directive is reported: the detrange and
+	// Only the malformed directive is reported: the dropperr and
 	// seedrand directives name analyzers that did not run.
 	if len(got) != 1 || got[0] != "10:lint:needs-reason" {
 		t.Errorf("want only the malformed directive, got %v", got)
@@ -238,8 +230,8 @@ func shortMsg(m string) string {
 }
 
 func TestByName(t *testing.T) {
-	as, err := ByName("detrange, seedrand")
-	if err != nil || len(as) != 2 || as[0].Name != "detrange" || as[1].Name != "seedrand" {
+	as, err := ByName("dettaint, seedrand")
+	if err != nil || len(as) != 2 || as[0].Name != "dettaint" || as[1].Name != "seedrand" {
 		t.Fatalf("ByName: %v %v", as, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {

@@ -18,7 +18,7 @@ import (
 // edges with no callee (summaries treat them as taint-preserving
 // identities and otherwise effect-free). The boundedness is deliberate:
 // the framework stays stdlib-only and package-local in memory, and the
-// escape hatches (lint:ignore, the baseline) absorb the imprecision.
+// escape hatch (a justified lint:ignore) absorbs the imprecision.
 
 // EdgeKind classifies how a call site was resolved.
 type EdgeKind int

@@ -4,24 +4,41 @@ import (
 	"go/types"
 )
 
+// DeterministicPackages are the pipeline stages whose output feeds the
+// paper's tables: any order dependence here (map iteration, unsorted
+// set walks) silently changes cube counts between runs. dettaint holds
+// the values these packages emit to that rule.
+var DeterministicPackages = map[string]bool{
+	"picola/internal/core":     true,
+	"picola/internal/espresso": true,
+	"picola/internal/eval":     true,
+	"picola/internal/cover":    true,
+	"picola/internal/exact":    true,
+	"picola/internal/stassign": true,
+	"picola/internal/symbolic": true,
+	"picola/internal/report":   true,
+	"picola/internal/face":     true,
+}
+
 // Dettaint is the interprocedural determinism-taint analyzer: in the
-// deterministic package set (the same one detrange scopes to), no value
-// returned by an exported function — or stored through one of its
-// pointer/slice/map parameters — may depend on a nondeterminism source:
-// map iteration order, the wall clock, the process-global math/rand,
-// pointer formatting (%p), or goroutine completion order. Taint flows
-// through module-internal call chains via the fixpoint summaries, so a
-// private helper that ranges a map deep below an exported entry point
-// is caught at the entry point's return.
+// deterministic package set, no value returned by an exported function
+// — or stored through one of its pointer/slice/map parameters — may
+// depend on a nondeterminism source: map iteration order, the wall
+// clock, the process-global math/rand, pointer formatting (%p), or
+// goroutine completion order. Taint flows through module-internal call
+// chains via the fixpoint summaries, so a private helper that ranges a
+// map deep below an exported entry point is caught at the entry point's
+// return.
 //
-// It subsumes and deepens detrange: detrange flags the map range
-// syntactically wherever it occurs; dettaint proves (to the engine's
-// flow-insensitive approximation) that unsorted order actually reaches
-// an emitted value. Sorting sanitizes order taint; wall-clock values
-// may flow into designated timing channels (time.Time/time.Duration
-// results and fields, or fields named like measurements: Wall*, Dur*,
-// *NS, *MS, *Time, ...), which is how the observability layer reports
-// wall time without tripping the gate.
+// It is the module's one map-order rule: a map range is a finding only
+// when (to the engine's flow-insensitive approximation) its unsorted
+// order reaches an emitted value, so a loop that collects a map's
+// entries and sorts them before use needs no directive. Sorting
+// sanitizes order taint; wall-clock values may flow into designated
+// timing channels (time.Time/time.Duration results and fields, or
+// fields named like measurements: Wall*, Dur*, *NS, *MS, *Time, ...),
+// which is how the observability layer reports wall time without
+// tripping the gate.
 var Dettaint = &Analyzer{
 	Name: "dettaint",
 	Doc:  "nondeterminism (map order, clock, global rand, %p, goroutine order) flows into a value emitted by a deterministic package",

@@ -23,8 +23,7 @@ import (
 //   - it is a loop running under a select with a done/quit channel.
 //
 // Everything else is flagged. Intentionally process-lifetime goroutines
-// (e.g. a metrics flusher) carry a lint:ignore justification or a
-// baseline entry.
+// (e.g. a metrics flusher) carry a lint:ignore justification.
 var Leakcheck = &Analyzer{
 	Name: "leakcheck",
 	Doc:  "goroutine may outlive its spawner: no context, WaitGroup, or done channel ties it back",

@@ -669,7 +669,7 @@ func (bt *bodyTaint) posStr(pos token.Pos) string {
 
 // shortFilename keeps the last two path segments — enough to identify
 // the file without leaking absolute build paths into messages (which
-// must be stable for the baseline).
+// must be stable across checkouts).
 func shortFilename(name string) string {
 	short := name
 	for seps, i := 0, len(name)-1; i >= 0; i-- {

@@ -31,6 +31,60 @@ func GoodKeys(m map[string]int) []string {
 	return ks
 }
 
+// BadValues returns map values in iteration order.
+func BadValues(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return out // want "map iteration order"
+}
+
+// BadKeyValue returns the key of the largest value: of two keys with
+// equal values, the one ranged first wins.
+func BadKeyValue(m map[string]int) string {
+	best, arg := 0, ""
+	for k, v := range m {
+		if v > best {
+			best, arg = v, k
+		}
+	}
+	return arg // want "map iteration order"
+}
+
+// GoodCollect collects the keys, sorts them, and ranges the slice.
+func GoodCollect(m map[string]int) []int {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]int, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, m[k])
+	}
+	return out
+}
+
+// GoodSlice ranges a slice; only maps are order-randomized.
+func GoodSlice(s []int) int {
+	t := 0
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
+
+// GoodCount ranges a map without reading its keys or values: the count
+// is the same in every order, and no directive is needed.
+func GoodCount(m map[string]int) int {
+	n := 0
+	for range m {
+		n++
+	}
+	return n
+}
+
 // keysOf is the unexported helper BadDeep launders its taint through:
 // its own returns are not API surface, so the finding lands on BadDeep.
 func keysOf(m map[string]int) []string {

@@ -12,7 +12,7 @@ func badDirective() int {
 }
 
 func wrongAnalyzer() int {
-	//lint:ignore detrange this names the wrong analyzer
+	//lint:ignore dropperr this names the wrong analyzer
 	return rand.Intn(3)
 }
 

@@ -42,8 +42,6 @@ type Options struct {
 	Variant Variant
 	// Seed drives the deterministic pseudo-random schedule.
 	Seed int64
-	// Sweeps scales the annealing length; 0 means the default.
-	Sweeps int
 	// OutputPairs feed the IOHybrid objective; ignored by IHybrid.
 	OutputPairs []Pair
 	// NV overrides the code length; 0 means the problem's minimum.
@@ -171,6 +169,9 @@ func (s *state) applyMove(a int, spare uint64) uint64 {
 	return old
 }
 
+// sweeps is the annealing length: each sweep tries 4n moves.
+const sweeps = 40
+
 // Encode runs the baseline encoder and returns a minimum-length encoding.
 func Encode(p *face.Problem, o Options) (*face.Encoding, error) {
 	if err := p.Validate(); err != nil {
@@ -202,10 +203,6 @@ func Encode(p *face.Problem, o Options) (*face.Encoding, error) {
 	}
 	moved := map[int]uint64{}
 
-	sweeps := 40
-	if o.Sweeps > 0 {
-		sweeps = o.Sweeps
-	}
 	cur := s.objective()
 	best := cur
 	bestCodes := append([]uint64(nil), e.Codes...)

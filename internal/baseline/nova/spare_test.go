@@ -31,10 +31,6 @@ func encodeListed(p *face.Problem, o Options) (*face.Encoding, error) {
 	s := newState(p, e, o)
 	r := rand.New(rand.NewSource(o.Seed + 1))
 	spares := e.SpareCodes()
-	sweeps := 40
-	if o.Sweeps > 0 {
-		sweeps = o.Sweeps
-	}
 	cur := s.objective()
 	best := cur
 	bestCodes := append([]uint64(nil), e.Codes...)

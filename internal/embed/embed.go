@@ -24,8 +24,6 @@ type Options struct {
 	// MaxNodes bounds the DFS; 0 means the default (2,000,000). When the
 	// budget trips the result is reported as unknown.
 	MaxNodes int
-	// MaxNV caps the lengths tried by MinLength; 0 means the symbol count.
-	MaxNV int
 }
 
 // Result of a feasibility query.
@@ -228,13 +226,7 @@ func MinLength(p *face.Problem, opts ...Options) (int, *face.Encoding, Result, e
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	maxNV := o.MaxNV
-	if maxNV == 0 {
-		maxNV = p.N()
-	}
-	if maxNV > 30 {
-		maxNV = 30
-	}
+	maxNV := min(p.N(), 30)
 	for nv := p.MinLength(); nv <= maxNV; nv++ {
 		res, e, err := Feasible(p, nv, o)
 		if err != nil {

@@ -224,7 +224,6 @@ func (sh *cacheShard) buildRing() {
 		key memoKey
 	}
 	all := make([]numbered, 0, len(sh.m))
-	//lint:ignore detrange collected keys are sorted by insertion number below
 	for k, v := range sh.m {
 		all = append(all, numbered{v.seq, k})
 	}

@@ -48,7 +48,6 @@ func (c *Cache) Export() []CacheEntry {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		//lint:ignore detrange pair collection sorted by key below before any use
 		for k, v := range sh.m {
 			pairs = append(pairs, pair{k, v.cubes})
 		}

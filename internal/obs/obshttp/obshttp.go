@@ -124,6 +124,7 @@ func StartContext(ctx context.Context, addr string, o Options) (*Server, error) 
 		return nil, err
 	}
 	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(o)}, done: make(chan struct{})}
+	//lint:ignore leakcheck Serve returns once Close or the run context shuts the server down
 	go func() {
 		// Serve returns http.ErrServerClosed after Close; a listener that
 		// dies earlier takes the process's introspection down with it,

@@ -124,22 +124,14 @@ func (mod *Model) Activity(e *face.Encoding) float64 {
 
 // Options tune the low-power encoder.
 type Options struct {
-	Seed   int64
-	Sweeps int // annealing sweeps; 0 = default
-	NV     int // code length; 0 = minimum
+	Seed int64
 }
 
 // Encode searches for a minimum-length encoding with low switching
 // activity by simulated annealing over code assignments.
 func Encode(mod *Model, o Options) (*face.Encoding, error) {
 	n := mod.M.NumStates()
-	nv := o.NV
-	if nv == 0 {
-		nv = minLength(n)
-	}
-	if 1<<uint(nv) < n {
-		return nil, fmt.Errorf("power: %d bits cannot hold %d states", nv, n)
-	}
+	nv := minLength(n)
 	e := face.NewEncoding(n, nv)
 	for i := 0; i < n; i++ {
 		e.Codes[i] = uint64(i)
@@ -149,10 +141,7 @@ func Encode(mod *Model, o Options) (*face.Encoding, error) {
 		spares = append(spares, uint64(c))
 	}
 	r := rand.New(rand.NewSource(o.Seed + 11))
-	sweeps := 60
-	if o.Sweeps > 0 {
-		sweeps = o.Sweeps
-	}
+	const sweeps = 60
 	cur := mod.Activity(e)
 	best := cur
 	bestCodes := append([]uint64(nil), e.Codes...)

@@ -79,9 +79,6 @@ type Options struct {
 	Encoder Encoder
 	// Seed drives the randomized encoders (NOVA, ENC).
 	Seed int64
-	// EncBudget bounds the ENC baseline's espresso evaluations (0 =
-	// package default).
-	EncBudget int
 	// Trace receives the PICOLA encoder's structured trace events (only
 	// the Picola encoder is instrumented). Nil means tracing off.
 	Trace obs.Tracer
@@ -213,8 +210,7 @@ func EncodeProblem(ctx context.Context, m *kiss.FSM, prob *face.Problem, o Optio
 		e, err := nova.Encode(prob, nova.Options{Variant: nova.IOHybrid, Seed: o.Seed, OutputPairs: pairs})
 		return e, true, err
 	case Enc:
-		r, err := enc.Encode(prob, enc.Options{Seed: o.Seed, Budget: o.EncBudget,
-			Workers: o.Workers, Cache: o.Cache})
+		r, err := enc.Encode(prob, enc.Options{Seed: o.Seed, Workers: o.Workers, Cache: o.Cache})
 		if err != nil {
 			return nil, false, err
 		}
