@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -397,7 +398,10 @@ func shardFilter(in []instance, idx, n int) []instance {
 // picola-ir/v1 containers, one per completed instance (problem,
 // encoding, audit, wall). Reopening scans the clean prefix and cuts the
 // file back to it — a frame torn by a mid-run kill is recomputed once,
-// and the frames appended after the cut stay readable.
+// and the frames appended after the cut stay readable. When the file
+// holds frames the open does not keep (superseded by a later frame of
+// the same name, or unusable), it is first rewritten with the kept
+// ones, so it does not grow across runs that recompute the same names.
 type journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -415,7 +419,8 @@ func openJournal(path string) (*journal, map[string]*row, error) {
 	}
 	payloads, clean := ir.ScanFrames(b)
 	done := make(map[string]*row)
-	for _, p := range payloads {
+	last := make(map[string]int) // the index of each name's kept frame
+	for k, p := range payloads {
 		f, err := ir.Unmarshal(p)
 		if err != nil || f.Problem == nil || f.Audit == nil || f.Batch == nil {
 			continue // unusable frame: recompute that instance
@@ -427,6 +432,24 @@ func openJournal(path string) (*journal, map[string]*row, error) {
 			wallNS:      f.Batch.WallNS,
 			problem:     consfile.String(f.Problem),
 		}
+		last[f.Problem.Name] = k
+	}
+	if len(done) < len(payloads) {
+		keep := make([]bool, len(payloads))
+		for _, k := range last {
+			keep[k] = true
+		}
+		var kept []byte
+		for k, p := range payloads {
+			if keep[k] {
+				kept = ir.AppendFrame(kept, p)
+			}
+		}
+		// A failed rewrite leaves the old file whole, and appending to it
+		// stays correct, so the open goes on with it.
+		if rewriteFile(path, kept) == nil {
+			b, clean = kept, len(kept)
+		}
 	}
 	fh, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -437,6 +460,32 @@ func openJournal(path string) (*journal, map[string]*row, error) {
 		return nil, nil, err
 	}
 	return &journal{f: fh}, done, nil
+}
+
+// rewriteFile replaces the file at path with data: it writes and syncs
+// a temporary file in the same directory with path's permissions, then
+// renames it over path, so a failure at any step leaves the old file.
+func rewriteFile(path string, data []byte) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	merr := tmp.Chmod(fi.Mode().Perm())
+	serr := tmp.Sync()
+	if err := errors.Join(werr, merr, serr, tmp.Close()); err != nil {
+		_ = os.Remove(tmp.Name()) // the write error is the one to report
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }
 
 // record appends one completed instance as a frame.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"picola/internal/ir"
 )
 
 // genCorpus writes a small fixed-seed corpus and returns its directory.
@@ -149,6 +151,36 @@ func TestBatchResumeOtherCorpus(t *testing.T) {
 	}
 	if !bytes.Equal(again, fresh) {
 		t.Fatal("resumed snapshot differs from a fresh run's")
+	}
+}
+
+// TestBatchCheckpointCompacts: runs alternating between two corpora
+// whose instances share names keep the checkpoint bounded. Each open
+// rewrites it with the last frame per name, so it never holds more than
+// two frames per instance, and every run's snapshot equals a fresh
+// run's.
+func TestBatchCheckpointCompacts(t *testing.T) {
+	corpora := []string{genSeeded(t, 1, 5, 12), genSeeded(t, 2, 5, 12)}
+	out := t.TempDir()
+	ckpt := filepath.Join(out, "run.ckpt")
+	var fresh [][]byte
+	for _, dir := range corpora {
+		_, snap, _ := runBatch(t, config{jsonOut: filepath.Join(out, "fresh.json")}, dir)
+		fresh = append(fresh, snap)
+	}
+	for run := 0; run < 6; run++ {
+		_, snap, _ := runBatch(t, config{checkpoint: ckpt, jsonOut: filepath.Join(out, "run.json")}, corpora[run%2])
+		if !bytes.Equal(snap, fresh[run%2]) {
+			t.Fatalf("run %d: snapshot differs from a fresh run's", run+1)
+		}
+		jb, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frames, _ := ir.ScanFrames(jb); len(frames) > 10 {
+			t.Fatalf("run %d: the checkpoint holds %d frames (%d bytes) for 5 instances, want at most 10",
+				run+1, len(frames), len(jb))
+		}
 	}
 }
 

@@ -542,10 +542,7 @@ func table4(only string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		low, err := power.Encode(mod, power.Options{Seed: 1})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
+		low := power.Encode(mod, power.Options{Seed: 1})
 		minLow, _, err := stassign.MinimizeEncodedContext(runCtx, m, low)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"picola/internal/eval"
@@ -137,6 +138,84 @@ func TestCostModelMatchesWrapper(t *testing.T) {
 			t.Fatalf("after swap: model and wrapper disagree on constraint %d", i)
 		}
 	}
+}
+
+// TestSplitWordParity binds the split recursions: over random encodings
+// and constraints at nv 1–6, a cost model on the word recursion and one
+// held to the list recursion (splitPre) return the same estimate and
+// leave the same intruder buffer, which estimate's Theorem I test reads
+// after the split. Every other encoding repeats codes, and members
+// sharing a code must take the list recursion.
+func TestSplitWordParity(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	inputs, moved, shared := 0, 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		nv := 1 + r.Intn(6)
+		var e *face.Encoding
+		if trial%2 == 0 {
+			n := 2 + r.Intn(1<<uint(nv)-1)
+			e = face.NewEncoding(n, nv)
+			for s, code := range r.Perm(1 << uint(nv))[:n] {
+				e.Codes[s] = uint64(code)
+			}
+		} else {
+			e = face.NewEncoding(2+r.Intn(1<<uint(nv)+4), nv)
+			for s := range e.Codes {
+				e.Codes[s] = uint64(r.Intn(1 << uint(nv)))
+			}
+		}
+		n := e.N()
+		var cons []face.Constraint
+		for k := 0; k < 4; k++ {
+			c := face.NewConstraint(n)
+			keep := 2 + r.Intn(4)
+			for s := 0; s < n; s++ {
+				if r.Intn(keep) == 0 {
+					c.Add(s)
+				}
+			}
+			cons = append(cons, c)
+		}
+		word, list := newCostModel(e, cons), newCostModel(e, cons)
+		list.words = false
+		for i, c := range cons {
+			want := list.estimate(i)
+			if got := word.estimate(i); got != want {
+				t.Fatalf("trial %d (nv %d, codes %v, members %v): word estimate %d, list %d",
+					trial, nv, e.Codes, c.Members(), got, want)
+			}
+			if !slices.Equal(word.ibuf, list.ibuf) {
+				t.Fatalf("trial %d (nv %d, codes %v, members %v): intruder buffers %v and %v",
+					trial, nv, e.Codes, c.Members(), word.ibuf, list.ibuf)
+			}
+			// The candidates as estimate gathered them, before the split.
+			sup := e.Supercube(c)
+			var intr []uint64
+			var codes uint64
+			for s := 0; s < n; s++ {
+				if !c.Has(s) && sup.Contains(e.Codes[s]) {
+					intr = append(intr, e.Codes[s])
+				}
+				if c.Has(s) {
+					codes |= 1 << e.Codes[s]
+				}
+			}
+			if c.Count() < 2 || len(intr) == 0 {
+				continue
+			}
+			inputs++
+			if !slices.Equal(intr, word.ibuf[:len(intr)]) {
+				moved++
+			}
+			if popcount(codes) < c.Count() {
+				shared++
+			}
+		}
+	}
+	if moved < inputs/4 || shared < inputs/10 {
+		t.Fatalf("%d inputs reached the split, %d with the buffer moved and %d with members sharing a code", inputs, moved, shared)
+	}
+	t.Logf("%d inputs reached the split, %d with the buffer moved and %d with members sharing a code", inputs, moved, shared)
 }
 
 func TestPartition(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 type costModel struct {
 	enc     *face.Encoding
 	mask    uint64
+	words   bool // nv ≤ wordMaxNV: codes index one code-space word
 	members [][]int
 	nonmem  [][]int
 	mbuf    []uint64 // member codes scratch
@@ -31,7 +32,7 @@ func (cm *costModel) flush() {
 }
 
 func newCostModel(enc *face.Encoding, cons []face.Constraint) *costModel {
-	cm := &costModel{enc: enc, mask: enc.Mask()}
+	cm := &costModel{enc: enc, mask: enc.Mask(), words: enc.NV <= wordMaxNV}
 	cm.members = make([][]int, len(cons))
 	cm.nonmem = make([][]int, len(cons))
 	for i, c := range cons {
@@ -62,10 +63,12 @@ func (cm *costModel) estimate(i int) int {
 	m := cm.mbuf[:len(members)]
 	agree := cm.mask
 	vals := cm.enc.Codes[members[0]] & cm.mask
+	var word uint64
 	for j, s := range members {
 		code := cm.enc.Codes[s] & cm.mask
 		m[j] = code
 		agree &^= (vals ^ code) & cm.mask
+		word |= 1 << code // read at nv ≤ wordMaxNV only
 	}
 	vals &= agree
 	// Intruder candidates: non-member codes inside the supercube.
@@ -80,7 +83,12 @@ func (cm *costModel) estimate(i int) int {
 	if nIntr == 0 {
 		return 1
 	}
-	est := cm.splitPre(m, cm.ibuf[:nIntr], agree, vals)
+	var est int
+	if cm.words && popcount(word) == len(m) {
+		est = cm.splitWord(word, cm.ibuf[:nIntr], agree)
+	} else {
+		est = cm.splitPre(m, cm.ibuf[:nIntr], agree, vals)
+	}
 	// Theorem I: when the intruders span a cube containing no member
 	// code, dim(super(L)) − dim(super(I)) cubes suffice.
 	iAgree := cm.mask
@@ -108,11 +116,10 @@ func (cm *costModel) estimate(i int) int {
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }
 
-// splitHalf recurses into one side of a split: agree/vals describe the
-// side's member supercube (computed by the parent during partitioning),
-// and intr holds the intruder candidates routed to the side, not yet
-// compacted against that tighter supercube.
-func (cm *costModel) splitHalf(m, intr []uint64, agree, vals uint64) int {
+// compact moves the codes of intr inside the face agree/vals to its
+// front, in order, and returns them: a side of a split keeps the
+// intruder candidates routed to it that its tighter face still holds.
+func compact(intr []uint64, agree, vals uint64) []uint64 {
 	k := 0
 	for _, code := range intr {
 		if (code^vals)&agree == 0 {
@@ -120,7 +127,7 @@ func (cm *costModel) splitHalf(m, intr []uint64, agree, vals uint64) int {
 			k++
 		}
 	}
-	return cm.splitPre(m, intr[:k], agree, vals)
+	return intr[:k]
 }
 
 // splitPre bounds the cubes needed to cover the member codes m while
@@ -193,16 +200,79 @@ func (cm *costModel) splitPre(m, intr []uint64, agree, vals uint64) int {
 	// cube — skip the child call outright.
 	total := 0
 	if ii > 0 && mi > 1 {
-		total += cm.splitHalf(m[:mi], intr[:ii], agL, vaL)
+		total += cm.splitPre(m[:mi], compact(intr[:ii], agL, vaL), agL, vaL)
 	} else {
 		total++
 	}
 	if ii < len(intr) && len(m)-mi > 1 {
-		total += cm.splitHalf(m[mi:], intr[ii:], agR, vaR)
+		total += cm.splitPre(m[mi:], compact(intr[ii:], agR, vaR), agR, vaR)
 	} else {
 		total++
 	}
 	return total
+}
+
+// wordMaxNV bounds splitWord: at nv ≤ 6 the 2^nv codes index one uint64.
+const wordMaxNV = 6
+
+// colZero[c] has bit x set for every code x whose column c is 0.
+var colZero = [wordMaxNV]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff,
+	0x0000ffff0000ffff,
+	0x00000000ffffffff,
+}
+
+// splitWord is splitPre at nv ≤ wordMaxNV on distinct member codes,
+// carried as one code-space word w (bit x set when a member holds code
+// x): a column's member count is popcount(w & colZero[c]), the member
+// split two ANDs, and a side's face a test of the parent's free
+// columns. It picks splitPre's column and partitions and compacts intr
+// exactly as splitPre does, since estimate's Theorem I test reads intr
+// afterwards. Two members sharing a code take splitPre.
+func (cm *costModel) splitWord(w uint64, intr []uint64, agree uint64) int {
+	n := popcount(w)
+	if len(intr) == 0 || n == 1 {
+		return 1
+	}
+	free := ^agree & cm.mask
+	col, best := 0, 1<<30
+	for d := free; d != 0; d &= d - 1 {
+		c := bits.TrailingZeros64(d)
+		balance := 2*popcount(w&colZero[c]) - n
+		if balance < 0 {
+			balance = -balance
+		}
+		if balance < best {
+			col, best = c, balance
+			if best <= n&1 {
+				break
+			}
+		}
+	}
+	ii := partition(intr, 1<<uint(col))
+	total := cm.wordSide(w&colZero[col], intr[:ii], agree, free)
+	return total + cm.wordSide(w&^colZero[col], intr[ii:], agree, free)
+}
+
+// wordSide is one side w of splitWord's split: one cube when no
+// intruder candidate reaches it or it holds a single member, else the
+// split of its face, which agrees with the parent's agree columns and
+// with each of the parent's free columns w is uniform on.
+func (cm *costModel) wordSide(w uint64, intr []uint64, agree, free uint64) int {
+	if len(intr) == 0 || w&(w-1) == 0 {
+		return 1
+	}
+	for ; free != 0; free &= free - 1 {
+		c := bits.TrailingZeros64(free)
+		if w&colZero[c] == 0 || w&^colZero[c] == 0 {
+			agree |= 1 << uint(c)
+		}
+	}
+	vals := uint64(bits.TrailingZeros64(w)) & agree
+	return cm.splitWord(w, compact(intr, agree, vals), agree)
 }
 
 // partition reorders xs so codes with the bit clear come first, returning

@@ -36,9 +36,9 @@ func randomCarryProblem(r *rand.Rand) *face.Problem {
 // off the list give the trajectory of scoring every constraint. Some
 // candidates are kept, moves mid-scan without a new snapshot, as the
 // polishes keep them. The estimate is not checked under swaps: its Theorem I test
-// reads the intruder list after splitPre has compacted it in place, so a
-// swap of two non-members can move it (18 of 154,329 such swaps over
-// 3,000 of these problems).
+// reads the intruder list after the split recursion has compacted it in
+// place, so a swap of two non-members can move it (18 of 154,329 such
+// swaps over 3,000 of these problems; TestPolishScoresCurrentEstimate).
 func TestAffectedSetLemma(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	exact := func(enc *face.Encoding, c face.Constraint) int {
@@ -112,6 +112,48 @@ func TestAffectedSetLemma(t *testing.T) {
 	t.Logf("%d swaps and %d spare moves, %d unlisted constraints checked", swaps, moves, off)
 }
 
+// TestPolishScoresCurrentEstimate pins a stale committed estimate, found
+// by drawing problems and codes as TestAffectedSetLemma does (seed 47)
+// and trying every swap of two non-members: swapping 1 and 8 moves L0's
+// estimate from 4 to 3 although the swap's list does not hold L0. After
+// that swap is committed, a swap of L0's members 2 and 5 must be scored
+// at L0's current estimate, 3, computed the first time and remembered
+// the second, not at its committed 4.
+func TestPolishScoresCurrentEstimate(t *testing.T) {
+	p := &face.Problem{Names: make([]string, 9)}
+	p.AddConstraint(face.FromMembers(9, 2, 3, 4, 5, 7))
+	p.AddConstraint(face.FromMembers(9, 3, 4, 7))
+	e := &encoder{p: p, n: 9, nv: 4, enc: face.NewEncoding(9, 4)}
+	copy(e.enc.Codes, []uint64{14, 5, 0, 13, 12, 15, 4, 7, 9})
+	cm := newCostModel(e.enc, p.Constraints)
+	s := e.newEstimateSearch(cm)
+	idx := s.aff.swap(1, 8)
+	s.swapCodes(1, 8)
+	if _, err := s.score(idx); err != nil {
+		t.Fatal(err)
+	}
+	s.commit(idx)
+	if cur := cm.estimate(0); s.cost[0] != 4 || cur != 3 {
+		t.Fatalf("L0 committed at %d, now %d; the pinned case needs 4 and 3", s.cost[0], cur)
+	}
+	for try := 0; try < 2; try++ {
+		idx := s.aff.swap(2, 5)
+		s.swapCodes(2, 5)
+		d, err := s.score(idx)
+		s.swapCodes(2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx) != 1 || idx[0] != 0 || s.next[0] != 3 || d != -1 {
+			t.Fatalf("try %d: swapping 2 and 5 scores %v at %v (delta %d), want L0 at 3 (delta -1)",
+				try, idx, s.next[:len(idx)], d)
+		}
+	}
+	if s.reused != 1 {
+		t.Fatalf("%d answers reused, want 1", s.reused)
+	}
+}
+
 // TestPolishCarryFires guards against the carry silently dying: on the
 // paper problem, at least one constraint evaluation must be answered by
 // the dirty-set carry rather than a minimizer request.
@@ -140,15 +182,12 @@ func TestAllocsPolishCandidate(t *testing.T) {
 	for s := range e.enc.Codes {
 		e.enc.Codes[s] = uint64(s)
 	}
-	cm := newCostModel(e.enc, p.Constraints)
-	s, err := e.newSearch(func(i int) (int, error) { return cm.estimate(i), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.newEstimateSearch(newCostModel(e.enc, p.Constraints))
 	if len(s.spares) == 0 {
 		t.Fatal("the paper problem has no spare code at minimum length")
 	}
-	// Symbols 1 and 5 share L1; 1 is in L2 and 5 in L4.
+	// Symbols 1 and 5 share L1, whose estimate is remembered; 1 is in
+	// L2 and 5 in L4.
 	if allocs := testing.AllocsPerRun(200, func() {
 		s.commitSeq++
 		if _, _, err := s.trySwap(1, 5); err != nil {

@@ -36,6 +36,17 @@ type search struct {
 	// carried counts the constraints spare moves left off their lists;
 	// the exact polish reports it as core.polish.carried.
 	carried int
+
+	// The estimate polish's current estimates (nil in the exact polish):
+	// cur[i] is constraint i's estimate at the current codes while
+	// curSeq[i] == commitSeq. A swap leaves a constraint holding both
+	// symbols with the same member codes and the same non-member codes
+	// in symbol order, so its estimate under the swap is cur[i], not
+	// cost[i], which a committed swap of two non-members can leave stale
+	// (costModel.estimate). reused counts these answers for
+	// core.estimates.
+	cur, curSeq []int
+	reused      int
 }
 
 // newSearch scores every constraint under objective and sets up the
@@ -53,6 +64,14 @@ func (e *encoder) newSearch(objective func(i int) (int, error)) (*search, error)
 	}
 	s.tried = make([]int, e.n*e.n+e.n*len(s.spares))
 	return s, nil
+}
+
+// newEstimateSearch is the estimate polish's search under cm's estimate,
+// with the current-estimate memory on.
+func (e *encoder) newEstimateSearch(cm *costModel) *search {
+	s, _ := e.newSearch(func(i int) (int, error) { return cm.estimate(i), nil }) // the estimate has no error
+	s.cur, s.curSeq = make([]int, len(s.cost)), make([]int, len(s.cost))
+	return s
 }
 
 func (s *search) total() int {
@@ -74,7 +93,7 @@ func (s *search) swapCodes(a, b int) {
 func (s *search) score(idx []int) (int, error) {
 	d := 0
 	for j, i := range idx {
-		k, err := s.objective(i)
+		k, err := s.costOf(i)
 		if err != nil {
 			return 0, err
 		}
@@ -84,12 +103,31 @@ func (s *search) score(idx []int) (int, error) {
 	return d, nil
 }
 
+// costOf is constraint i's objective under the candidate: its current
+// estimate when the estimate polish scores a swap of two of i's
+// members, computed at most once per commit.
+func (s *search) costOf(i int) (int, error) {
+	if s.cur == nil || s.aff.both[i] != s.aff.epoch {
+		return s.objective(i)
+	}
+	if s.curSeq[i] == s.commitSeq {
+		s.reused++
+		return s.cur[i], nil
+	}
+	k, err := s.objective(i)
+	s.cur[i], s.curSeq[i] = k, s.commitSeq
+	return k, err
+}
+
 // commit makes the scored candidate's costs the committed ones.
 func (s *search) commit(idx []int) {
+	s.commitSeq++
 	for j, i := range idx {
 		s.cost[i] = s.next[j]
+		if s.cur != nil {
+			s.cur[i], s.curSeq[i] = s.next[j], s.commitSeq
+		}
 	}
-	s.commitSeq++
 }
 
 // trySwap scores the swap of a's and b's codes and keeps it when it
@@ -305,13 +343,13 @@ func (e *encoder) polish(name string, maxPasses int) error {
 	}
 	t0 := time.Now()
 	cm := newCostModel(e.enc, e.p.Constraints)
-	defer cm.flush()
 	// The candidate loop is the encoder's warm-path floor, so it must not
 	// allocate per candidate (TestAllocsPolishCandidate).
-	s, err := e.newSearch(func(i int) (int, error) { return cm.estimate(i), nil })
-	if err != nil {
-		return err
-	}
+	s := e.newEstimateSearch(cm)
+	defer func() {
+		cm.evals += s.reused
+		cm.flush()
+	}()
 	before := s.total()
 	passes := 0
 	for pass := 0; pass < maxPasses; pass++ {
@@ -372,6 +410,7 @@ type affectedSet struct {
 	memberOf [][]int     // memberOf[s]: the constraints having s as a member
 	sup      []face.Face // each constraint's members' supercube at the last snapshot
 	stamp    []int
+	both     []int // both[i] == epoch: i holds both symbols of the listed swap
 	epoch    int
 	idx      []int
 }
@@ -383,6 +422,7 @@ func newAffectedSet(enc *face.Encoding, cons []face.Constraint) *affectedSet {
 		memberOf: make([][]int, enc.N()),
 		sup:      make([]face.Face, len(cons)),
 		stamp:    make([]int, len(cons)),
+		both:     make([]int, len(cons)),
 		idx:      make([]int, 0, len(cons)),
 	}
 	for i, c := range cons {
@@ -411,14 +451,18 @@ func (as *affectedSet) add(i int) {
 	}
 }
 
-// swap lists the constraints with a or b as a member. A swap leaves every
-// other constraint's member codes and non-member code multiset as they
-// were, so its exact count cannot change. costModel.estimate can still
-// move: its Theorem I test reads the intruder list after splitPre has
-// compacted it in place, so it depends on the non-members' order.
+// swap lists the constraints with a or b as a member, and marks in both
+// those with both. A swap leaves every other constraint's member codes
+// and non-member code multiset as they were, so its exact count cannot
+// change. costModel.estimate can still move: its Theorem I test reads
+// the intruder list after the split recursion has compacted it in
+// place, so it depends on the non-members' order.
 func (as *affectedSet) swap(a, b int) []int {
 	as.begin(a)
 	for _, i := range as.memberOf[b] {
+		if as.stamp[i] == as.epoch {
+			as.both[i] = as.epoch
+		}
 		as.add(i)
 	}
 	return as.idx

@@ -129,7 +129,7 @@ type Options struct {
 
 // Encode searches for a minimum-length encoding with low switching
 // activity by simulated annealing over code assignments.
-func Encode(mod *Model, o Options) (*face.Encoding, error) {
+func Encode(mod *Model, o Options) *face.Encoding {
 	n := mod.M.NumStates()
 	nv := minLength(n)
 	e := face.NewEncoding(n, nv)
@@ -184,7 +184,7 @@ func Encode(mod *Model, o Options) (*face.Encoding, error) {
 		}
 	}
 	copy(e.Codes, bestCodes)
-	return e, nil
+	return e
 }
 
 func minLength(n int) int {

@@ -85,10 +85,7 @@ func TestEncodeReducesActivity(t *testing.T) {
 		for i := range natural.Codes {
 			natural.Codes[i] = uint64(i)
 		}
-		low, err := Encode(mod, Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		low := Encode(mod, Options{Seed: 1})
 		if !low.Injective() {
 			t.Fatalf("%s: codes must stay distinct", name)
 		}
@@ -109,10 +106,7 @@ func TestPowerAreaTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := Encode(mod, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	low := Encode(mod, Options{Seed: 1})
 	rep, err := stassign.Assign(m, stassign.Options{Encoder: stassign.Picola})
 	if err != nil {
 		t.Fatal(err)

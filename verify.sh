@@ -46,6 +46,13 @@ go test -race ./...
 # store append of known entries at a constant.
 go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/evalstore ./internal/cover ./internal/face ./internal/baseline/nova
 
+# BenchmarkPolish, the light estimate polish alone from fixed
+# column-generation codes on Table I and the perfbench corpus, runs once
+# so that it keeps building and running; time it with a larger
+# -benchtime, since perfbench's noise hides a polish change of Table I's
+# size.
+go test -run '^$' -bench BenchmarkPolish -benchtime 1x ./internal/core
+
 # Hot-path semantics gate: regenerate the Table I snapshot and require
 # zero cube-count deltas against the committed baseline — the kernel,
 # pooling and incremental-rescore layers may only change wall time,
